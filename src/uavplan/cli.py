@@ -32,6 +32,7 @@ from .heuristic import PRESETS as HEURISTIC_PRESETS
 from .heuristic import HeuristicConfig, InsertionError, insertion_solve
 from .milp import build_milp, export_lp, import_solution, parse_solution
 from .scenario import Scenario, ScenarioError, load_scenario, serialize_scenario, validate
+from .simplex import SizeCapError
 from .synth import PRESETS as SCENARIO_PRESETS
 from .synth import Dims, GenerationError, generate_preset, generate_synthetic
 
@@ -485,6 +486,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except SizeCapError as exc:  # a ValueError, but a limit refusal
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except (
         ScenarioError,
         GenerationError,

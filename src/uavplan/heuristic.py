@@ -335,7 +335,8 @@ class _SolveContext:
         self.equip_ids = list(s.equipment_ids)
         w = s.payload_weights()
         self.equip_w = float(sum(w[self.equip_ids])) if self.equip_ids else 0.0
-        self.residual = s.demand.copy()
+        self.committed = s.demand  # residual after the committed tours
+        self.residual = s.demand.copy()  # after the committed tours and the open one
         self._refresh_values()
 
     def _refresh_values(self):
@@ -426,18 +427,19 @@ def _seed_tour(ctx: _SolveContext, payload_id: int) -> Tour:
     return tour
 
 
-def _project_residual(ctx: _SolveContext, tours: list[Tour], current: Tour | None):
-    """Greedy estimate of demand served by the committed tours, used to keep
-    the arc weights from double-counting demand."""
+def _project_residual(ctx: _SolveContext, current: Tour):
+    """Greedy estimate of demand left after the committed tours and the open
+    one, used to keep the arc weights from double-counting demand.
+
+    Committed tours are folded in once, at commit: insertion_solve sets
+    ctx.committed to ctx.residual when it closes a tour, so only the open
+    tour is replayed here."""
     s = ctx.s
-    resid = s.demand.copy()
-    aboard = frozenset(ctx.equip_ids)
-    all_tours = tours + ([current] if current is not None else [])
-    for tour in all_tours:
-        sched = _simulate(s, ctx.equip_w, tour.stops, tour.legs)
-        if sched is None:
-            continue
-        for k, l in _epoch_walk(s, tour, sched):
+    resid = ctx.committed.copy()
+    sched = _simulate(s, ctx.equip_w, current.stops, current.legs)
+    if sched is not None:
+        aboard = frozenset(ctx.equip_ids)
+        for k, l in _epoch_walk(s, current, sched):
             _allocate_service(s, l, k, aboard, resid, collect=None)
     ctx.residual = resid
     ctx._refresh_values()
@@ -474,7 +476,7 @@ def insertion_solve(
             seed = min(unserved, key=deadline_key)
             current = _seed_tour(ctx, seed)
             unserved.remove(seed)
-            _project_residual(ctx, tours, current)
+            _project_residual(ctx, current)
             continue
         candidates = []
         for pid in unserved:
@@ -495,14 +497,16 @@ def insertion_solve(
             if candidates[0][0] >= -1e-12:
                 picked = candidates[0]
         if picked is None:
+            # ctx.residual was projected from exactly this tour: commit it
             tours.append(current)
+            ctx.committed = ctx.residual
             current = None
             continue
         _, pid, pos, g, g2 = picked
         current.stops.insert(pos - 1, Stop(pid, s.payloads[pid].target))
         current.legs[pos - 1 : pos] = [g, g2]
         unserved.remove(pid)
-        _project_residual(ctx, tours, current)
+        _project_residual(ctx, current)
 
     _assign_tours(s, ctx, tours, uav_equipment)
     plan = tours_to_plan(s, tours, uav_equipment)
@@ -564,18 +568,19 @@ def _assign_tours(s, ctx, tours, uav_equipment):
 
 def _epoch_walk(s: Scenario, tour: Tour, sched: _Schedule):
     """(epoch, location) for every non-depot epoch of the scheduled tour."""
+    is_depot = s.is_depot_arr()
     out = []
     t = sched.depart
     for i, leg in enumerate(tour.legs):
         for j in range(leg.hops):
             t += 1
-            if not s.is_depot_arr()[leg.seq[j + 1]]:
+            if not is_depot[leg.seq[j + 1]]:
                 out.append((t, leg.seq[j + 1]))
         if i < len(tour.stops):
             loc = tour.stops[i].location
             while t < sched.services[i]:
                 t += 1
-                if not s.is_depot_arr()[loc]:
+                if not is_depot[loc]:
                     out.append((t, loc))
     return out
 
@@ -595,11 +600,10 @@ def _allocate_service(s: Scenario, l: int, k: int, aboard: frozenset, resid, col
         rate = s.missions[m].mb_per_work
         if rate > 0 and (not can_relay or t_sink <= 0):
             continue  # data with nowhere to go forbids the work entirely
-        for z in range(s.num_zones):
-            q = s.quality[l, m, z]
-            r = resid[k, m, z]
-            if q > 0 and r > 1e-12:
-                pairs.append((q * r, m, z, q, rate))
+        q_lm, r_km = s.quality[l, m], resid[k, m]
+        for z in np.nonzero((q_lm > 0) & (r_km > 1e-12))[0].tolist():
+            q = q_lm[z]
+            pairs.append((q * r_km[z], m, z, q, rate))
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
     for _, m, z, q, rate in pairs:
         if budget <= 1e-12:

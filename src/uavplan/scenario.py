@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,15 @@ class Mission:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One problem instance.
+
+    The derived ids, masks and weights below (``depot_ids``, ``relay_index``,
+    ``service_mission_ids``, ``deliverable_ids``, ``equipment_ids``,
+    ``payload_weights()``, ``is_depot_arr()``) are computed once per instance,
+    on first use, and the arrays are read-only.  ``dataclasses.replace``
+    builds a fresh instance, which computes its own.
+    """
+
     locations: tuple[Location, ...]
     zones: tuple[Zone, ...]
     uav: UavSpec
@@ -107,27 +117,27 @@ class Scenario:
     def num_uavs(self) -> int:
         return self.uav.count
 
-    @property
+    @cached_property
     def depot_ids(self) -> tuple[int, ...]:
         return tuple(l.id for l in self.locations if l.is_depot)
 
-    @property
+    @cached_property
     def relay_index(self) -> int | None:
         for m in self.missions:
             if m.name == RELAY:
                 return m.id
         return None
 
-    @property
+    @cached_property
     def service_mission_ids(self) -> tuple[int, ...]:
         """Missions that serve zone demand (everything except relay)."""
         return tuple(m.id for m in self.missions if m.name != RELAY)
 
-    @property
+    @cached_property
     def deliverable_ids(self) -> tuple[int, ...]:
         return tuple(p.id for p in self.payloads if p.deliverable)
 
-    @property
+    @cached_property
     def equipment_ids(self) -> tuple[int, ...]:
         """Non-deliverable payloads required by at least one mission."""
         needed = set()
@@ -141,11 +151,26 @@ class Scenario:
                 return m
         return None
 
+    @cached_property
+    def _payload_weights(self) -> np.ndarray:
+        return _read_only(np.array([p.weight_kg for p in self.payloads], dtype=float))
+
+    @cached_property
+    def _is_depot(self) -> np.ndarray:
+        return _read_only(np.array([l.is_depot for l in self.locations], dtype=bool))
+
     def payload_weights(self) -> np.ndarray:
-        return np.array([p.weight_kg for p in self.payloads], dtype=float)
+        """(P,) payload weights in kg; read-only."""
+        return self._payload_weights
 
     def is_depot_arr(self) -> np.ndarray:
-        return np.array([l.is_depot for l in self.locations], dtype=bool)
+        """(L,) depot mask; read-only."""
+        return self._is_depot
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,14 @@ class TestSolve:
     def test_exact_guard_refusal_exit_3(self, sf_small_file, tmp_path):
         assert run("solve", "--scenario", sf_small_file, "--engine", "exact", "--out", tmp_path / "p") == 3
 
+    def test_simplex_size_cap_refusal_exit_3(self, tmp_path, monkeypatch, capsys):
+        """tiny-mixed has service demand, so the exact engine solves inner LPs."""
+        monkeypatch.setattr("uavplan.simplex.SIZE_CAP", 1)
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        assert run("solve", "--scenario", scen, "--engine", "exact", "--out", tmp_path / "p") == 3
+        assert "cap" in capsys.readouterr().err
+
 
 class TestLpRoundTrip:
     def test_export_matches_golden(self, tmp_path):

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from uavplan.evaluator import check_feasibility, plan_metrics, satisfaction, serialize_plan
+from uavplan import heuristic
 from uavplan.heuristic import (
+    PRESETS,
     HeuristicConfig,
     InsertionError,
     RouteGraphError,
+    _allocate_service,
+    _epoch_walk,
+    _simulate,
     _SolveContext,
     arc_service_weights,
     build_route_graph,
@@ -15,7 +20,7 @@ from uavplan.heuristic import (
     tours_to_plan,
 )
 from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, make_scenario
-from uavplan.synth import Dims, generate_synthetic
+from uavplan.synth import Dims, generate_preset, generate_synthetic
 
 from scenarios import tiny_mixed
 
@@ -404,3 +409,114 @@ class TestPresets:
                 used[name].append(energy_used(s, plan).sum())
         assert np.mean(used["save-time"]) <= np.mean(used["coverage"]) + 1e-9
         assert np.mean(used["save-time"]) <= np.mean(used["monitoring"]) + 1e-9
+
+
+# -- reference implementations of the insertion hot path ---------------------------
+
+
+def _allocate_service_loop(s, l, k, aboard, resid, collect):
+    """Per-zone reference for _allocate_service: same pairs, same order, same
+    arithmetic."""
+    ridx = s.relay_index
+    can_relay = ridx is not None and all(p in aboard for p in s.missions[ridx].requires)
+    t_sink = float(s.link_sink_mb[l])
+    budget = 1.0
+    gen = 0.0
+    pairs = []
+    for m in s.service_mission_ids:
+        if not all(p in aboard for p in s.missions[m].requires):
+            continue
+        rate = s.missions[m].mb_per_work
+        if rate > 0 and (not can_relay or t_sink <= 0):
+            continue
+        for z in range(s.num_zones):
+            q = s.quality[l, m, z]
+            r = resid[k, m, z]
+            if q > 0 and r > 1e-12:
+                pairs.append((q * r, m, z, q, rate))
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    for _, m, z, q, rate in pairs:
+        if budget <= 1e-12:
+            break
+        per_mu = 1.0 + (q * rate / t_sink if rate > 0 else 0.0)
+        alloc = min(budget / per_mu, resid[k, m, z] / q)
+        if alloc <= 1e-12:
+            continue
+        resid[k, m, z] -= alloc * q
+        budget -= alloc * per_mu
+        gen += alloc * q * rate
+        if collect is not None:
+            collect.append((m, z, alloc))
+    return gen
+
+
+def _full_replay_residual(ctx, tours):
+    """Reference for _project_residual: replay every tour from full demand."""
+    s = ctx.s
+    resid = s.demand.copy()
+    aboard = frozenset(ctx.equip_ids)
+    for tour in tours:
+        sched = _simulate(s, ctx.equip_w, tour.stops, tour.legs)
+        if sched is None:
+            continue
+        for k, l in _epoch_walk(s, tour, sched):
+            _allocate_service_loop(s, l, k, aboard, resid, None)
+    return resid
+
+
+class TestHotPathEquivalence:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_residual_matches_full_replay_after_every_insertion(self, seed, monkeypatch):
+        s = generate_preset("sf-large", seed)
+        project = heuristic._project_residual
+        checks = 0
+        for name, cfg in PRESETS.items():
+            projected: list = []  # tours in order of first projection; all but the last committed
+
+            def checked(ctx, current):
+                nonlocal checks
+                project(ctx, current)
+                if not projected or projected[-1] is not current:
+                    projected.append(current)
+                want = _full_replay_residual(ctx, projected)
+                assert np.array_equal(ctx.residual, want), f"seed {seed} {name} tour {len(projected)}"
+                checks += 1
+
+            monkeypatch.setattr(heuristic, "_project_residual", checked)
+            try:
+                insertion_solve(s, cfg())
+            except InsertionError:
+                pass  # fleet refusals come after every insertion was checked
+        assert checks >= 3 * len(s.deliverable_ids)
+
+    def test_vectorized_allocation_matches_loop(self):
+        """Random residuals over a densely wired instance; quality and
+        residual levels come from small sets (two levels per trial) so q * r
+        ties are common and the (mission, zone) tie-break is exercised; a
+        residual just under the 1e-12 cut over quality 0.01 would still be
+        worth allocating, so the cut is exercised too."""
+        rng = np.random.default_rng(11)
+        n_loc, n_zone = 5, 30
+        zones = []
+        for z in range(n_zone):
+            served = {}
+            for l in range(1, n_loc):
+                q = {"coverage": float(rng.choice([0.0, 0.01, 0.5, 1.0])), "monitoring": float(rng.choice([0.0, 0.5]))}
+                served[l] = {m: v for m, v in q.items() if v > 0}
+            zones.append(Zone(z, served))
+        s = line_scenario(targets=[1], windows=[(1, 10)], zones=zones, missions=True, epochs=6,
+                          extra_locs=[(1.0, 1.0)] * (n_loc - 3))
+        assert s.num_locations == n_loc
+        aboard_sets = [frozenset({0, 1}), frozenset({0}), frozenset({1}), frozenset()]
+        levels = np.array([0.0, 5e-13, 0.05, 0.25, 0.5, 1.0])
+        for trial in range(400):
+            resid = rng.choice(rng.choice(levels, size=2, replace=False), size=s.demand.shape)
+            l, k = int(rng.integers(n_loc)), int(rng.integers(s.epochs))
+            aboard = aboard_sets[trial % len(aboard_sets)]
+            got_resid, want_resid = resid.copy(), resid.copy()
+            got, want = [], []
+            got_gen = _allocate_service(s, l, k, aboard, got_resid, got)
+            want_gen = _allocate_service_loop(s, l, k, aboard, want_resid, want)
+            assert np.array_equal(got_resid, want_resid)
+            assert got == want
+            assert got_gen == want_gen

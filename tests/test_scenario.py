@@ -165,3 +165,27 @@ class TestGenerator:
         s = generate_preset("sf-large", seed=2)
         per_zone = [len(z.served_from) for z in s.zones]
         assert 1.2 <= float(np.mean(per_zone)) <= 2.8
+
+
+class TestDerivedData:
+    def test_derived_arrays_are_read_only(self):
+        s = tiny_mixed()
+        with pytest.raises(ValueError):
+            s.payload_weights()[0] = 9.0
+        with pytest.raises(ValueError):
+            s.is_depot_arr()[0] = False
+        assert s.payload_weights() is s.payload_weights()
+
+    def test_replace_recomputes_depot_data(self):
+        """A fresh instance from dataclasses.replace carries no stale masks."""
+        import dataclasses
+
+        s = tiny_mixed()
+        assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
+        locs = list(s.locations)
+        locs[0] = dataclasses.replace(locs[0], is_depot=False)
+        locs[1] = dataclasses.replace(locs[1], is_depot=True)
+        s2 = dataclasses.replace(s, locations=tuple(locs))
+        assert s2.depot_ids == (1,)
+        assert s2.is_depot_arr().tolist() == [False, True, False]
+        assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
