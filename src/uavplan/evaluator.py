@@ -8,14 +8,16 @@ the one feasibility authority: every solver's output must come back clean.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import Scenario, windowed_sum
 
 # Canonical constraint tags, in report order.
 TAGS = (
+    "FINITE",
     "LOC-UNIQUE",
     "TRAVEL",
     "CAPACITY",
@@ -206,6 +208,13 @@ def check_feasibility(
     cap_kg = s.uav.payload_capacity_kg
     vmax = s.uav.max_step_km
 
+    # FINITE: NaN fails every tolerance comparison below, so without this
+    # check a NaN plan would pass them all
+    for name in ("mission_alloc", "relay_frac", "transfers", "sink_transfers"):
+        arr = getattr(p, name)
+        for idx in np.argwhere(~np.isfinite(arr)):
+            out.append(Violation("FINITE", (name, *map(int, idx)), float(arr[tuple(idx)])))
+
     for d, k in np.argwhere(bad_loc):
         out.append(Violation("LOC-UNIQUE", (int(d), int(k)), float(p.locations[d, k])))
 
@@ -329,20 +338,13 @@ def satisfaction(s: Scenario, p: Plan) -> SatisfactionReport:
     _check_dims(s, p)
     lam, _ = _sanitized_locations(s, p)
     K, M, Z = s.epochs, s.num_missions, s.num_zones
-    H = s.horizon
     q_at = s.quality[lam]
     serv = (p.mission_alloc * q_at).sum(axis=0)  # (K, M, Z)
 
-    cs_serv = np.concatenate([np.zeros((1, M, Z)), np.cumsum(serv, axis=0)])
-    cs_need = np.concatenate([np.zeros((1, M, Z)), np.cumsum(s.demand, axis=0)])
-    sigma = np.ones((K, M, Z))
-    for k in range(K):
-        lo = max(0, k - H)
-        S = cs_serv[k + 1] - cs_serv[lo]
-        N = cs_need[k + 1] - cs_need[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(N > 0, S / np.where(N > 0, N, 1.0), 1.0)
-        sigma[k] = ratio
+    S = windowed_sum(serv, s.horizon)
+    N = s.window_need
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sigma = np.where(N > 0, S / np.where(N > 0, N, 1.0), 1.0)
 
     ridx = s.relay_index
     if ridx is not None:
@@ -431,24 +433,69 @@ def plan_to_dict(p: Plan) -> dict:
     }
 
 
+def _index(value, size: int, what: str) -> int:
+    """value as an index into range(size); negative or out-of-range values
+    are rejected instead of wrapping."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"plan {what} index {value!r} is not an integer") from None
+    if i != value or not 0 <= i < size:
+        raise ValueError(f"plan {what} index {value!r} is outside [0, {size})")
+    return i
+
+
+def _rows(doc: dict, key: str, width: int) -> list:
+    rows = doc.get(key, [])
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) and len(r) == width for r in rows
+    ):
+        raise ValueError(f"plan {key} must be a list of {width}-entry rows")
+    return rows
+
+
+def _finite(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"plan {what} value {value!r} is not a number") from None
+    if not math.isfinite(x):
+        raise ValueError(f"plan {what} value {value!r} is not finite")
+    return x
+
+
 def plan_from_dict(doc: dict, s: Scenario) -> Plan:
+    """Plan from its file form.  Raises ValueError on rows whose indices fall
+    outside the scenario or whose values are not finite.  Location ids out of
+    range are plan data: check_feasibility reports them as LOC-UNIQUE."""
     D, K = s.num_uavs, s.epochs
+    P, M, Z = s.num_payloads, s.num_missions, s.num_zones
+    if not isinstance(doc, dict):
+        raise ValueError("a plan must be a JSON object")
     p = Plan.idle(s)
-    locs = np.array(doc["locations"], dtype=int)
+    try:
+        locs = np.array(doc["locations"], dtype=int)
+        integral = np.array_equal(locs, np.array(doc["locations"], dtype=float))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"plan locations are not integers: {exc}") from None
     if locs.shape != (D, K):
         raise ValueError(f"plan locations have shape {locs.shape}, scenario expects {(D, K)}")
+    if not integral:
+        raise ValueError("plan locations are not integers")
     p.locations = locs
-    for d, k, pp in doc.get("payloads", []):
-        p.payloads[int(d), int(k), int(pp)] = True
-    for d, k, m, z, frac in doc.get("missions", []):
-        p.mission_alloc[int(d), int(k), int(m), int(z)] = float(frac)
-    for d, k, frac in doc.get("relay", []):
-        p.relay_frac[int(d), int(k)] = float(frac)
-    for d1, d2, k, mb in doc.get("transfers", []):
+    for d, k, pp in _rows(doc, "payloads", 3):
+        p.payloads[_index(d, D, "uav"), _index(k, K, "epoch"), _index(pp, P, "payload")] = True
+    for d, k, m, z, frac in _rows(doc, "missions", 5):
+        idx = (_index(d, D, "uav"), _index(k, K, "epoch"), _index(m, M, "mission"), _index(z, Z, "zone"))
+        p.mission_alloc[idx] = _finite(frac, "mission")
+    for d, k, frac in _rows(doc, "relay", 3):
+        p.relay_frac[_index(d, D, "uav"), _index(k, K, "epoch")] = _finite(frac, "relay")
+    for d1, d2, k, mb in _rows(doc, "transfers", 4):
+        d1, k, mb = _index(d1, D, "uav"), _index(k, K, "epoch"), _finite(mb, "transfer")
         if d2 == "omega" or d2 == OMEGA:
-            p.sink_transfers[int(d1), int(k)] = float(mb)
+            p.sink_transfers[d1, k] = mb
         else:
-            p.transfers[int(d1), int(d2), int(k)] = float(mb)
+            p.transfers[d1, _index(d2, D, "uav"), k] = mb
     return p
 
 

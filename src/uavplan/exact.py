@@ -24,7 +24,7 @@ import numpy as np
 
 from .evaluator import Plan
 from .milp import MilpModel
-from .scenario import Scenario
+from .scenario import Scenario, windowed_sum
 from .simplex import simplex_solve
 
 
@@ -50,6 +50,9 @@ class ExactResult:
     proven_optimal: bool
     assignments_visited: int
     feasible: bool
+    lp_solves: int = 0  # inner LPs solved
+    simplex_iterations: int = 0  # SimplexResult.iterations summed over the inner LPs
+    bound_prunes: int = 0  # assignments the objective bound discarded
 
 
 @dataclass(frozen=True)
@@ -223,52 +226,40 @@ def _equipped(s: Scenario, mission_id: int, aboard: frozenset) -> bool:
     return all(p in aboard for p in s.missions[mission_id].requires)
 
 
-def _window_need(s: Scenario) -> np.ndarray:
-    cs = np.concatenate([np.zeros((1, s.num_missions, s.num_zones)), np.cumsum(s.demand, axis=0)])
-    win = np.zeros_like(s.demand)
-    for k in range(s.epochs):
-        lo = max(0, k - s.horizon)
-        win[k] = cs[k + 1] - cs[lo]
-    return win
+def _capability(s: Scenario, cfg: _Config) -> np.ndarray:
+    """(K, M, Z) service quality one config offers: the quality at its
+    location for every service mission it is equipped for, zero elsewhere."""
+    equipped = np.zeros((s.epochs, s.num_missions, 1), dtype=bool)
+    for k, aboard in enumerate(cfg.aboard):
+        for m in s.service_mission_ids:
+            equipped[k, m] = _equipped(s, m, aboard)
+    return np.where(equipped, s.quality[list(cfg.locs)], 0.0)
 
 
-def _objective_upper_bound(s: Scenario, assignment, win_need) -> float:
+def _objective_upper_bound(s: Scenario, capabilities) -> float:
     """Cheap bound ignoring time budgets and traffic: per-epoch capable service
-    capped by demand, accumulated over the satisfaction window."""
-    service = s.service_mission_ids
-    if not service:
+    capped by demand, accumulated over the satisfaction window.
+
+    capabilities holds the _capability tensors of the assignment's configs,
+    in assignment order."""
+    if not s.service_mission_ids:
         return 1.0
-    K, M, Z = s.epochs, s.num_missions, s.num_zones
-    cap = np.zeros((K, M, Z))
-    for cfg in assignment:
-        for k in range(K):
-            l = cfg.locs[k]
-            for m in service:
-                if _equipped(s, m, cfg.aboard[k]):
-                    cap[k, m, :] += s.quality[l, m, :]
-    cap = np.minimum(cap, s.demand)
-    cs = np.concatenate([np.zeros((1, M, Z)), np.cumsum(cap, axis=0)])
-    ub = 1.0
-    for k in range(K):
-        lo = max(0, k - s.horizon)
-        horizon_cap = cs[k + 1] - cs[lo]
-        for m in service:
-            mask = win_need[k, m, :] > 0
-            if mask.any():
-                ratios = horizon_cap[m, mask] / win_need[k, m, mask]
-                ub = min(ub, float(np.minimum(ratios, 1.0).min()))
-    return ub
+    cap = np.minimum(sum(capabilities), s.demand)
+    need = s.needed_ratios
+    ratios = windowed_sum(cap, s.horizon)[need] / s.window_need[need]
+    return float(min(1.0, ratios.min())) if ratios.size else 1.0
 
 
-def _inner_lp(s: Scenario, assignment, win_need):
+def _inner_lp(s: Scenario, assignment):
     """LP over (mu, rho, tau, sigma, sigma_bar, Gamma) for fixed trajectories.
 
-    Returns (gamma, var_values) where var_values maps structured keys to
-    floats, or None when no service mission exists."""
+    Returns (gamma, var_values, simplex iterations) where var_values maps
+    structured keys to their nonzero values."""
     service = list(s.service_mission_ids)
     if not service:
-        return 1.0, {}
+        return 1.0, {}, 0
     D, K, Z = len(assignment), s.epochs, s.num_zones
+    win_need = s.window_need
     ridx = s.relay_index
     q = s.quality
     n = s.demand
@@ -282,15 +273,18 @@ def _inner_lp(s: Scenario, assignment, win_need):
         cols.append(key)
         return col_of[key]
 
+    mu_cols: dict[tuple, list] = {}  # (d, k) -> that UAV-epoch's mu keys
     for d, cfg in enumerate(assignment):
         for k in range(K):
             l = cfg.locs[k]
+            keys = mu_cols[d, k] = []
             for m in service:
                 if not _equipped(s, m, cfg.aboard[k]):
                     continue
                 for z in range(Z):
                     if q[l, m, z] > 0 and n[k, m, z] > 0:
-                        add_col(("mu", d, k, m, z))
+                        keys.append(("mu", d, k, m, z))
+                        add_col(keys[-1])
     if ridx is not None:
         for d, cfg in enumerate(assignment):
             for k in range(K):
@@ -333,7 +327,7 @@ def _inner_lp(s: Scenario, assignment, win_need):
     # time budget per UAV-epoch
     for d in range(D):
         for k in range(K):
-            pairs = [(key, 1.0) for key in cols if key[0] == "mu" and key[1] == d and key[2] == k]
+            pairs = [(key, 1.0) for key in mu_cols[d, k]]
             if ("rho", d, k) in col_of:
                 pairs.append((("rho", d, k), 1.0))
             if pairs:
@@ -410,8 +404,8 @@ def _inner_lp(s: Scenario, assignment, win_need):
     )
     if res.status != "optimal":  # all-zero service is always feasible
         raise RuntimeError(f"inner LP came back {res.status}")
-    values = {key: float(res.x[i]) for key, i in col_of.items() if res.x[i] != 0.0}
-    return float(res.value), values
+    values = {cols[i]: float(res.x[i]) for i in res.x.nonzero()[0]}
+    return float(res.value), values, res.iterations
 
 
 def _assignment_plan(s: Scenario, assignment, lp_values) -> Plan:
@@ -463,9 +457,9 @@ def solve_exact(
     if sum(g[0] for g in equipment_groups) != D:
         raise ValueError("equipment group counts must sum to the fleet size")
 
-    win_need = _window_need(s)
     deliverables = frozenset(p.id for p in s.payloads if p.deliverable)
     group_configs = []
+    group_caps = []  # _capability per config, parallel to group_configs
     for count, on, off in equipment_groups:
         cfgs = enumerate_configs(
             s, frozenset(on), frozenset(off), depot_return=depot_return, prune_battery=prune_battery
@@ -473,11 +467,12 @@ def solve_exact(
         if not prune_battery:
             cfgs = [c for c in cfgs if c.min_battery >= -1e-9]
         group_configs.append((count, cfgs))
+        group_caps.append([_capability(s, c) for c in cfgs])
         if count > 0 and not cfgs:
             return ExactResult(None, None, True, 0, False)
 
     t0 = time.monotonic()
-    visited = 0
+    visited = lp_solves = iterations = prunes = 0
     best = None  # (gamma, epochs_away, flat_indices, assignment, lp_values)
     truncated = False
 
@@ -505,22 +500,26 @@ def solve_exact(
                 continue
         away = sum(c.epochs_away for c in assignment)
         if best is not None and prune_bound:
-            ub = _objective_upper_bound(s, assignment, win_need)
-            if ub < best[0] - 1e-12:
+            ub = _objective_upper_bound(s, [group_caps[gi][ci] for gi, ci in flat])
+            # below the incumbent, or level with it and unable to win the
+            # tie-break
+            if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and away >= best[1]):
+                prunes += 1
                 continue
-            if ub <= best[0] + 1e-12 and away >= best[1]:
-                continue  # cannot win the objective nor the tie-break
-        gamma, values = _inner_lp(s, assignment, win_need)
+        gamma, values, its = _inner_lp(s, assignment)
+        lp_solves += 1
+        iterations += its
         better = best is None or gamma > best[0] + 1e-12
         if not better and best is not None and gamma >= best[0] - 1e-12:
             better = (away, flat) < (best[1], best[2])
         if better:
             best = (gamma, away, flat, list(assignment), values)
 
+    counters = dict(lp_solves=lp_solves, simplex_iterations=iterations, bound_prunes=prunes)
     if best is None:
-        return ExactResult(None, None, not truncated, visited, False)
+        return ExactResult(None, None, not truncated, visited, False, **counters)
     plan = _assignment_plan(s, best[3], best[4])
-    return ExactResult(plan, best[0], not truncated, visited, True)
+    return ExactResult(plan, best[0], not truncated, visited, True, **counters)
 
 
 # -- generic brute force over a built MILP ---------------------------------------

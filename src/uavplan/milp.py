@@ -200,11 +200,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                     b.add_var("wts", (d, k, l), "continuous", 0.0, 1.0)
 
     # windowed demand totals decide which satisfaction ratios exist
-    cs = np.concatenate([np.zeros((1, s.num_missions, Z)), np.cumsum(n, axis=0)])
-    win_need = np.zeros((K, s.num_missions, Z))
-    for k in range(K):
-        lo = max(0, k - H)
-        win_need[k] = cs[k + 1] - cs[lo]
+    win_need = s.window_need
     for k in range(K):
         for m in service:
             for z in range(Z):
@@ -493,12 +489,7 @@ def model_size(s: Scenario, depot_return: bool = True) -> dict:
     Ms = len(s.service_mission_ids)
     has_relay = s.relay_index is not None
     win = sum(b0 - a0 + 1 for p in s.payloads if p.deliverable for a0, b0 in [p.window])
-    cs = np.concatenate([np.zeros((1, s.num_missions, Z)), np.cumsum(s.demand, axis=0)])
-    n_sig = 0
-    for k in range(K):
-        lo = max(0, k - s.horizon)
-        wn = cs[k + 1] - cs[lo]
-        n_sig += int((wn[list(s.service_mission_ids)] > 0).sum()) if Ms else 0
+    n_sig = int(s.needed_ratios.sum())
     pairs = D * (D - 1)
     nvars = (
         D * K * L  # lam

@@ -71,7 +71,8 @@ class Scenario:
 
     The derived ids, masks and weights below (``depot_ids``, ``relay_index``,
     ``service_mission_ids``, ``deliverable_ids``, ``equipment_ids``,
-    ``payload_weights()``, ``is_depot_arr()``) are computed once per instance,
+    ``window_need``, ``needed_ratios``, ``payload_weights()``,
+    ``is_depot_arr()``) are computed once per instance,
     on first use, and the arrays are read-only.  ``dataclasses.replace``
     builds a fresh instance, which computes its own.
     """
@@ -159,6 +160,20 @@ class Scenario:
     def _is_depot(self) -> np.ndarray:
         return _read_only(np.array([l.is_depot for l in self.locations], dtype=bool))
 
+    @cached_property
+    def window_need(self) -> np.ndarray:
+        """(K, M, Z) demand summed over each epoch's satisfaction window;
+        read-only."""
+        return _read_only(windowed_sum(self.demand, self.horizon))
+
+    @cached_property
+    def needed_ratios(self) -> np.ndarray:
+        """(K, M, Z) mask of the satisfaction ratios with demand in their
+        window, on service missions only; read-only."""
+        service = np.zeros(self.num_missions, dtype=bool)
+        service[list(self.service_mission_ids)] = True
+        return _read_only((self.window_need > 0) & service[:, None])
+
     def payload_weights(self) -> np.ndarray:
         """(P,) payload weights in kg; read-only."""
         return self._payload_weights
@@ -171,6 +186,14 @@ class Scenario:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def windowed_sum(x: np.ndarray, horizon: int) -> np.ndarray:
+    """Sum of x over each epoch's satisfaction window: out[k] is the sum of
+    x[max(0, k - horizon)] through x[k] along the first axis."""
+    cs = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
+    lo = np.maximum(np.arange(x.shape[0]) - horizon, 0)
+    return cs[1:] - cs[lo]
 
 
 @dataclass(frozen=True)

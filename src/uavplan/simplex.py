@@ -33,8 +33,24 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    # only entries with a nonzero factor and a nonzero pivot-row entry
+    # change; every other entry would only subtract +-0
+    rows = factors.nonzero()[0]
+    cols = T[row].nonzero()[0]
+    T[rows[:, None], cols] -= factors[rows, None] * T[row, cols]
     basis[row] = col
+
+
+def _basic_cost_product(cb: np.ndarray, priced: np.ndarray, A: np.ndarray):
+    """cb @ A, where priced lists the nonzero entries of cb.  One priced row
+    is scaled on its own, which gives the dense product's bits; several keep
+    the dense product, because BLAS would sum a subset of the rows in another
+    order and round differently."""
+    if priced.size > 1:
+        return cb @ A
+    if priced.size:
+        return cb[priced[0]] * A[priced[0]]
+    return np.zeros(A.shape[1:])
 
 
 def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray):
@@ -45,33 +61,37 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray
     last = -np.inf
     bland = False
     max_iter = 20000 + 200 * (m + T.shape[1])
+    blocked = (~allowed).nonzero()[0]
+    cb = cost[basis]
+    priced = cb.nonzero()[0]
     while True:
         it += 1
         if it > max_iter:
             raise RuntimeError("simplex iteration cap exceeded")
         # reduced costs for a max problem: improving columns have r > 0
-        r = cost - cost[basis] @ T[:, :-1]
-        r[~allowed] = 0.0
+        r = cost - _basic_cost_product(cb, priced, T[:, :-1])
+        r[blocked] = 0.0
         if bland:
-            cands = np.nonzero(r > FEAS_TOL)[0]
+            cands = (r > FEAS_TOL).nonzero()[0]
             if cands.size == 0:
                 return "optimal", it
             col = int(cands[0])
         else:
-            col = int(np.argmax(r))
+            col = int(r.argmax())
             if r[col] <= FEAS_TOL:
                 return "optimal", it
         colvals = T[:, col]
-        pos = colvals > PIVOT_TOL
-        if not pos.any():
+        pos = (colvals > PIVOT_TOL).nonzero()[0]
+        if not pos.size:
             return "unbounded", it
-        ratios = np.where(pos, T[:, -1] / np.where(pos, colvals, 1.0), np.inf)
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + FEAS_TOL)[0]
+        ratios = T[pos, -1] / colvals[pos]
+        ties = pos[ratios <= ratios.min() + FEAS_TOL]
         # leaving rule: lowest basis index among ties (Bland-compatible)
-        row = int(ties[np.argmin(basis[ties])])
+        row = int(ties[basis[ties].argmin()])
         _pivot(T, basis, row, col)
-        obj = float(cost[basis] @ T[:, -1])
+        cb[row] = cost[col]
+        priced = cb.nonzero()[0]
+        obj = float(_basic_cost_product(cb, priced, T[:, -1]))
         if obj > last + 1e-12:
             last = obj
             stall = 0
@@ -108,67 +128,45 @@ def simplex_solve(
             res.value = -res.value
         return res
 
-    # normalize rows to b >= 0; <= rows flipping sign become >= rows
-    rows = []
-    senses = []
-    for A, b, sense in ((a_ub, b_ub, "<="), (a_eq, b_eq, "=")):
-        for i in range(A.shape[0]):
-            a, rhs = A[i], b[i]
-            sn = sense
-            if rhs < 0:
-                a, rhs = -a, -rhs
-                if sn == "<=":
-                    sn = ">="
-            rows.append((a, rhs))
-            senses.append(sn)
-
-    n_slack = sum(1 for sn in senses if sn in ("<=", ">="))
-    n_art = sum(1 for sn in senses if sn in (">=", "="))
-    N = n + n_slack + n_art
+    # normalize rows to b >= 0; <= rows flipping sign become >= rows.  Every
+    # inequality gets a slack column (-1 on a >= row), every >= and = row an
+    # artificial one, which starts in its basis; a <= row starts on its slack.
+    A = np.vstack([a_ub, a_eq])
+    b = np.concatenate([b_ub, b_eq])
+    flip = b < 0
+    A[flip] = -A[flip]
+    b[flip] = -b[flip]
+    n_slack = a_ub.shape[0]
+    slack_rows = np.arange(n_slack)
+    art_rows = (flip | (np.arange(m) >= n_slack)).nonzero()[0]
+    art_at = n + n_slack  # first artificial column
+    N = art_at + art_rows.size
     T = np.zeros((m, N + 1))
-    basis = np.full(m, -1, dtype=int)
-    s_at = n
-    a_at = n + n_slack
-    art_cols = []
-    for i, ((a, rhs), sn) in enumerate(zip(rows, senses)):
-        T[i, :n] = a
-        T[i, -1] = rhs
-        if sn == "<=":
-            T[i, s_at] = 1.0
-            basis[i] = s_at
-            s_at += 1
-        elif sn == ">=":
-            T[i, s_at] = -1.0
-            s_at += 1
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
-        else:
-            T[i, a_at] = 1.0
-            basis[i] = a_at
-            art_cols.append(a_at)
-            a_at += 1
+    T[:, :n] = A
+    T[:, -1] = b
+    T[slack_rows, n + slack_rows] = np.where(flip[:n_slack], -1.0, 1.0)
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = n + slack_rows
+    basis[art_rows] = art_at + np.arange(art_rows.size)
+    T[art_rows, basis[art_rows]] = 1.0
 
     iterations = 0
-    if art_cols:
+    if art_rows.size:
         cost1 = np.zeros(N)
-        cost1[art_cols] = -1.0  # max of -(sum of artificials)
+        cost1[art_at:] = -1.0  # max of -(sum of artificials)
         allowed = np.ones(N, dtype=bool)
         status, it = _run(T, basis, cost1, allowed)
         iterations += it
         if status != "optimal" or float(cost1[basis] @ T[:, -1]) < -1e-7:
             return SimplexResult("infeasible", None, None, iterations)
         # drive leftover artificials out of the basis, dropping redundant rows
-        art_set = set(art_cols)
         keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] in art_set:
-                piv = np.nonzero(np.abs(T[i, : n + n_slack]) > PIVOT_TOL)[0]
-                if piv.size:
-                    _pivot(T, basis, i, int(piv[0]))
-                else:
-                    keep[i] = False
+        for i in (basis >= art_at).nonzero()[0]:  # a pivot changes only its own row's basis
+            piv = np.nonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)[0]
+            if piv.size:
+                _pivot(T, basis, i, int(piv[0]))
+            else:
+                keep[i] = False
         if not keep.all():
             T = T[keep]
             basis = basis[keep]
@@ -177,11 +175,11 @@ def simplex_solve(
     cost2 = np.zeros(N)
     cost2[:n] = c
     allowed = np.ones(N, dtype=bool)
-    allowed[n + n_slack :] = False  # artificials never re-enter
+    allowed[art_at:] = False  # artificials never re-enter
     status, it = _run(T, basis, cost2, allowed)
     iterations += it
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations)
     x = np.zeros(N)
-    x[basis] = T[:, -1]
+    x[basis] = T[:, -1] + 0.0  # turns a -0.0 the pivots left into 0.0
     return SimplexResult("optimal", x[:n].copy(), float(c @ x[:n]), iterations)

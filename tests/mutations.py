@@ -7,6 +7,8 @@ the depot with plenty of slack in every other constraint.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def _uav1_traffic(s, plan, k):
     """Generated Mb at (UAV1, k) recomputed the same way the checker does."""
@@ -18,6 +20,15 @@ def _uav1_traffic(s, plan, k):
         for z in range(s.num_zones):
             gen += plan.mission_alloc[1, k, m, z] * q[l, m, z] * rate
     return gen
+
+
+def mutate_finite(s, plan, rng):
+    """A NaN fails every tolerance comparison, so it trips no other check."""
+    p = plan.copy()
+    name = ("mission_alloc", "relay_frac", "transfers", "sink_transfers")[int(rng.integers(4))]
+    arr = getattr(p, name)
+    arr[tuple(int(rng.integers(n)) for n in arr.shape)] = np.nan
+    return p
 
 
 def mutate_loc_unique(s, plan, rng):
@@ -133,6 +144,7 @@ def mutate_depot_return(s, plan, rng):
 
 
 MUTATORS = {
+    "FINITE": mutate_finite,
     "LOC-UNIQUE": mutate_loc_unique,
     "TRAVEL": mutate_travel,
     "CAPACITY": mutate_capacity,

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 from uavplan.cli import main
-from uavplan.evaluator import check_feasibility, load_plan
+from uavplan.evaluator import Plan, check_feasibility, load_plan, serialize_plan
 from uavplan.exact import solve_model_exhaustive
 from uavplan.milp import build_milp, solution_to_text
 from uavplan.scenario import load_scenario
@@ -154,6 +154,32 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "rep.violations.json").read_text())
         assert {v["tag"] for v in doc} == {"DELIVERY"}
         assert (tmp_path / "rep.satisfaction.json").exists()
+
+    @pytest.mark.parametrize(
+        "field, row",
+        [
+            ("payloads", [-1, 0, 0]),  # would flag the last UAV if it wrapped
+            ("payloads", [0, 4, 0]),
+            ("payloads", [0, 1]),
+            ("payloads", 3),
+            ("missions", [0, 1, 0, 0, float("nan")]),
+            ("missions", [0, 1.5, 0, 0, 0.1]),
+            ("relay", [0, 1, float("inf")]),
+            ("relay", [0, 1, "x"]),
+            ("transfers", [0, 2, 1, 1.0]),
+            ("transfers", [0, -2, 1, 1.0]),
+            ("transfers", [0, "omega", 1, float("-inf")]),
+        ],
+    )
+    def test_bad_plan_rows_exit_2(self, tmp_path, capsys, field, row):
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        doc = json.loads(serialize_plan(Plan.idle(load_scenario(scen.read_text()))))
+        doc[field] = [row]
+        plan_file = tmp_path / "bad.json"
+        plan_file.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+        assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
+        assert capsys.readouterr().err.startswith("error: plan ")
 
 
 class TestCompare:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,28 @@ class TestFeasibility:
         assert keys == sorted(keys)
 
 
+class TestFinite:
+    @pytest.mark.parametrize("field", ["mission_alloc", "relay_frac", "transfers", "sink_transfers"])
+    def test_nan_is_reported(self, field):
+        s = tiny_mixed()
+        p = Plan.idle(s)
+        getattr(p, field).flat[1] = np.nan
+        rep = check_feasibility(s, p)
+        assert rep.tags == {"FINITE", "DELIVERY"}  # the idle plan never delivers
+        v = rep.violations[0]
+        assert v.tag == "FINITE" and v.indices[0] == field and np.isnan(v.magnitude)
+        assert len(rep) == 2
+        assert rep.to_csv().splitlines()[1].startswith(f"FINITE,{field};")
+
+    def test_inf_is_reported_first(self):
+        s = tiny_mixed()
+        p = Plan.idle(s)
+        p.relay_frac[0, 1] = np.inf
+        rep = check_feasibility(s, p)
+        assert rep.violations[0].tag == "FINITE"
+        assert rep.violations[0].indices == ("relay_frac", 0, 1)
+
+
 class TestPlanIO:
     def test_round_trip(self):
         s = tiny_mixed()
@@ -227,6 +251,26 @@ class TestPlanIO:
         text = serialize_plan(p)
         q = load_plan(text, s)
         assert serialize_plan(q) == text
+
+    @pytest.mark.parametrize(
+        "field, row",
+        [
+            ("payloads", [-1, 0, 0]),
+            ("payloads", [0, 0, 2]),
+            ("missions", [2, 1, 0, 0, 0.1]),
+            ("missions", [0, 1, 0, 0, float("nan")]),
+            ("relay", [0, -4, 0.5]),
+            ("transfers", [1, "omega", 1, float("inf")]),
+            ("transfers", [1, True, 1, None]),
+            ("locations", [[0, 1.5, 0, 0], [0, 0, 0, 0]]),
+        ],
+    )
+    def test_bad_rows_rejected(self, field, row):
+        s = tiny_mixed()
+        doc = json.loads(serialize_plan(Plan.idle(s)))
+        doc[field] = row if field == "locations" else [row]
+        with pytest.raises(ValueError, match="^plan "):
+            load_plan(json.dumps(doc), s)
 
     def test_metrics_fields(self):
         s = tiny_delivery()

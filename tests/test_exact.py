@@ -1,14 +1,25 @@
 import dataclasses
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from uavplan import exact
+from uavplan.cli import _fixed_equipment
 from uavplan.evaluator import check_feasibility, satisfaction
-from uavplan.exact import EnumerationLimits, GuardError, enumerate_configs, solve_exact
+from uavplan.exact import (
+    EnumerationLimits,
+    GuardError,
+    _capability,
+    _objective_upper_bound,
+    enumerate_configs,
+    solve_exact,
+)
 from uavplan.scenario import Location, PayloadItem, UavSpec, make_scenario
-from uavplan.synth import generate_preset
+from uavplan.synth import Dims, generate_preset, generate_synthetic
 
-from scenarios import tiny_delivery, tiny_mixed
+from scenarios import flex_fixed_scenario, tiny_delivery, tiny_mixed
 
 # objective of the tiny-mixed fixture, frozen after verification against the
 # exported-model brute force (see test_milp)
@@ -140,3 +151,126 @@ def test_single_epoch_scenario():
     res = solve_exact(s)
     assert res.feasible and res.objective == 1.0
     assert check_feasibility(s, res.plan).ok
+
+
+# -- hot-path equivalence and the engine's counters --------------------------------
+
+
+def _loop_window_need(s):
+    cs = np.concatenate([np.zeros((1, s.num_missions, s.num_zones)), np.cumsum(s.demand, axis=0)])
+    win = np.zeros_like(s.demand)
+    for k in range(s.epochs):
+        win[k] = cs[k + 1] - cs[max(0, k - s.horizon)]
+    return win
+
+
+def _loop_bound(s, assignment, win_need):
+    """The objective bound as first written: per-config, per-epoch loops."""
+    service = s.service_mission_ids
+    if not service:
+        return 1.0
+    K, M, Z = s.epochs, s.num_missions, s.num_zones
+    cap = np.zeros((K, M, Z))
+    for cfg in assignment:
+        for k in range(K):
+            for m in service:
+                if all(p in cfg.aboard[k] for p in s.missions[m].requires):
+                    cap[k, m, :] += s.quality[cfg.locs[k], m, :]
+    cap = np.minimum(cap, s.demand)
+    cs = np.concatenate([np.zeros((1, M, Z)), np.cumsum(cap, axis=0)])
+    ub = 1.0
+    for k in range(K):
+        horizon_cap = cs[k + 1] - cs[max(0, k - s.horizon)]
+        for m in service:
+            mask = win_need[k, m, :] > 0
+            if mask.any():
+                ratios = horizon_cap[m, mask] / win_need[k, m, mask]
+                ub = min(ub, float(np.minimum(ratios, 1.0).min()))
+    return ub
+
+
+def _groups(s, mode):
+    if mode == "fixed":
+        return _fixed_equipment(s)[0]
+    return [(s.num_uavs, frozenset(), frozenset())]
+
+
+class TestHotPathEquivalence:
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bound_matches_loop_reference(self, seed, mode):
+        s = flex_fixed_scenario(seed, 4)
+        pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
+        win_need = _loop_window_need(s)
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for _ in range(300):
+            assignment = [pool[i] for count, pool in pools for i in rng.integers(len(pool), size=count)]
+            want = _loop_bound(s, assignment, win_need)
+            got = _objective_upper_bound(s, [_capability(s, c) for c in assignment])
+            assert repr(got) == repr(want)
+            seen.add(want)
+        assert len(seen) > 4 and min(seen) < 1.0  # the draws exercise the bound
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bound_matches_loop_reference_multi_zone(self, seed):
+        s = generate_synthetic(seed, Dims(3, 4, 2, 2, 5))
+        cfgs = enumerate_configs(s)
+        win_need = _loop_window_need(s)
+        rng = np.random.default_rng(seed)
+        seen = set()
+        for _ in range(200):
+            assignment = [cfgs[i] for i in rng.integers(len(cfgs), size=s.num_uavs)]
+            want = _loop_bound(s, assignment, win_need)
+            got = _objective_upper_bound(s, [_capability(s, c) for c in assignment])
+            assert repr(got) == repr(want)
+            seen.add(want)
+        assert len(seen) > 4 and min(seen) < 1.0
+
+
+class TestCounters:
+    def test_defaults_are_zero(self):
+        res = exact.ExactResult(None, None, True, 0, False)
+        assert (res.lp_solves, res.simplex_iterations, res.bound_prunes) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "build, mode",
+        [(tiny_mixed, "flexible"), (lambda: flex_fixed_scenario(1, 3), "flexible"),
+         (lambda: flex_fixed_scenario(1, 3), "fixed")],
+    )
+    def test_counters_account_for_every_covering_assignment(self, build, mode):
+        s = build()
+        groups = _groups(s, mode)
+        lp_calls, iterations = [], []
+        inner_lp, solve = exact._inner_lp, exact.simplex_solve
+
+        def counting_lp(*args):
+            lp_calls.append(1)
+            return inner_lp(*args)
+
+        def counting_solve(*args):
+            res = solve(*args)
+            iterations.append(res.iterations)
+            return res
+
+        with mock.patch.object(exact, "_inner_lp", counting_lp), mock.patch.object(
+            exact, "simplex_solve", counting_solve
+        ):
+            res = solve_exact(s, equipment_groups=groups)
+        assert res.proven_optimal
+        assert res.lp_solves == len(lp_calls) > 0
+        assert res.simplex_iterations == sum(iterations) > 0
+        # every visited assignment that carries all deliveries reaches either
+        # the bound or an LP
+        pools = [(count, enumerate_configs(s, on, off)) for count, on, off in groups]
+        combos = itertools.product(
+            *(itertools.combinations_with_replacement(pool, count) for count, pool in pools)
+        )
+        wanted = set(s.deliverable_ids)
+        covering = sum(
+            1 for combo in combos if wanted <= set().union(*(c.delivered for picks in combo for c in picks))
+        )
+        assert res.bound_prunes + res.lp_solves == covering
+        unpruned = solve_exact(s, equipment_groups=groups, prune_bound=False)
+        assert (unpruned.bound_prunes, unpruned.lp_solves) == (0, covering)
+        assert unpruned.objective == res.objective

@@ -10,6 +10,7 @@ from uavplan.scenario import (
     max_range,
     serialize_scenario,
     validate,
+    windowed_sum,
 )
 from uavplan.synth import Dims, GenerationError, generate_preset, generate_synthetic
 from uavplan.paths import all_pairs_shortest, reconstruct
@@ -189,3 +190,21 @@ class TestDerivedData:
         assert s2.depot_ids == (1,)
         assert s2.is_depot_arr().tolist() == [False, True, False]
         assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 4])
+    def test_window_need_matches_loop(self, horizon):
+        import dataclasses
+
+        s = dataclasses.replace(generate_synthetic(3, Dims(4, 5, 2, 2, 6)), horizon=horizon)
+        K, M, Z = s.demand.shape
+        cs = np.concatenate([np.zeros((1, M, Z)), np.cumsum(s.demand, axis=0)])
+        want = np.stack([cs[k + 1] - cs[max(0, k - horizon)] for k in range(K)])
+        assert np.array_equal(s.window_need, want)
+        assert np.array_equal(windowed_sum(s.demand, horizon), want)
+        mask = want > 0
+        mask[:, [m for m in range(M) if m not in s.service_mission_ids]] = False
+        assert np.array_equal(s.needed_ratios, mask)
+        with pytest.raises(ValueError):
+            s.window_need[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            s.needed_ratios[0, 0, 0] = True

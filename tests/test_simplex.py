@@ -1,9 +1,14 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from uavplan import exact, simplex
+from uavplan.cli import _fixed_equipment
 from uavplan.simplex import SizeCapError, simplex_solve
+
+from scenarios import flex_fixed_scenario
 
 
 def vertex_enumeration_max(c, a_ub, b_ub):
@@ -99,3 +104,216 @@ def test_random_lps_match_vertex_enumeration(seed):
     assert res.value == pytest.approx(oracle, abs=1e-7)
     assert np.all(a_ub @ res.x <= b_ub + 1e-9)
     assert np.all(res.x >= -1e-9)
+
+
+# -- reference implementations the hot path must reproduce bit for bit --------
+
+
+def _dense_pivot(T, basis, row, col):
+    """Pivot that updates every row, as the simplex first did."""
+    T[row] /= T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def _dense_run(T, basis, cost, allowed):
+    """_run pricing every column with the full cost[basis] @ T product."""
+    m = T.shape[0]
+    it = 0
+    stall = 0
+    last = -np.inf
+    bland = False
+    max_iter = 20000 + 200 * (m + T.shape[1])
+    while True:
+        it += 1
+        if it > max_iter:
+            raise RuntimeError("simplex iteration cap exceeded")
+        r = cost - cost[basis] @ T[:, :-1]
+        r[~allowed] = 0.0
+        if bland:
+            cands = np.nonzero(r > simplex.FEAS_TOL)[0]
+            if cands.size == 0:
+                return "optimal", it
+            col = int(cands[0])
+        else:
+            col = int(np.argmax(r))
+            if r[col] <= simplex.FEAS_TOL:
+                return "optimal", it
+        colvals = T[:, col]
+        pos = colvals > simplex.PIVOT_TOL
+        if not pos.any():
+            return "unbounded", it
+        ratios = np.where(pos, T[:, -1] / np.where(pos, colvals, 1.0), np.inf)
+        best = ratios.min()
+        ties = np.nonzero(ratios <= best + simplex.FEAS_TOL)[0]
+        row = int(ties[np.argmin(basis[ties])])
+        _dense_pivot(T, basis, row, col)
+        obj = float(cost[basis] @ T[:, -1])
+        if obj > last + 1e-12:
+            last = obj
+            stall = 0
+        else:
+            stall += 1
+            if stall >= simplex._BLAND_AFTER:
+                bland = True
+
+
+def _reference_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+    """simplex_solve (maximize) as first written: a row-by-row tableau build,
+    _dense_run and _dense_pivot."""
+    c = np.asarray(c, dtype=float).ravel()
+    n = c.size
+    a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+    a_eq = np.zeros((0, n)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, n)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    m = a_ub.shape[0] + a_eq.shape[0]
+    rows, senses = [], []
+    for A, b, sense in ((a_ub, b_ub, "<="), (a_eq, b_eq, "=")):
+        for i in range(A.shape[0]):
+            a, rhs, sn = A[i], b[i], sense
+            if rhs < 0:
+                a, rhs = -a, -rhs
+                if sn == "<=":
+                    sn = ">="
+            rows.append((a, rhs))
+            senses.append(sn)
+    n_slack = sum(1 for sn in senses if sn in ("<=", ">="))
+    n_art = sum(1 for sn in senses if sn in (">=", "="))
+    N = n + n_slack + n_art
+    T = np.zeros((m, N + 1))
+    basis = np.full(m, -1, dtype=int)
+    s_at, a_at, art_cols = n, n + n_slack, []
+    for i, ((a, rhs), sn) in enumerate(zip(rows, senses)):
+        T[i, :n] = a
+        T[i, -1] = rhs
+        if sn != "=":
+            T[i, s_at] = 1.0 if sn == "<=" else -1.0
+            s_at += 1
+        if sn == "<=":
+            basis[i] = s_at - 1
+        else:
+            T[i, a_at] = 1.0
+            basis[i] = a_at
+            art_cols.append(a_at)
+            a_at += 1
+    iterations = 0
+    if art_cols:
+        cost1 = np.zeros(N)
+        cost1[art_cols] = -1.0
+        status, it = _dense_run(T, basis, cost1, np.ones(N, dtype=bool))
+        iterations += it
+        if status != "optimal" or float(cost1[basis] @ T[:, -1]) < -1e-7:
+            return simplex.SimplexResult("infeasible", None, None, iterations)
+        keep = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] in set(art_cols):
+                piv = np.nonzero(np.abs(T[i, : n + n_slack]) > simplex.PIVOT_TOL)[0]
+                if piv.size:
+                    _dense_pivot(T, basis, i, int(piv[0]))
+                else:
+                    keep[i] = False
+        T, basis = T[keep], basis[keep]
+    cost2 = np.zeros(N)
+    cost2[:n] = c
+    allowed = np.ones(N, dtype=bool)
+    allowed[n + n_slack :] = False
+    status, it = _dense_run(T, basis, cost2, allowed)
+    iterations += it
+    if status == "unbounded":
+        return simplex.SimplexResult("unbounded", None, None, iterations)
+    x = np.zeros(N)
+    x[basis] = T[:, -1]
+    return simplex.SimplexResult("optimal", x[:n].copy(), float(c @ x[:n]), iterations)
+
+
+def _random_lp(rng):
+    """Mixed <=, >= (negative right-hand side) and = rows, some of them
+    degenerate, with small integer coefficients so ties and stalls occur."""
+    n = int(rng.integers(2, 12))
+    m_ub = int(rng.integers(1, 10))
+    m_eq = int(rng.integers(0, 4))
+    dense = rng.random() < 0.5
+    def coefs(rows):
+        a = rng.integers(-3, 4, size=(rows, n)).astype(float)
+        if not dense:
+            a *= rng.random((rows, n)) < 0.4
+        return a
+    a_ub = coefs(m_ub)
+    b_ub = rng.integers(-2, 6, size=m_ub).astype(float)
+    if rng.random() < 0.7:  # a box; without it some LPs are unbounded
+        a_ub = np.vstack([a_ub, np.eye(n)])
+        b_ub = np.concatenate([b_ub, np.full(n, 4.0)])
+    a_eq = coefs(m_eq)
+    b_eq = a_eq @ rng.uniform(0, 1, size=n)  # feasible by construction
+    c = rng.normal(size=n) if rng.random() < 0.5 else rng.integers(-2, 3, size=n).astype(float)
+    return c, a_ub, b_ub, (a_eq if m_eq else None), (b_eq if m_eq else None)
+
+
+def _inner_lps(max_lps=40):
+    """The LPs the exact engine solves on flex-fixed instances."""
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        return simplex_solve(*args)
+
+    with mock.patch.object(exact, "simplex_solve", record):
+        for seed in (1, 2):
+            s = flex_fixed_scenario(seed, 3)
+            exact.solve_exact(s)
+            exact.solve_exact(s, equipment_groups=_fixed_equipment(s)[0])
+    return seen[:: max(1, len(seen) // max_lps)]
+
+
+def _assert_same(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert repr(got.value) == repr(want.value)
+    if want.x is None:
+        assert got.x is None
+    else:
+        assert np.array_equal(got.x, want.x)
+
+
+class TestHotPathEquivalence:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_lps_match_dense_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            args = _random_lp(rng)
+            _assert_same(simplex_solve(*args), _reference_solve(*args))
+
+    def test_inner_lps_match_dense_reference(self):
+        lps = _inner_lps()
+        assert len(lps) >= 20
+        for args in lps:
+            _assert_same(simplex_solve(*args), _reference_solve(*args))
+
+    @pytest.mark.parametrize("priced", [0, 1, 2, 7])
+    def test_basic_cost_product_matches_dense(self, priced):
+        rng = np.random.default_rng(priced)
+        for _ in range(50):
+            m, n = int(rng.integers(8, 120)), int(rng.integers(2, 200))
+            A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, size=(m, n))
+            cb = np.zeros(m)
+            cb[rng.choice(m, size=priced, replace=False)] = rng.normal(size=priced)
+            nz = cb.nonzero()[0]
+            assert np.array_equal(simplex._basic_cost_product(cb, nz, A), cb @ A)
+            assert np.array_equal(simplex._basic_cost_product(cb, nz, A[:, 0]), cb @ A[:, 0])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pivot_matches_dense_update(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = int(rng.integers(2, 40)), int(rng.integers(3, 60))
+        T = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.3)
+        row, col = int(rng.integers(m)), int(rng.integers(n - 1))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        basis = np.arange(m)
+        want_T, want_basis = T.copy(), basis.copy()
+        _dense_pivot(want_T, want_basis, row, col)
+        simplex._pivot(T, basis, row, col)
+        assert np.array_equal(T, want_T)
+        assert np.array_equal(basis, want_basis)
