@@ -175,6 +175,24 @@ def _sanitized_locations(s: Scenario, p: Plan):
     return lam, bad
 
 
+def _located_work(s: Scenario, p: Plan):
+    """Sanitized locations, their out-of-range mask, and the (D, K, M, Z) work
+    each UAV performs: its mission allocation times the quality where it is."""
+    lam, bad = _sanitized_locations(s, p)
+    return lam, bad, p.mission_alloc * s.quality[lam]
+
+
+def _hops(s: Scenario, lam: np.ndarray, payloads: np.ndarray):
+    """Per epoch k >= 1: the (D,) energy of each UAV's hop (or hover) into k
+    at its gross weight, and whether it lands at a depot."""
+    w = s.payload_weights()
+    is_depot = s.is_depot_arr()
+    for k in range(1, lam.shape[1]):
+        load = payloads[:, k, :] @ w
+        step = s.energy_wh_per_kg[lam[:, k - 1], lam[:, k]] * (s.uav.empty_weight_kg + load)
+        yield k, step, is_depot[lam[:, k]]
+
+
 def battery_trace(s: Scenario, p: Plan) -> np.ndarray:
     """Charge level per UAV and epoch: full at epoch 0, reset at every depot
     visit, otherwise decremented by hop (or hover) energy times gross weight."""
@@ -182,16 +200,11 @@ def battery_trace(s: Scenario, p: Plan) -> np.ndarray:
     L = s.num_locations
     if np.any((lam < 0) | (lam >= L)):
         raise ValueError("plan contains out-of-range location ids")
-    D, K = lam.shape
     cap = s.uav.battery_capacity_wh
-    w = s.payload_weights()
-    is_depot = s.is_depot_arr()
-    beta = np.empty((D, K))
+    beta = np.empty(lam.shape)
     beta[:, 0] = cap
-    for k in range(1, K):
-        load = p.payloads[:, k, :] @ w
-        step = s.energy_wh_per_kg[lam[:, k - 1], lam[:, k]] * (s.uav.empty_weight_kg + load)
-        beta[:, k] = np.where(is_depot[lam[:, k]], cap, beta[:, k - 1] - step)
+    for k, step, at_depot in _hops(s, lam, p.payloads):
+        beta[:, k] = np.where(at_depot, cap, beta[:, k - 1] - step)
     return beta
 
 
@@ -202,7 +215,7 @@ def check_feasibility(
     _check_dims(s, p)
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     out: list[Violation] = []
-    lam, bad_loc = _sanitized_locations(s, p)
+    lam, bad_loc, work = _located_work(s, p)
     is_depot = s.is_depot_arr()
     w = s.payload_weights()
     cap_kg = s.uav.payload_capacity_kg
@@ -273,8 +286,7 @@ def check_feasibility(
             out.append(Violation("EQUIP", (int(d), int(k), -1), float(p.relay_frac[d, k])))
 
     # Service delivered per (k, m, z): mu weighted by quality at the UAV location
-    q_at = s.quality[lam]  # (D, K, M, Z)
-    serv = (mu * q_at).sum(axis=0)  # (K, M, Z)
+    serv = work.sum(axis=0)  # (K, M, Z)
 
     # NEED: service may not exceed demand in any single epoch
     excess = serv - s.demand
@@ -283,7 +295,7 @@ def check_feasibility(
 
     # Traffic: generated = sum over service missions of mu * q * data-per-work
     s_rate = np.array([m.mb_per_work for m in s.missions])
-    gen = ((mu * q_at) * s_rate[None, None, :, None]).sum(axis=(2, 3))  # (D, K)
+    gen = (work * s_rate[None, None, :, None]).sum(axis=(2, 3))  # (D, K)
 
     # FLOW per UAV, SINK per epoch
     inflow = p.transfers.sum(axis=0)  # (D, K): into d
@@ -336,11 +348,13 @@ def satisfaction(s: Scenario, p: Plan) -> SatisfactionReport:
     per-mission minimum, and the fleet objective (minimum across service
     missions).  Ratios with no demand in the window count as fully satisfied."""
     _check_dims(s, p)
-    lam, _ = _sanitized_locations(s, p)
-    K, M, Z = s.epochs, s.num_missions, s.num_zones
-    q_at = s.quality[lam]
-    serv = (p.mission_alloc * q_at).sum(axis=0)  # (K, M, Z)
+    _, _, work = _located_work(s, p)
+    return _satisfaction(s, work.sum(axis=0))
 
+
+def _satisfaction(s: Scenario, serv: np.ndarray) -> SatisfactionReport:
+    """The satisfaction report for (K, M, Z) work served per epoch."""
+    K, M, Z = s.epochs, s.num_missions, s.num_zones
     S = windowed_sum(serv, s.horizon)
     N = s.window_need
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -358,24 +372,19 @@ def satisfaction(s: Scenario, p: Plan) -> SatisfactionReport:
 def energy_used(s: Scenario, p: Plan) -> np.ndarray:
     """Wh consumed per UAV over the horizon (battery swaps excluded)."""
     lam = p.locations.astype(int)
-    w = s.payload_weights()
-    is_depot = s.is_depot_arr()
-    D, K = lam.shape
-    used = np.zeros(D)
-    for k in range(1, K):
-        load = p.payloads[:, k, :] @ w
-        step = s.energy_wh_per_kg[lam[:, k - 1], lam[:, k]] * (s.uav.empty_weight_kg + load)
-        used += np.where(is_depot[lam[:, k]], 0.0, step)
+    used = np.zeros(lam.shape[0])
+    for _, step, at_depot in _hops(s, lam, p.payloads):
+        used += np.where(at_depot, 0.0, step)
     return used
 
 
 def plan_metrics(s: Scenario, p: Plan) -> dict:
     """Summary numbers for reports: objective, per-mission satisfaction,
     served demand fractions, energy in battery charges, payload statistics."""
-    rep = satisfaction(s, p)
-    lam, _ = _sanitized_locations(s, p)
-    q_at = s.quality[lam]
-    serv = (p.mission_alloc * q_at).sum(axis=0)
+    _check_dims(s, p)
+    lam, _, work = _located_work(s, p)
+    serv = work.sum(axis=0)
+    rep = _satisfaction(s, serv)
     w = s.payload_weights()
     equip = set(s.equipment_ids)
     away = ~s.is_depot_arr()[lam]

@@ -8,8 +8,10 @@ auxiliary variables:
 * delivery fulfilment: indicator variables bounded by carrying and presence;
 * service quality: per-location allocation shares bounded by presence, summing
   to the mission allocation;
-* relay capacity: transfer-share variables bounded by both endpoint presences
-  and by the sender's relay fraction;
+* relay capacity: every transfer is capped by the relay fraction times the
+  largest link capacity, and each location pair (or sink location) below that
+  maximum adds a big-M row that binds when the UAVs sit there, so uniform
+  links add none;
 * the max-min objective: a single epigraph variable under every per-mission
   satisfaction floor.
 
@@ -186,18 +188,6 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for d in range(D):
             for k in range(K):
                 b.add_var("tausink", (d, k), "continuous")
-        for d1 in range(D):
-            for d2 in range(D):
-                if d1 == d2:
-                    continue
-                for k in range(K):
-                    for l1 in range(L):
-                        for l2 in range(L):
-                            b.add_var("wt", (d1, d2, k, l1, l2), "continuous", 0.0, 1.0)
-        for d in range(D):
-            for k in range(K):
-                for l in range(L):
-                    b.add_var("wts", (d, k, l), "continuous", 0.0, 1.0)
 
     # windowed demand totals decide which satisfaction ratios exist
     win_need = s.window_need
@@ -372,68 +362,38 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                 terms += gen_terms(d, k, 1.0)
                 terms.append((b.get("tausink", d, k), -1.0))
             b.add_row(f"sink_{k}", terms, "=", 0.0)
+        # relay capacity: taumax/tausinkmax cap every transfer at the largest
+        # link; each location (pair) below it gets a big-M row that reads
+        # tau <= t * rho once the UAVs sit there, with M = max - t, the
+        # smallest constant under which the max row implies it elsewhere
         t_max = float(t_uav.max(initial=0.0))
         ts_max = float(t_sink.max(initial=0.0))
+        tight = [(l1, l2) for l1 in range(L) for l2 in range(L) if t_uav[l1, l2] < t_max]
+        tight_sink = [l for l in range(L) if t_sink[l] < ts_max]
         for d1 in range(D):
             for d2 in range(D):
                 if d1 == d2:
                     continue
                 for k in range(K):
-                    cap_terms = [(b.get("tau", d1, d2, k), 1.0)]
-                    for l1 in range(L):
-                        for l2 in range(L):
-                            wv = b.get("wt", d1, d2, k, l1, l2)
-                            b.add_row(
-                                f"wt_lam1_{d1}_{d2}_{k}_{l1}_{l2}",
-                                [(wv, 1.0), (b.get("lam", d1, k, l1), -1.0)],
-                                "<=",
-                                0.0,
-                            )
-                            b.add_row(
-                                f"wt_lam2_{d1}_{d2}_{k}_{l1}_{l2}",
-                                [(wv, 1.0), (b.get("lam", d2, k, l2), -1.0)],
-                                "<=",
-                                0.0,
-                            )
-                            b.add_row(
-                                f"wt_rho_{d1}_{d2}_{k}_{l1}_{l2}",
-                                [(wv, 1.0), (b.get("rho", d1, k), -1.0)],
-                                "<=",
-                                0.0,
-                            )
-                            cap_terms.append((wv, -t_uav[l1, l2]))
-                    b.add_row(f"taucap_{d1}_{d2}_{k}", cap_terms, "<=", 0.0)
-                    b.add_row(
-                        f"taumax_{d1}_{d2}_{k}",
-                        [(b.get("tau", d1, d2, k), 1.0), (b.get("rho", d1, k), -t_max)],
-                        "<=",
-                        0.0,
-                    )
+                    tau, rho = b.get("tau", d1, d2, k), b.get("rho", d1, k)
+                    for l1, l2 in tight:
+                        big_m = t_max - t_uav[l1, l2]
+                        terms = [
+                            (tau, 1.0),
+                            (rho, -t_uav[l1, l2]),
+                            (b.get("lam", d1, k, l1), big_m),
+                            (b.get("lam", d2, k, l2), big_m),
+                        ]
+                        b.add_row(f"taucap_{d1}_{d2}_{k}_{l1}_{l2}", terms, "<=", 2 * big_m)
+                    b.add_row(f"taumax_{d1}_{d2}_{k}", [(tau, 1.0), (rho, -t_max)], "<=", 0.0)
         for d in range(D):
             for k in range(K):
-                cap_terms = [(b.get("tausink", d, k), 1.0)]
-                for l in range(L):
-                    wv = b.get("wts", d, k, l)
-                    b.add_row(
-                        f"wts_lam_{d}_{k}_{l}",
-                        [(wv, 1.0), (b.get("lam", d, k, l), -1.0)],
-                        "<=",
-                        0.0,
-                    )
-                    b.add_row(
-                        f"wts_rho_{d}_{k}_{l}",
-                        [(wv, 1.0), (b.get("rho", d, k), -1.0)],
-                        "<=",
-                        0.0,
-                    )
-                    cap_terms.append((wv, -t_sink[l]))
-                b.add_row(f"tausinkcap_{d}_{k}", cap_terms, "<=", 0.0)
-                b.add_row(
-                    f"tausinkmax_{d}_{k}",
-                    [(b.get("tausink", d, k), 1.0), (b.get("rho", d, k), -ts_max)],
-                    "<=",
-                    0.0,
-                )
+                tau, rho = b.get("tausink", d, k), b.get("rho", d, k)
+                for l in tight_sink:
+                    big_m = ts_max - t_sink[l]
+                    terms = [(tau, 1.0), (rho, -t_sink[l]), (b.get("lam", d, k, l), big_m)]
+                    b.add_row(f"tausinkcap_{d}_{k}_{l}", terms, "<=", big_m)
+                b.add_row(f"tausinkmax_{d}_{k}", [(tau, 1.0), (rho, -ts_max)], "<=", 0.0)
     # satisfaction ratios over the sliding window, epigraph objective
     for k in range(K):
         lo = max(0, k - H)
@@ -476,18 +436,20 @@ def model_size(s: Scenario, depot_return: bool = True) -> dict:
 
     Variables: |lam| = DKL, |om| = DKP, |beta| = DK, |delta| = D * sum of
     window lengths, |mu| = DK*Ms*Z, |muh| = DKL*Ms*Z, |rho| = |tausink| = DK,
-    |tau| = D(D-1)K, |wt| = D(D-1)K*L^2, |wts| = DKL (relay families only
-    when a relay mission exists), one sig per (epoch, service mission, zone)
-    with windowed demand, one sigbar per service mission, plus Gamma.
+    |tau| = D(D-1)K (relay families only when a relay mission exists), one
+    sig per (epoch, service mission, zone) with windowed demand, one sigbar
+    per service mission, plus Gamma.
 
     Constraint families follow the same index spaces; sense rows that would
     be vacuously true (no terms) are not emitted, so the need-row count skips
-    (mission, zone) pairs no location can serve.
+    (mission, zone) pairs no location can serve.  Battery rows cover the
+    reachable hops into non-depot locations; taucap and tausinkcap rows cover
+    the location pairs and locations whose link capacity is below the maximum.
     """
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     P, Z = s.num_payloads, s.num_zones
     Ms = len(s.service_mission_ids)
-    has_relay = s.relay_index is not None
+    relay = 1 if s.relay_index is not None else 0
     win = sum(b0 - a0 + 1 for p in s.payloads if p.deliverable for a0, b0 in [p.window])
     n_sig = int(s.needed_ratios.sum())
     pairs = D * (D - 1)
@@ -498,28 +460,34 @@ def model_size(s: Scenario, depot_return: bool = True) -> dict:
         + D * win  # delta
         + D * K * Ms * Z  # mu
         + D * K * L * Ms * Z  # muh
-        + (D * K if has_relay else 0)  # rho
-        + (pairs * K if has_relay else 0)  # tau
-        + (D * K if has_relay else 0)  # tausink
-        + (pairs * K * L * L if has_relay else 0)  # wt
-        + (D * K * L if has_relay else 0)  # wts
+        + relay * (2 * D * K + pairs * K)  # rho, tausink, tau
         + n_sig  # sig
         + Ms  # sigbar
         + 1  # Gamma
     )
     servable = int(sum(1 for m in s.service_mission_ids for z in range(Z) if s.quality[:, m, z].any()))
     n_req = sum(len(s.missions[m].requires) for m in s.service_mission_ids)
+    hops = int((s.dist_km[:, ~s.is_depot_arr()] <= s.uav.max_step_km + 1e-12).sum())
+    tight = int((s.link_uav_mb < s.link_uav_mb.max(initial=0.0)).sum())
+    tight_sink = int((s.link_sink_mb < s.link_sink_mb.max(initial=0.0)).sum())
     rows = {
         "loc_unique": D * K,
         "travel": D * (K - 1) * L,
         "cap": D * K if P else 0,
         "lock": 2 * D * (K - 1) * P,
+        "batt": D * (K - 1) * hops,
         "dlt": 2 * D * win,
         "deliv": len(s.deliverable_ids),
-        "equip": D * K * Z * n_req + (D * K * len(s.missions[s.relay_index].requires) if has_relay else 0),
-        "budget": D * K if (Ms or has_relay) else 0,
+        "equip": D * K * Z * n_req + (D * K * len(s.missions[s.relay_index].requires) if relay else 0),
+        "budget": D * K if (Ms or relay) else 0,
         "muh": D * K * Ms * Z * (L + 1),
         "need": K * servable,
+        "flow": relay * D * K,
+        "sink": relay * K,
+        "taucap": relay * pairs * K * tight,
+        "taumax": relay * pairs * K,
+        "tausinkcap": relay * D * K * tight_sink,
+        "tausinkmax": relay * D * K,
         "sig": n_sig,
         "sigbar": n_sig,
         "gamma": Ms,

@@ -10,6 +10,7 @@ matrices and the dense quality tensor from the raw parts, and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -225,6 +226,20 @@ def max_range(spec: UavSpec, e_per_km_kg: float) -> float:
     return spec.battery_capacity_wh / (e_per_km_kg * gross)
 
 
+def _location_id(value, L: int, what: str) -> int:
+    """value as a location id; negative, out-of-range or fractional ids are
+    rejected instead of wrapping or truncating."""
+    try:
+        i = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{what}: location id {value!r} is not an integer") from None
+    if i != value:
+        raise ScenarioError(f"{what}: location id {value!r} is not an integer")
+    if not 0 <= i < L:
+        raise ScenarioError(f"{what}: location id {value!r} is outside [0, {L})")
+    return i
+
+
 def make_scenario(
     locations,
     zones,
@@ -276,11 +291,11 @@ def make_scenario(
 
     link_uav = np.full((L, L), float(link_default_uav_mb))
     for l1, l2, mb in link_uav_entries:
-        link_uav[int(l1), int(l2)] = float(mb)
-        link_uav[int(l2), int(l1)] = float(mb)
+        l1, l2 = _location_id(l1, L, "links.uav"), _location_id(l2, L, "links.uav")
+        link_uav[l1, l2] = link_uav[l2, l1] = float(mb)
     link_sink = np.full(L, float(link_default_sink_mb))
     for l, mb in link_sink_entries:
-        link_sink[int(l)] = float(mb)
+        link_sink[_location_id(l, L, "links.sink")] = float(mb)
 
     for arr in (dist, energy, quality, demand, link_uav, link_sink):
         arr.setflags(write=False)
@@ -401,9 +416,18 @@ def validate(s: Scenario) -> list[ValidationIssue]:
             add("distances", (l1, l2), "asymmetric distance")
     if np.any(np.diag(s.energy_wh_per_kg) <= 0):
         add("energy", (), "hover cost on the diagonal must be positive")
-    if np.any(s.link_uav_mb < 0) or np.any(s.link_sink_mb < 0):
+    for fname, val in (("default_uav_mb", s.link_default_uav_mb), ("default_sink_mb", s.link_default_sink_mb)):
+        if not math.isfinite(val):
+            add("links", (fname,), "must be finite")
+    links_finite = True
+    for fname, arr in (("uav", s.link_uav_mb), ("sink", s.link_sink_mb)):
+        if not np.isfinite(arr).all():
+            links_finite = False
+            bad = np.argwhere(~np.isfinite(arr))[0]
+            add("links", (fname, *map(int, bad)), "capacity must be finite")
+    if (s.link_uav_mb < 0).any() or (s.link_sink_mb < 0).any():
         add("links", (), "capacities must be nonnegative")
-    if np.any(np.abs(s.link_uav_mb - s.link_uav_mb.T) > 1e-9):
+    if links_finite and (np.abs(s.link_uav_mb - s.link_uav_mb.T) > 1e-9).any():
         add("links", (), "UAV-to-UAV capacity must be symmetric")
 
     if s.horizon < 0 or s.horizon > K:
@@ -562,6 +586,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for j, row in enumerate(demand_rows):
         if len(row) != 4:
             raise ScenarioError(f"demand[{j}]: expected [epoch, mission, zone, value]")
+    for key, width, shape in (("uav", 3, "[location, location, mb]"), ("sink", 2, "[location, mb]")):
+        for j, row in enumerate(links.get(key, [])):
+            if not isinstance(row, list) or len(row) != width:
+                raise ScenarioError(f"links.{key}[{j}]: expected {shape}")
 
     s = make_scenario(
         locations=locations,

@@ -29,9 +29,10 @@ def tiny_delivery() -> Scenario:
     )
 
 
-def tiny_mixed() -> Scenario:
+def tiny_mixed(**links) -> Scenario:
     """Two UAVs, three locations, four epochs, one delivery plus a coverage
-    zone; small enough for every engine."""
+    zone; small enough for every engine.  ``links`` passes link-capacity
+    overrides (``link_uav_entries``, ``link_sink_entries``) to make_scenario."""
     return make_scenario(
         locations=[
             Location(0, 0.0, 0.0, True),
@@ -51,6 +52,7 @@ def tiny_mixed() -> Scenario:
         epochs=4,
         horizon=2,
         demand_entries=[(1, "coverage", 0, 1.5), (2, "coverage", 0, 1.5)],
+        **links,
     )
 
 

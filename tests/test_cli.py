@@ -52,6 +52,30 @@ class TestValidate:
         bad.write_text("{ nope")
         assert run("validate", bad) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("uav", [[0, -1, 5.0]]),  # would overwrite the last location if it wrapped
+            ("uav", [[0, 3, 5.0]]),
+            ("uav", [[0, 1.5, 5.0]]),
+            ("uav", [["0", 1, 5.0]]),
+            ("uav", [[0, 1]]),
+            ("uav", [[0, 1, float("nan")]]),
+            ("sink", [[-1, 5.0]]),
+            ("sink", [[1, float("nan")]]),
+            ("sink", [[2, float("inf")]]),
+            ("default_uav_mb", float("inf")),
+            ("default_sink_mb", float("nan")),
+        ],
+    )
+    def test_bad_link_rows_exit_2(self, tmp_path, capsys, field, value):
+        doc = json.loads((DATA / "tiny-mixed.scenario").read_text())
+        doc["links"][field] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+        assert run("validate", bad) == 2
+        assert capsys.readouterr().err.startswith("links")
+
 
 class TestSolve:
     def test_heuristic_with_preset(self, sf_small_file, tmp_path, capsys):

@@ -15,7 +15,7 @@ from uavplan.milp import (
     parse_solution,
     solution_to_text,
 )
-from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, make_scenario
+from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, load_scenario, make_scenario
 
 from scenarios import tiny_delivery, tiny_mixed
 
@@ -32,6 +32,39 @@ def delivery_only_two_epochs():
     )
 
 
+def overridden_tiny_mixed():
+    return tiny_mixed(link_uav_entries=[(0, 2, 2.0), (1, 1, 9e4)], link_sink_entries=[(2, 6e4)])
+
+
+@pytest.fixture(scope="module")
+def size_instances(sf_small_text):
+    return [tiny_delivery(), tiny_mixed(), overridden_tiny_mixed(), load_scenario(sf_small_text)]
+
+
+ROW_PREFIXES = {
+    "loc_unique": "loc_unique_",
+    "travel": "travel_",
+    "cap": "cap_",
+    "lock": "lock_",
+    "batt": "batt_",
+    "dlt": "dlt_",
+    "deliv": "deliv_",
+    "equip": "equip_",
+    "budget": "budget_",
+    "muh": "muh_",
+    "need": "need_",
+    "flow": "flow_",
+    "sink": "sink_",
+    "taucap": "taucap_",
+    "taumax": "taumax_",
+    "tausinkcap": "tausinkcap_",
+    "tausinkmax": "tausinkmax_",
+    "sig": "sig_",
+    "sigbar": "sigbar_",
+    "gamma": "gamma_",
+}
+
+
 class TestStructure:
     def test_delta_count_is_fleet_times_window(self):
         m = build_milp(delivery_only_two_epochs())
@@ -45,33 +78,34 @@ class TestStructure:
         gamma = m.var("Gamma")
         assert gamma.lb == gamma.ub == 1.0
 
-    def test_variable_counts_match_closed_forms(self):
-        for s in (tiny_delivery(), tiny_mixed()):
+    def test_variable_counts_match_closed_forms(self, size_instances):
+        for s in size_instances:
             m = build_milp(s)
             assert len(m.variables) == model_size(s)["variables"]
 
-    def test_constraint_family_counts_match_closed_forms(self):
-        prefixes = {
-            "loc_unique": ("loc_unique_",),
-            "travel": ("travel_",),
-            "cap": ("cap_",),
-            "lock": ("lock_",),
-            "dlt": ("dlt_",),
-            "deliv": ("deliv_",),
-            "equip": ("equip_",),
-            "budget": ("budget_",),
-            "muh": ("muh_",),
-            "need": ("need_",),
-            "sig": ("sig_",),
-            "sigbar": ("sigbar_",),
-            "gamma": ("gamma_",),
-        }
-        for s in (tiny_delivery(), tiny_mixed()):
+    def test_constraint_family_counts_match_closed_forms(self, size_instances):
+        for s in size_instances:
             m = build_milp(s)
             expected = model_size(s)["rows"]
-            for family, pres in prefixes.items():
-                got = sum(1 for c in m.constraints if c.name.startswith(pres))
+            assert set(expected) == set(ROW_PREFIXES)
+            for family, pre in ROW_PREFIXES.items():
+                got = sum(1 for c in m.constraints if c.name.startswith(pre))
                 assert got == expected[family], (family, got, expected[family])
+            assert sum(expected.values()) == len(m.constraints)
+
+    def test_link_capacity_rows_only_below_the_maximum(self, sf_small_text):
+        for s in (tiny_mixed(), load_scenario(sf_small_text)):
+            m = build_milp(s)
+            assert {"rho", "tau", "tausink"} <= {v.symbol for v in m.variables}
+            assert not any(c.name.startswith(("taucap_", "tausinkcap_")) for c in m.constraints)
+        m = build_milp(overridden_tiny_mixed())
+        assert {"wt", "wts"}.isdisjoint(v.symbol for v in m.variables)
+        assert not any(c.name.startswith(("wt_", "wts_")) for c in m.constraints)
+        # raised links at (1, 1) and at sink 2 leave every other entry below the maximum
+        pairs = {tuple(c.name.split("_")[-2:]) for c in m.constraints if c.name.startswith("taucap_")}
+        assert pairs == {(str(a), str(b)) for a in range(3) for b in range(3)} - {("1", "1")}
+        sinks = {c.name.split("_")[-1] for c in m.constraints if c.name.startswith("tausinkcap_")}
+        assert sinks == {"0", "1"}
 
     def test_names_unique_and_short(self):
         m = build_milp(tiny_mixed())
@@ -109,9 +143,11 @@ class TestExport:
         assert models_equal(m, parse_lp(export_lp(m)))
 
 
-def enumerate_micro_assignments(s):
+def enumerate_micro_assignments(s, scaled=False):
     """Every (location, payload) binary pattern of a one-UAV micro instance,
-    plus a few continuous samples on top of each."""
+    plus a few continuous samples on top of each.  With ``scaled``, sink
+    transfers are the relay effort times one random factor per plan, so whole
+    plans fall under, between and over the link capacities."""
     rng = np.random.default_rng(0)
     K, L, P = s.epochs, s.num_locations, s.num_payloads
     for locs in itertools.product(range(L), repeat=K):
@@ -126,7 +162,11 @@ def enumerate_micro_assignments(s):
                 if s.relay_index is not None:
                     noisy.mission_alloc[0, :, s.relay_index, :] = 0.0
                     noisy.relay_frac[0] = rng.uniform(0, 0.4, size=K)
-                    noisy.sink_transfers[0] = rng.uniform(0, 2.0, size=K)
+                    if scaled:
+                        factor = rng.uniform(0, 4.0) * rng.uniform(0.9, 1.0, size=K)
+                        noisy.sink_transfers[0] = factor * noisy.relay_frac[0]
+                    else:
+                        noisy.sink_transfers[0] = rng.uniform(0, 2.0, size=K)
                 yield noisy
 
 
@@ -185,23 +225,14 @@ def assignment_vector(s, m, plan):
     if s.relay_index is not None:
         for d in range(D):
             for k in range(K):
-                rho = float(plan.relay_frac[d, k])
-                vals[f"rho_{d}_{k}"] = rho
+                vals[f"rho_{d}_{k}"] = float(plan.relay_frac[d, k])
                 vals[f"tausink_{d}_{k}"] = float(plan.sink_transfers[d, k])
-                for l in range(L):
-                    vals[f"wts_{d}_{k}_{l}"] = rho if lam[d, k] == l else 0.0
         for d1 in range(D):
             for d2 in range(D):
                 if d1 == d2:
                     continue
                 for k in range(K):
                     vals[f"tau_{d1}_{d2}_{k}"] = float(plan.transfers[d1, d2, k])
-                    for l1 in range(L):
-                        for l2 in range(L):
-                            on = lam[d1, k] == l1 and lam[d2, k] == l2
-                            vals[f"wt_{d1}_{d2}_{k}_{l1}_{l2}"] = (
-                                float(plan.relay_frac[d1, k]) if on else 0.0
-                            )
     return vals
 
 
@@ -222,7 +253,34 @@ def linear_family_violations(m, vals):
     return bad
 
 
-def micro_instance():
+def link_sides(s, p, links):
+    """(link kind, side) pairs saying whether the plan's positive transfers
+    over overridden links stay under or go over capacity times relay effort."""
+    pairs = {(a, b) for a, b, _ in links.get("link_uav_entries", ())}
+    pairs |= {(b, a) for a, b in pairs}
+    sinks = {l for l, _ in links.get("link_sink_entries", ())}
+    lam = p.locations
+    D, K = lam.shape
+    sides = set()
+    for d1, k in itertools.product(range(D), range(K)):
+        rho = p.relay_frac[d1, k]
+        if lam[d1, k] in sinks and p.sink_transfers[d1, k] > 0:
+            cap = s.link_sink_mb[lam[d1, k]] * rho
+            sides.add(("sink", "over" if p.sink_transfers[d1, k] > cap else "under"))
+        for d2 in range(D):
+            if d2 != d1 and (lam[d1, k], lam[d2, k]) in pairs and p.transfers[d1, d2, k] > 0:
+                cap = s.link_uav_mb[lam[d1, k], lam[d2, k]] * rho
+                sides.add(("uav", "over" if p.transfers[d1, d2, k] > cap else "under"))
+    return sides
+
+
+# a weak sink where the zone is served; one UAV never uses the pair link
+MICRO_LINKS = dict(link_uav_entries=[(0, 1, 2.0)], link_sink_entries=[(1, 1.0)])
+# a UAV pair below the default link and one above it, plus a weak sink
+TIGHT_LINKS = dict(link_uav_entries=[(0, 1, 1.0), (1, 1, 6.0)], link_sink_entries=[(0, 0.5)])
+
+
+def micro_instance(**links):
     # small link capacities so sampled transfers can overrun them
     return make_scenario(
         locations=[Location(0, 0.0, 0.0, True), Location(1, 1.2, 0.0, False)],
@@ -235,18 +293,26 @@ def micro_instance():
         demand_entries=[(1, "coverage", 0, 0.8), (2, "coverage", 0, 0.8)],
         link_default_uav_mb=5.0,
         link_default_sink_mb=3.0,
+        **links,
     )
 
 
 def test_linearization_matches_original_constraints_exhaustively():
     """For every binary pattern (plus sampled continuous decisions) of a micro
-    instance, the linear rows are violated exactly when the original
-    operational constraints are."""
-    s = micro_instance()
+    instance, with uniform and with overridden links, the linear rows are
+    violated exactly when the original operational constraints are."""
+    check_micro_linearization({})
+    check_micro_linearization(MICRO_LINKS)
+
+
+def check_micro_linearization(links):
+    s = micro_instance(**links)
     m = build_milp(s, depot_return=False)
     checked = 0
     mismatch = []
-    for plan in enumerate_micro_assignments(s):
+    sides = set()
+    relay_cap = []
+    for plan in enumerate_micro_assignments(s, scaled=bool(links)):
         vals = assignment_vector(s, m, plan)
         lin = linear_family_violations(m, vals)
         rep = check_feasibility(s, plan, depot_return=False)
@@ -259,13 +325,27 @@ def test_linearization_matches_original_constraints_exhaustively():
         if lin != orig:
             mismatch.append((plan.locations.tolist(), lin, orig))
         checked += 1
+        sides |= link_sides(s, plan, links)
+        relay_cap.append("RELAY-CAP" in orig)
     assert checked >= 500
     assert not mismatch, mismatch[:3]
+    if links:
+        assert {("sink", "under"), ("sink", "over")} <= sides
+        assert any(relay_cap) and not all(relay_cap)
 
 
 def test_linearization_exact_for_inter_uav_transfers():
-    """Two UAVs with tight links: sampled relay fractions and transfers hit
-    the transfer-share rows exactly when the original capacities break."""
+    """Two UAVs with tight links, uniform and overridden: sampled relay
+    fractions and transfers hit the link-capacity rows exactly when the
+    original capacities break."""
+    check_inter_uav_linearization({})
+    check_inter_uav_linearization(TIGHT_LINKS)
+
+
+def check_inter_uav_linearization(links):
+    """With overrides, transfers are the sender's relay effort times one
+    random factor per plan, so whole plans fall under, between and over the
+    overridden and default capacities."""
     s = make_scenario(
         locations=[Location(0, 0.0, 0.0, True), Location(1, 1.2, 0.0, False)],
         zones=[Zone(0, {1: {"coverage": 1.0}})],
@@ -277,10 +357,13 @@ def test_linearization_exact_for_inter_uav_transfers():
         demand_entries=[(1, "coverage", 0, 0.8), (2, "coverage", 0, 0.8)],
         link_default_uav_mb=4.0,
         link_default_sink_mb=2.5,
+        **links,
     )
     m = build_milp(s, depot_return=False)
     rng = np.random.default_rng(3)
     checked = mismatches = 0
+    sides = set()
+    relay_cap = []
     for locs0 in itertools.product(range(2), repeat=2):
         for locs1 in itertools.product(range(2), repeat=2):
             for radio0 in (False, True):
@@ -294,10 +377,17 @@ def test_linearization_exact_for_inter_uav_transfers():
                         p = plan.copy()
                         p.mission_alloc[:, :, 0, :] = rng.uniform(0, 0.5, p.mission_alloc[:, :, 0, :].shape)
                         p.relay_frac[:] = rng.uniform(0, 0.6, p.relay_frac.shape)
-                        p.transfers[:] = rng.uniform(0, 3.0, p.transfers.shape)
+                        if links:
+                            rho = p.relay_frac[:, None, :]
+                            p.transfers[:] = rng.uniform(0, 7.0) * rng.uniform(0.9, 1.0, p.transfers.shape) * rho
+                            p.sink_transfers[:] = (
+                                rng.uniform(0, 3.0) * rng.uniform(0.9, 1.0, p.sink_transfers.shape) * p.relay_frac
+                            )
+                        else:
+                            p.transfers[:] = rng.uniform(0, 3.0, p.transfers.shape)
+                            p.sink_transfers[:] = rng.uniform(0, 3.0, p.sink_transfers.shape)
                         for d in range(2):
                             p.transfers[d, d, :] = 0.0
-                        p.sink_transfers[:] = rng.uniform(0, 3.0, p.sink_transfers.shape)
                         vals = assignment_vector(s, m, p)
                         lin = linear_family_violations(m, vals)
                         orig = check_feasibility(s, p, depot_return=False).tags
@@ -310,8 +400,13 @@ def test_linearization_exact_for_inter_uav_transfers():
                         if lin != orig:
                             mismatches += 1
                         checked += 1
+                        sides |= link_sides(s, p, links)
+                        relay_cap.append("RELAY-CAP" in orig)
     assert checked >= 380
     assert mismatches == 0
+    if links:
+        assert {(kind, side) for kind in ("uav", "sink") for side in ("under", "over")} <= sides
+        assert any(relay_cap) and not all(relay_cap)
 
 
 class TestSolutions:
@@ -372,10 +467,18 @@ class TestSolutions:
         assert sol == {"Gamma": 1.0}
 
 
+# tiny-mixed's UAV link (0, 1) and its sinks away from the depot scaled by 1e-4:
+# the relay capacity binds and the optimum drops from 1.0 to 0.7667
+BINDING_LINKS = dict(link_uav_entries=[(0, 1, 5.0)], link_sink_entries=[(1, 5.0), (2, 5.0)])
+
+
 def test_tiny_mixed_export_optimum_matches_exact_engine():
-    s = tiny_mixed()
-    res = solve_exact(s)
-    m = parse_lp(export_lp(build_milp(s)))
-    status, val, _ = solve_model_exhaustive(m, time_budget_s=300)
-    assert status == "optimal"
-    assert val == pytest.approx(res.objective, abs=1e-6)
+    for links in ({}, BINDING_LINKS):
+        s = tiny_mixed(**links)
+        res = solve_exact(s)
+        if links:
+            assert res.objective == pytest.approx(0.7666666666666667, abs=1e-9)
+        m = parse_lp(export_lp(build_milp(s)))
+        status, val, _ = solve_model_exhaustive(m, time_budget_s=300)
+        assert status == "optimal"
+        assert val == pytest.approx(res.objective, abs=1e-6)
