@@ -12,7 +12,6 @@ refusal, 4 internal assertion.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -119,7 +118,7 @@ def _heuristic_cfg(args) -> HeuristicConfig:
 
 
 def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, limits: EnumerationLimits):
-    """Run one engine on one scenario; returns (plan, info dict)."""
+    """Run one engine on one scenario; returns (plan, info dict, tours or None)."""
     if engine == "exact":
         groups = None
         if equipment == "fixed":
@@ -144,6 +143,24 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
         "tours": len(tours),
     }
     return plan, info, tours
+
+
+def _checked_solve(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, limits: EnumerationLimits):
+    """_solve_one, then check_feasibility: an engine that returns an
+    infeasible plan has failed an internal assertion (exit 4)."""
+    plan, info, tours = _solve_one(s, engine, equipment, cfg, limits)
+    report = check_feasibility(s, plan)
+    if not report.ok:
+        raise AssertionError(f"engine produced an infeasible plan: {sorted(report.tags)}")
+    return plan, info, tours
+
+
+def _limits(args) -> EnumerationLimits:
+    return EnumerationLimits(
+        max_assignments=args.max_assignments,
+        time_budget_s=args.time_budget,
+        size_guard=args.size_guard,
+    )
 
 
 def _tours_json(s: Scenario, tours) -> str:
@@ -218,17 +235,8 @@ def cmd_validate(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.monotonic()
     s = _read_scenario(args.scenario)
-    limits = EnumerationLimits(
-        max_assignments=args.max_assignments,
-        time_budget_s=args.time_budget,
-        size_guard=args.size_guard,
-    )
     cfg = _heuristic_cfg(args)
-    plan, info, tours = _solve_one(s, args.engine, args.equipment, cfg, limits)
-    report = check_feasibility(s, plan)
-    if not report.ok:
-        print(f"engine produced an infeasible plan: {sorted(report.tags)}", file=sys.stderr)
-        return EXIT_INTERNAL
+    plan, info, tours = _checked_solve(s, args.engine, args.equipment, cfg, _limits(args))
     metrics = plan_metrics(s, plan)
     summary = {**info, **metrics, "feasible": True}
     outputs = []
@@ -338,75 +346,42 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """One row per (run, UAV count), run-major, each job solved and checked
+    in turn; a failed job removes a stale --out before the error surfaces."""
     t0 = time.monotonic()
     s = _read_scenario(args.scenario)
     counts = [int(x) for x in args.uav_counts.split(",")]
     runs = [_parse_run(r) for r in args.runs.split(",")]
-    limits = EnumerationLimits(
-        max_assignments=args.max_assignments,
-        time_budget_s=args.time_budget,
-        size_guard=args.size_guard,
-    )
+    limits = _limits(args)
     service_names = [s.missions[m].name for m in s.service_mission_ids]
-
-    jobs = []
-    for ri, (engine, equipment, preset) in enumerate(runs):
-        cfg = HEURISTIC_PRESETS[preset]() if preset else HeuristicConfig()
-        for count in counts:
-            jobs.append((ri, engine, equipment, preset, cfg, count))
-
-    def run_job(job):
-        ri, engine, equipment, preset, cfg, count = job
-        sc = _with_uav_count(s, count)
-        result = _solve_one(sc, engine, equipment, cfg, limits)
-        plan = result[0]
-        report = check_feasibility(sc, plan)
-        if not report.ok:
-            raise RuntimeError(f"run {ri} produced an infeasible plan: {sorted(report.tags)}")
-        return job, plan_metrics(sc, plan)
-
-    results = {}
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(jobs))) as pool:
-        futures = [pool.submit(run_job, job) for job in jobs]
-        try:
-            for fut in concurrent.futures.as_completed(futures):
-                job, metrics = fut.result()
-                results[(job[0], job[5])] = (job, metrics)
-        except Exception:
-            for fut in futures:
-                fut.cancel()
-            if os.path.exists(args.out):
-                os.remove(args.out)
-            raise
 
     header = ["run", "engine", "equipment", "preset", "alpha1", "alpha2", "uav_count", "objective"]
     header += [f"sigma_bar_{n}" for n in service_names]
     header += [f"served_{n}" for n in service_names]
-    header += ["payload_fraction", "equipment_kg", "delivery_kg", "energy_charges"]
+    summary_cols = {  # CSV column -> plan_metrics key
+        "payload_fraction": "mean_payload_fraction",
+        "equipment_kg": "mean_equipment_kg",
+        "delivery_kg": "mean_delivery_kg",
+        "energy_charges": "battery_charges",
+    }
+    header += list(summary_cols)
     lines = [",".join(header)]
-    for ri, (engine, equipment, preset, *_rest) in enumerate(runs):
-        for count in counts:
-            job, metrics = results[(ri, count)]
-            cfg = job[4]
-            row = [
-                f"run{ri}",
-                engine,
-                equipment,
-                preset or "",
-                repr(cfg.alpha1),
-                repr(cfg.alpha2),
-                str(count),
-                repr(metrics["objective"]),
-            ]
-            row += [repr(metrics["sigma_bar"][n]) for n in service_names]
-            row += [repr(metrics["served_fraction"][n]) for n in service_names]
-            row += [
-                repr(metrics["mean_payload_fraction"]),
-                repr(metrics["mean_equipment_kg"]),
-                repr(metrics["mean_delivery_kg"]),
-                repr(metrics["battery_charges"]),
-            ]
-            lines.append(",".join(row))
+    try:
+        for ri, (engine, equipment, preset) in enumerate(runs):
+            cfg = HEURISTIC_PRESETS[preset]() if preset else HeuristicConfig()
+            for count in counts:
+                sc = _with_uav_count(s, count)
+                plan, _, _ = _checked_solve(sc, engine, equipment, cfg, limits)
+                metrics = plan_metrics(sc, plan)
+                values = [cfg.alpha1, cfg.alpha2, count, metrics["objective"]]
+                values += [metrics["sigma_bar"][n] for n in service_names]
+                values += [metrics["served_fraction"][n] for n in service_names]
+                values += [metrics[key] for key in summary_cols.values()]
+                lines.append(",".join([f"run{ri}", engine, equipment, preset or "", *map(repr, values)]))
+    except Exception:
+        if os.path.exists(args.out):
+            os.remove(args.out)
+        raise
     _write_atomic(args.out, "\n".join(lines) + "\n")
     _write_manifest(
         args.out,
@@ -425,6 +400,10 @@ def cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uavplan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    limits = argparse.ArgumentParser(add_help=False)  # exact-engine limits
+    limits.add_argument("--max-assignments", type=int, default=2_000_000)
+    limits.add_argument("--time-budget", type=float, default=600.0)
+    limits.add_argument("--size-guard", type=int, default=64)
 
     g = sub.add_parser("generate", help="synthesize a scenario file")
     g.add_argument("--seed", type=int, default=0)
@@ -439,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_validate)
 
-    so = sub.add_parser("solve", help="compute a plan")
+    so = sub.add_parser("solve", parents=[limits], help="compute a plan")
     so.add_argument("--scenario", required=True)
     so.add_argument("--engine", choices=["heuristic", "exact"], default="heuristic")
     so.add_argument("--preset", choices=sorted(HEURISTIC_PRESETS))
@@ -447,9 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--alpha2", type=float, default=0.0)
     so.add_argument("--equipment", choices=["flexible", "fixed"], default="flexible")
     so.add_argument("--out")
-    so.add_argument("--max-assignments", type=int, default=2_000_000)
-    so.add_argument("--time-budget", type=float, default=600.0)
-    so.add_argument("--size-guard", type=int, default=64)
     so.set_defaults(func=cmd_solve)
 
     ex = sub.add_parser("export-lp", help="write the MILP as an LP file")
@@ -470,14 +446,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", choices=["csv", "json"], default="csv")
     ev.set_defaults(func=cmd_evaluate)
 
-    cp = sub.add_parser("compare", help="sweep engines/equipment over UAV counts")
+    cp = sub.add_parser("compare", parents=[limits], help="sweep engines/equipment over UAV counts")
     cp.add_argument("--scenario", required=True)
     cp.add_argument("--uav-counts", required=True)
     cp.add_argument("--runs", required=True, help="e.g. exact:flexible,exact:fixed")
     cp.add_argument("--out", required=True)
-    cp.add_argument("--max-assignments", type=int, default=2_000_000)
-    cp.add_argument("--time-budget", type=float, default=600.0)
-    cp.add_argument("--size-guard", type=int, default=64)
     cp.set_defaults(func=cmd_compare)
     return ap
 
@@ -494,6 +467,7 @@ def main(argv=None) -> int:
         GenerationError,
         InsertionError,
         ValueError,
+        OverflowError,  # an infinite integer field, such as "epochs": Infinity
         KeyError,
         FileNotFoundError,
         json.JSONDecodeError,

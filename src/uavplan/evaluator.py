@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -398,7 +398,7 @@ def plan_metrics(s: Scenario, p: Plan) -> dict:
             mean_equip = float((p.payloads[:, :, e_mask] @ w[e_mask])[away].mean()) if e_mask.any() else 0.0
             d_mask = np.array([pl.deliverable for pl in s.payloads])
             mean_deliv = float((p.payloads[:, :, d_mask] @ w[d_mask])[away].mean()) if d_mask.any() else 0.0
-    energy = float(energy_used(s, p).sum())
+    energy = float(energy_used(s, replace(p, locations=lam)).sum())
     served_fraction = {}
     for mid in s.service_mission_ids:
         total_need = float(s.demand[:, mid, :].sum())

@@ -71,7 +71,6 @@ class Route:
     seq: tuple[int, ...]  # per-epoch location hops, seq[0] .. seq[-1]
     anchors: tuple[int, ...]  # intermediate anchor locations (at most two)
     length_km: float
-    energy_wh_per_kg: float
 
     @property
     def hops(self) -> int:
@@ -95,8 +94,7 @@ class RouteGraph:
 
 def _route_from_seq(s: Scenario, seq: tuple[int, ...], anchors: tuple[int, ...]) -> Route:
     length = sum(s.dist_km[seq[j], seq[j + 1]] for j in range(len(seq) - 1))
-    energy = sum(s.energy_wh_per_kg[seq[j], seq[j + 1]] for j in range(len(seq) - 1))
-    return Route(seq=seq, anchors=anchors, length_km=float(length), energy_wh_per_kg=float(energy))
+    return Route(seq=seq, anchors=anchors, length_km=float(length))
 
 
 def build_route_graph(s: Scenario) -> RouteGraph:
@@ -117,7 +115,7 @@ def build_route_graph(s: Scenario) -> RouteGraph:
     for a in nodes:
         for b in nodes:
             if a == b:
-                routes[(a, b)] = (Route((a,), (), 0.0, 0.0),)
+                routes[(a, b)] = (Route((a,), (), 0.0),)
                 continue
             cap = 2.0 * path_km[a, b] + 1e-9
             cands: dict[tuple[int, ...], Route] = {}
@@ -471,8 +469,6 @@ def insertion_solve(
 
     while unserved or current is not None:
         if current is None:
-            if not unserved:
-                break
             seed = min(unserved, key=deadline_key)
             current = _seed_tour(ctx, seed)
             unserved.remove(seed)
@@ -652,24 +648,15 @@ def tours_to_plan(
         sched = _Schedule(
             tour.depart, tour.arrival_epochs, tour.service_epochs, tour.return_epoch, tour.energy_wh, 0.0
         )
-        # location timeline
-        t = tour.depart
-        for i, leg in enumerate(tour.legs):
-            for j in range(leg.hops):
-                t += 1
-                plan.locations[d, t] = leg.seq[j + 1]
-            if i < len(tour.stops):
-                loc = tour.stops[i].location
-                while t < sched.services[i]:
-                    t += 1
-                    plan.locations[d, t] = loc
         # payload aboard from the loading depot epoch until just before return
         for k in range(tour.depart, tour.return_epoch):
             for pid in aboard:
                 plan.payloads[d, k, pid] = True
-        # greedy service and direct-to-ground traffic
+        # away epochs: location, greedy service and direct-to-ground traffic;
+        # the epochs the walk skips keep the single depot from Plan.idle
         aboard_set = frozenset(aboard)
         for k, l in _epoch_walk(s, tour, sched):
+            plan.locations[d, k] = l
             taken: list = []
             gen = _allocate_service(s, l, k, aboard_set, resid, taken)
             for m, z, alloc in taken:

@@ -66,9 +66,6 @@ class MilpModel:
     def var(self, symbol: str, *indices) -> Var:
         return self.variables[self.name_to_idx[_name(symbol, indices)]]
 
-    def binaries(self) -> list[int]:
-        return [i for i, v in enumerate(self.variables) if v.kind == "binary"]
-
 
 def _name(symbol: str, indices) -> str:
     if not indices:
@@ -431,7 +428,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     return MilpModel(variables=b.vars, constraints=b.rows, objective="Gamma", meta=meta)
 
 
-def model_size(s: Scenario, depot_return: bool = True) -> dict:
+def model_size(s: Scenario) -> dict:
     """Closed-form variable and constraint counts for a scenario's model.
 
     Variables: |lam| = DKL, |om| = DKP, |beta| = DK, |delta| = D * sum of
@@ -598,7 +595,9 @@ def parse_lp(text: str) -> MilpModel:
 
     for line in lines:
         low = line.strip().lower()
-        if low in ("maximize", "minimize"):
+        if low == "minimize":
+            raise ValueError("the model maximizes its objective; a Minimize section is not supported")
+        if low == "maximize":
             section = "obj"
             continue
         if low == "subject to":

@@ -226,17 +226,17 @@ def max_range(spec: UavSpec, e_per_km_kg: float) -> float:
     return spec.battery_capacity_wh / (e_per_km_kg * gross)
 
 
-def _location_id(value, L: int, what: str) -> int:
-    """value as a location id; negative, out-of-range or fractional ids are
-    rejected instead of wrapping or truncating."""
+def _index(value, size: int, what: str) -> int:
+    """value as an index into range(size); negative, out-of-range or
+    fractional values are rejected instead of wrapping or truncating."""
     try:
         i = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{what}: location id {value!r} is not an integer") from None
+        raise ScenarioError(f"{what} {value!r} is not an integer") from None
     if i != value:
-        raise ScenarioError(f"{what}: location id {value!r} is not an integer")
-    if not 0 <= i < L:
-        raise ScenarioError(f"{what}: location id {value!r} is outside [0, {L})")
+        raise ScenarioError(f"{what} {value!r} is not an integer")
+    if not 0 <= i < size:
+        raise ScenarioError(f"{what} {value!r} is outside [0, {size})")
     return i
 
 
@@ -270,32 +270,48 @@ def make_scenario(
     L, Z, M, K = len(locations), len(zones), len(missions), int(epochs)
 
     coords = np.array([[l.x, l.y] for l in locations], dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    energy = e_per_km_kg * dist
+    with np.errstate(invalid="ignore", over="ignore"):  # validate reports non-finite coordinates
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        energy = e_per_km_kg * dist
     np.fill_diagonal(energy, hover_km_equiv * e_per_km_kg)
 
     name_to_mid = {m.name: m.id for m in missions}
     quality = np.zeros((L, M, Z), dtype=float)
     for z in zones:
         for loc_id, qmap in z.served_from.items():
+            loc_id = _index(loc_id, L, f"zones[{z.id}].served_from: location id")
             for mname, q in qmap.items():
                 if mname not in name_to_mid:
                     raise ScenarioError(f"zone {z.id} references unknown mission {mname!r}")
                 quality[loc_id, name_to_mid[mname], z.id] = q
 
     demand = np.zeros((K, M, Z), dtype=float)
-    for k, m, z, val in demand_entries:
-        mid = name_to_mid[m] if isinstance(m, str) else int(m)
-        demand[int(k), mid, int(z)] = float(val)
+    for j, (k, m, z, val) in enumerate(demand_entries):
+        if isinstance(m, str):
+            m = name_to_mid.get(m, m)
+        try:
+            # numpy refuses too-large and fractional indices but wraps negative ones
+            if not (type(k) is type(m) is type(z) is int and k >= 0 and m >= 0 and z >= 0):
+                raise IndexError
+            demand[k, m, z] = float(val)
+        except IndexError:
+            # reject the row, or normalize numpy and integral-float ids
+            if isinstance(m, str):
+                raise ScenarioError(f"demand[{j}]: unknown mission {m!r}") from None
+            k, m, z = (
+                _index(v, n, f"demand[{j}]: {what}")
+                for v, n, what in ((k, K, "epoch"), (m, M, "mission id"), (z, Z, "zone"))
+            )
+            demand[k, m, z] = float(val)
 
     link_uav = np.full((L, L), float(link_default_uav_mb))
     for l1, l2, mb in link_uav_entries:
-        l1, l2 = _location_id(l1, L, "links.uav"), _location_id(l2, L, "links.uav")
+        l1, l2 = _index(l1, L, "links.uav: location id"), _index(l2, L, "links.uav: location id")
         link_uav[l1, l2] = link_uav[l2, l1] = float(mb)
     link_sink = np.full(L, float(link_default_sink_mb))
     for l, mb in link_sink_entries:
-        link_sink[_location_id(l, L, "links.sink")] = float(mb)
+        link_sink[_index(l, L, "links.sink: location id")] = float(mb)
 
     for arr in (dist, energy, quality, demand, link_uav, link_sink):
         arr.setflags(write=False)
@@ -327,6 +343,14 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     add = lambda f, idx, rule: issues.append(ValidationIssue(f, tuple(idx), rule))
 
+    def finite(f, arr, *prefix) -> bool:
+        """Report arr's first non-finite entry; True when there is none."""
+        ok = np.isfinite(arr)
+        if ok.all():
+            return True
+        add(f, (*prefix, *map(int, np.argwhere(~ok)[0])), "must be finite")
+        return False
+
     L, Z, M, K = s.num_locations, s.num_zones, s.num_missions, s.epochs
     if L < 1:
         add("locations", (), "at least one location required")
@@ -334,6 +358,8 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     for i, loc in enumerate(s.locations):
         if loc.id != i:
             add("locations", (i,), f"ids must be dense 0..{L - 1}, found {loc.id}")
+        if not (math.isfinite(loc.x) and math.isfinite(loc.y)):
+            add("locations", (i,), "coordinates must be finite")
     if not any(l.is_depot for l in s.locations):
         add("locations", (), "at least one depot required")
 
@@ -343,6 +369,7 @@ def validate(s: Scenario) -> list[ValidationIssue]:
         for loc_id in z.served_from:
             if not 0 <= loc_id < L:
                 add("zones", (z.id, loc_id), "served_from references unknown location")
+    finite("quality", s.quality)
     if np.any(s.quality < 0):
         bad = np.argwhere(s.quality < 0)[0]
         add("quality", tuple(int(i) for i in bad), "quality must be nonnegative")
@@ -355,13 +382,17 @@ def validate(s: Scenario) -> list[ValidationIssue]:
         ("max_step_km", u.max_step_km),
         ("count", u.count),
     ):
-        if val <= 0:
+        if not math.isfinite(val):
+            add("uavs", (fname,), "must be finite")
+        elif val <= 0:
             add("uavs", (fname,), "must be strictly positive")
 
     for i, p in enumerate(s.payloads):
         if p.id != i:
             add("payloads", (i,), "ids must be dense in list order")
-        if p.weight_kg < 0:
+        if not math.isfinite(p.weight_kg):
+            add("payloads", (p.id,), "weight must be finite")
+        elif p.weight_kg < 0:
             add("payloads", (p.id,), "weight must be nonnegative")
         if p.weight_kg > u.payload_capacity_kg:
             add("payloads", (p.id,), "payload exceeds capacity")
@@ -388,7 +419,9 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     for i, m in enumerate(s.missions):
         if m.id != i:
             add("missions", (i,), "ids must be dense in list order")
-        if m.mb_per_work < 0:
+        if not math.isfinite(m.mb_per_work):
+            add("missions", (m.id,), "data per work unit must be finite")
+        elif m.mb_per_work < 0:
             add("missions", (m.id,), "data per work unit must be nonnegative")
         for pid in m.requires:
             if not 0 <= pid < s.num_payloads:
@@ -399,6 +432,7 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     if s.demand.shape != (K, M, Z):
         add("demand", s.demand.shape, f"shape must be ({K},{M},{Z})")
     else:
+        finite("demand", s.demand)
         if np.any(s.demand < 0):
             bad = np.argwhere(s.demand < 0)[0]
             add("demand", tuple(int(i) for i in bad), "demand must be nonnegative")
@@ -407,29 +441,26 @@ def validate(s: Scenario) -> list[ValidationIssue]:
 
     if s.dist_km.shape != (L, L):
         add("distances", s.dist_km.shape, f"shape must be ({L},{L})")
-    else:
+    elif finite("distances", s.dist_km):
         if np.any(np.abs(np.diag(s.dist_km)) > 0):
             add("distances", (), "self-distance must be zero")
         asym = np.argwhere(np.abs(s.dist_km - s.dist_km.T) > 1e-9)
         if asym.size:
             l1, l2 = (int(i) for i in asym[0])
             add("distances", (l1, l2), "asymmetric distance")
+    finite("energy", s.e_per_km_kg, "per_km_kg")
+    finite("energy", s.hover_km_equiv, "hover_km_equiv")
     if np.any(np.diag(s.energy_wh_per_kg) <= 0):
         add("energy", (), "hover cost on the diagonal must be positive")
-    for fname, val in (("default_uav_mb", s.link_default_uav_mb), ("default_sink_mb", s.link_default_sink_mb)):
-        if not math.isfinite(val):
-            add("links", (fname,), "must be finite")
-    links_finite = True
-    for fname, arr in (("uav", s.link_uav_mb), ("sink", s.link_sink_mb)):
-        if not np.isfinite(arr).all():
-            links_finite = False
-            bad = np.argwhere(~np.isfinite(arr))[0]
-            add("links", (fname, *map(int, bad)), "capacity must be finite")
+    finite("links", s.link_default_uav_mb, "default_uav_mb")
+    finite("links", s.link_default_sink_mb, "default_sink_mb")
+    links_finite = finite("links", s.link_uav_mb, "uav") & finite("links", s.link_sink_mb, "sink")
     if (s.link_uav_mb < 0).any() or (s.link_sink_mb < 0).any():
         add("links", (), "capacities must be nonnegative")
     if links_finite and (np.abs(s.link_uav_mb - s.link_uav_mb.T) > 1e-9).any():
         add("links", (), "UAV-to-UAV capacity must be symmetric")
 
+    finite("epoch_minutes", s.epoch_minutes)
     if s.horizon < 0 or s.horizon > K:
         add("horizon", (), "horizon must lie in [0, epochs]")
     if K < 1:

@@ -4,12 +4,12 @@ import pathlib
 import pytest
 
 from uavplan.cli import main
-from uavplan.evaluator import Plan, check_feasibility, load_plan, serialize_plan
+from uavplan.evaluator import Plan, Violation, ViolationReport, check_feasibility, load_plan, serialize_plan
 from uavplan.exact import solve_model_exhaustive
 from uavplan.milp import build_milp, solution_to_text
-from uavplan.scenario import load_scenario
+from uavplan.scenario import load_scenario, serialize_scenario
 
-from scenarios import tiny_delivery
+from scenarios import flex_fixed_scenario, tiny_delivery
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -75,6 +75,45 @@ class TestValidate:
         bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
         assert run("validate", bad) == 2
         assert capsys.readouterr().err.startswith("links")
+
+
+    @pytest.mark.parametrize(
+        "path, value, prefix",
+        [
+            (("demand", 0, 0), -1, "demand[0]: epoch"),  # would land on the last epoch if it wrapped
+            (("demand", 0, 0), 4, "demand[0]: epoch"),
+            (("demand", 0, 0), 1.5, "demand[0]: epoch"),  # would truncate to epoch 1
+            (("demand", 0, 1), "rescue", "demand[0]: unknown mission"),
+            (("demand", 0, 1), 2, "demand[0]: mission id"),
+            (("demand", 1, 2), -1, "demand[1]: zone"),
+            (("demand", 1, 2), 1, "demand[1]: zone"),
+            (("demand", 1, 3), float("nan"), "demand[2,0,0]: must be finite"),
+            (("demand", 1, 3), float("inf"), "demand[2,0,0]: must be finite"),
+            (("zones", 0, "served_from", 1, "location"), 3, "zones[0].served_from: location id"),
+            (("zones", 0, "served_from", 1, "location"), -1, "zones[0].served_from: location id"),
+            (("zones", 0, "served_from", 0, "quality", "coverage"), float("nan"), "quality[1,0,0]: must be finite"),
+            (("missions", 0, "mb_per_work"), float("inf"), "missions[0]: data per work unit must be finite"),
+            (("locations", 1, "x"), float("inf"), "locations[1]: coordinates must be finite"),
+            (("locations", 2, "y"), float("nan"), "locations[2]: coordinates must be finite"),
+            (("uavs", "battery_capacity_wh"), float("nan"), "uavs[battery_capacity_wh]: must be finite"),
+            (("uavs", "max_step_km"), float("inf"), "uavs[max_step_km]: must be finite"),
+            (("payloads", 0, "weight_kg"), float("nan"), "payloads[0]: weight must be finite"),
+            (("energy", "per_km_kg"), float("inf"), "energy[per_km_kg]: must be finite"),
+            (("epoch_minutes",), float("nan"), "epoch_minutes: must be finite"),
+            (("epochs",), float("inf"), "error: "),
+        ],
+    )
+    def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):
+        doc = json.loads((DATA / "tiny-mixed.scenario").read_text())
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
+        assert run("validate", bad) == 2
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestSolve:
@@ -179,6 +218,21 @@ class TestEvaluate:
         assert {v["tag"] for v in doc} == {"DELIVERY"}
         assert (tmp_path / "rep.satisfaction.json").exists()
 
+    @pytest.mark.parametrize("location", [7, -1])
+    def test_out_of_range_location_is_data(self, tmp_path, capsys, location):
+        """Energy is priced on the sanitized locations, as every other check;
+        -1 must not wrap to the last location."""
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        doc = json.loads(serialize_plan(Plan.idle(load_scenario(scen.read_text()))))
+        doc["locations"][0][1] = location
+        plan_file = tmp_path / "bad-loc.json"
+        plan_file.write_text(json.dumps(doc))
+        assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["feasible"] is False
+        assert summary["energy_wh"] == 0.0  # parked at the depot, as the idle plan
+
     @pytest.mark.parametrize(
         "field, row",
         [
@@ -236,6 +290,59 @@ class TestCompare:
             cells = row.split(",")
             energy[cells[preset_col]] = float(cells[energy_col])
         assert energy["save-time"] == min(energy.values())
+
+    def test_exact_sweep_rows_in_order_match_solve(self, tmp_path, capsys):
+        counts, modes = (3, 2), ("flexible", "fixed")
+        base = tmp_path / "ff.scenario"
+        base.write_text(serialize_scenario(flex_fixed_scenario(1, 2)))
+        out = tmp_path / "cmp.csv"
+        runs = ",".join(f"exact:{m}" for m in modes)
+        assert run("compare", "--scenario", base, "--uav-counts", "3,2", "--runs", runs, "--out", out) == 0
+        lines = out.read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert [(r["run"], r["equipment"], r["uav_count"]) for r in rows] == [
+            (f"run{ri}", m, str(c)) for ri, m in enumerate(modes) for c in counts
+        ]
+        capsys.readouterr()
+        for r in rows:
+            scen = tmp_path / f"ff{r['uav_count']}.scenario"
+            scen.write_text(serialize_scenario(flex_fixed_scenario(1, int(r["uav_count"]))))
+            assert run("solve", "--scenario", scen, "--engine", "exact", "--equipment", r["equipment"]) == 0
+            assert r["objective"] == repr(json.loads(capsys.readouterr().out)["objective"])
+
+    def test_guard_refusal_exit_3_removes_stale_out(self, tmp_path):
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        out = tmp_path / "cmp.csv"
+        out.write_text("stale\n")
+        assert (
+            run(
+                "compare", "--scenario", scen, "--uav-counts", "2", "--runs", "exact",
+                "--out", out, "--size-guard", 1,
+            )
+            == 3
+        )
+        assert not out.exists()
+
+
+    def test_infeasible_engine_plan_exit_4_like_solve(self, sf_small_file, tmp_path, monkeypatch, capsys):
+        """An engine plan the evaluator rejects is an internal fault in both
+        commands, and compare removes its stale --out."""
+        from uavplan.evaluator import Violation, ViolationReport
+
+        monkeypatch.setattr(
+            "uavplan.cli.check_feasibility", lambda s, p: ViolationReport([Violation("TRAVEL", (0, 1), 1.0)])
+        )
+        out = tmp_path / "cmp.csv"
+        out.write_text("stale\n")
+        assert run("solve", "--scenario", sf_small_file, "--preset", "save-time") == 4
+        assert run(
+            "compare", "--scenario", sf_small_file, "--uav-counts", "3",
+            "--runs", "heuristic:save-time", "--out", out,
+        ) == 4
+        assert not out.exists()
+        assert capsys.readouterr().err.count("infeasible plan: ['TRAVEL']") == 2
 
 
 def test_rerun_reproduces_outputs_byte_identically(sf_small_file, tmp_path):

@@ -142,6 +142,12 @@ class TestExport:
         m = build_milp(builder())
         assert models_equal(m, parse_lp(export_lp(m)))
 
+    def test_minimize_section_rejected(self):
+        """The model maximizes Gamma; reading Minimize as Maximize would flip it."""
+        text = export_lp(build_milp(tiny_delivery())).replace("Maximize", "Minimize", 1)
+        with pytest.raises(ValueError, match="Minimize"):
+            parse_lp(text)
+
 
 def enumerate_micro_assignments(s, scaled=False):
     """Every (location, payload) binary pattern of a one-UAV micro instance,
