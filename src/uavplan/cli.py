@@ -48,7 +48,9 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_manifest(first_out: str, command: str, config: dict, outputs: list[str], wall: float, seed=None):
+def _write_manifest(
+    first_out: str, command: str, config: dict, outputs: list[str], wall: float, seed=None, stats=None
+):
     manifest = {
         "command": command,
         "config": config,
@@ -57,6 +59,8 @@ def _write_manifest(first_out: str, command: str, config: dict, outputs: list[st
         "wall_time_s": wall,
         "version": __version__,
     }
+    if stats is not None:
+        manifest["stats"] = stats
     _write_atomic(first_out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
@@ -118,7 +122,9 @@ def _heuristic_cfg(args) -> HeuristicConfig:
 
 
 def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, limits: EnumerationLimits):
-    """Run one engine on one scenario; returns (plan, info dict, tours or None)."""
+    """Run one engine on one scenario; returns (plan, info dict, tours or
+    None, engine counters or None).  info goes into the solve summary, the
+    counters into the manifest only."""
     if engine == "exact":
         groups = None
         if equipment == "fixed":
@@ -131,7 +137,13 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
             "proven_optimal": res.proven_optimal,
             "assignments_visited": res.assignments_visited,
         }
-        return res.plan, info, None
+        stats = {
+            "assignments_visited": res.assignments_visited,
+            "lp_solves": res.lp_solves,
+            "simplex_iterations": res.simplex_iterations,
+            "bound_prunes": res.bound_prunes,
+        }
+        return res.plan, info, None, stats
     per_uav = None
     if equipment == "fixed":
         _, per_uav = _fixed_equipment(s)
@@ -142,17 +154,17 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
         "alpha2": cfg.alpha2,
         "tours": len(tours),
     }
-    return plan, info, tours
+    return plan, info, tours, None
 
 
 def _checked_solve(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, limits: EnumerationLimits):
     """_solve_one, then check_feasibility: an engine that returns an
     infeasible plan has failed an internal assertion (exit 4)."""
-    plan, info, tours = _solve_one(s, engine, equipment, cfg, limits)
+    plan, info, tours, stats = _solve_one(s, engine, equipment, cfg, limits)
     report = check_feasibility(s, plan)
     if not report.ok:
         raise AssertionError(f"engine produced an infeasible plan: {sorted(report.tags)}")
-    return plan, info, tours
+    return plan, info, tours, stats
 
 
 def _limits(args) -> EnumerationLimits:
@@ -236,7 +248,7 @@ def cmd_solve(args) -> int:
     t0 = time.monotonic()
     s = _read_scenario(args.scenario)
     cfg = _heuristic_cfg(args)
-    plan, info, tours = _checked_solve(s, args.engine, args.equipment, cfg, _limits(args))
+    plan, info, tours, stats = _checked_solve(s, args.engine, args.equipment, cfg, _limits(args))
     metrics = plan_metrics(s, plan)
     summary = {**info, **metrics, "feasible": True}
     outputs = []
@@ -263,6 +275,7 @@ def cmd_solve(args) -> int:
             },
             outputs,
             wall,
+            stats=stats,
         )
     print(json.dumps({**summary, "wall_time_s": wall}))
     return EXIT_OK
@@ -371,7 +384,7 @@ def cmd_compare(args) -> int:
             cfg = HEURISTIC_PRESETS[preset]() if preset else HeuristicConfig()
             for count in counts:
                 sc = _with_uav_count(s, count)
-                plan, _, _ = _checked_solve(sc, engine, equipment, cfg, limits)
+                plan, _, _, _ = _checked_solve(sc, engine, equipment, cfg, limits)
                 metrics = plan_metrics(sc, plan)
                 values = [cfg.alpha1, cfg.alpha2, count, metrics["objective"]]
                 values += [metrics["sigma_bar"][n] for n in service_names]

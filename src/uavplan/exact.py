@@ -15,6 +15,7 @@ the same simplex.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -226,28 +227,79 @@ def _equipped(s: Scenario, mission_id: int, aboard: frozenset) -> bool:
     return all(p in aboard for p in s.missions[mission_id].requires)
 
 
-def _capability(s: Scenario, cfg: _Config) -> np.ndarray:
-    """(K, M, Z) service quality one config offers: the quality at its
-    location for every service mission it is equipped for, zero elsewhere."""
+@dataclass(frozen=True)
+class _Capability:
+    """What one config offers the objective bound, computed once per config.
+
+    quality is (K, M, Z): the quality at its location for every service
+    mission it is equipped for, zero elsewhere.  servers and time_need cover
+    the needed cells, the (epoch, zone) pairs with window need on some
+    service mission, in row-major order.  servers counts the config's epochs
+    in the window ending at that epoch that can serve the zone (have a mu
+    column); time_need is (cells, M), each mission's window need over the
+    best quality the config offers it in that window: inf where it offers
+    none, zero where nothing is needed.  A stacked record holds several
+    configs' arrays along a leading config axis."""
+
+    quality: np.ndarray
+    servers: np.ndarray
+    time_need: np.ndarray
+
+    @classmethod
+    def stack(cls, caps) -> _Capability:
+        """One stacked record of the configs' records, in order."""
+        return cls(
+            np.stack([c.quality for c in caps]),
+            np.stack([c.servers for c in caps]),
+            np.stack([c.time_need for c in caps]),
+        )
+
+    def __getitem__(self, index) -> _Capability:
+        """The configs at index of a stacked record."""
+        return _Capability(self.quality[index], self.servers[index], self.time_need[index])
+
+
+def _capability(s: Scenario, cfg: _Config) -> _Capability:
     equipped = np.zeros((s.epochs, s.num_missions, 1), dtype=bool)
     for k, aboard in enumerate(cfg.aboard):
         for m in s.service_mission_ids:
             equipped[k, m] = _equipped(s, m, aboard)
-    return np.where(equipped, s.quality[list(cfg.locs)], 0.0)
+    quality = np.where(equipped, s.quality[list(cfg.locs)], 0.0)
+    offered = np.where(s.demand > 0, quality, 0.0)  # nonzero where it has a mu column
+    best = np.array([offered[max(0, k - s.horizon) : k + 1].max(axis=0) for k in range(s.epochs)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        time_need = np.where(s.needed_ratios, s.window_need / best, 0.0)
+    servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)
+    cells = s.needed_ratios.any(axis=1)
+    return _Capability(quality, servers[cells], time_need.transpose(0, 2, 1)[cells])
 
 
-def _objective_upper_bound(s: Scenario, capabilities) -> float:
-    """Cheap bound ignoring time budgets and traffic: per-epoch capable service
-    capped by demand, accumulated over the satisfaction window.
+def _objective_upper_bound(s: Scenario, prefix, last: _Capability) -> np.ndarray:
+    """Bounds on gamma, ignoring traffic, for the assignments prefix + [c]
+    with c each config of the stacked record last, one entry per config.
 
-    capabilities holds the _capability tensors of the assignment's configs,
-    in assignment order."""
+    Each bound is the smaller of two terms per window.  Demand cap: per-epoch
+    capable service, capped by demand, summed over the satisfaction window.
+    Time budget: each UAV-epoch has one unit of time for its missions and
+    relay, so for the window ending at k and zone z,
+    gamma <= A / sum_m(N_m / Q_m), with N_m the window need, Q_m the best
+    quality any UAV-epoch in the window offers for m, and A the UAV-epochs
+    there that can serve z.
+
+    prefix holds the _Capability records of the other configs, in assignment
+    order; the last config is summed last."""
     if not s.service_mission_ids:
-        return 1.0
-    cap = np.minimum(sum(capabilities), s.demand)
+        return np.ones(len(last.quality))
+    cap = np.minimum(sum(c.quality for c in prefix) + last.quality, s.demand)
     need = s.needed_ratios
-    ratios = windowed_sum(cap, s.horizon)[need] / s.window_need[need]
-    return float(min(1.0, ratios.min())) if ratios.size else 1.0
+    window_cap = windowed_sum(cap.swapaxes(0, 1), s.horizon).swapaxes(0, 1)
+    ratios = window_cap[:, need] / s.window_need[need]
+    if not ratios.shape[1]:
+        return np.ones(len(last.quality))
+    # the smallest need over one config's quality is the need over the best
+    time_need = functools.reduce(np.minimum, [c.time_need for c in prefix], last.time_need).sum(axis=2)
+    budget = (sum(c.servers for c in prefix) + last.servers) / time_need
+    return np.minimum(np.minimum(ratios.min(axis=1), budget.min(axis=1)), 1.0)
 
 
 def _inner_lp(s: Scenario, assignment):
@@ -459,7 +511,7 @@ def solve_exact(
 
     deliverables = frozenset(p.id for p in s.payloads if p.deliverable)
     group_configs = []
-    group_caps = []  # _capability per config, parallel to group_configs
+    group_caps = []  # the configs' _Capability records stacked, per group with configs
     for count, on, off in equipment_groups:
         cfgs = enumerate_configs(
             s, frozenset(on), frozenset(off), depot_return=depot_return, prune_battery=prune_battery
@@ -467,7 +519,7 @@ def solve_exact(
         if not prune_battery:
             cfgs = [c for c in cfgs if c.min_battery >= -1e-9]
         group_configs.append((count, cfgs))
-        group_caps.append([_capability(s, c) for c in cfgs])
+        group_caps.append(_Capability.stack([_capability(s, c) for c in cfgs]) if cfgs else None)
         if count > 0 and not cfgs:
             return ExactResult(None, None, True, 0, False)
 
@@ -475,6 +527,7 @@ def solve_exact(
     visited = lp_solves = iterations = prunes = 0
     best = None  # (gamma, epochs_away, flat_indices, assignment, lp_values)
     truncated = False
+    batch_prefix = batch_start = bounds = None
 
     iterators = [
         itertools.combinations_with_replacement(range(len(cfgs)), count)
@@ -500,7 +553,14 @@ def solve_exact(
                 continue
         away = sum(c.epochs_away for c in assignment)
         if best is not None and prune_bound:
-            ub = _objective_upper_bound(s, [group_caps[gi][ci] for gi, ci in flat])
+            last_g, last_c = flat[-1]
+            if flat[:-1] != batch_prefix:
+                # the last pick varies fastest and only upward: bound its
+                # remaining choices at once
+                batch_prefix, batch_start = flat[:-1], last_c
+                prefix = [group_caps[g][c] for g, c in batch_prefix]
+                bounds = _objective_upper_bound(s, prefix, group_caps[last_g][last_c:])
+            ub = bounds[last_c - batch_start]
             # below the incumbent, or level with it and unable to win the
             # tie-break
             if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and away >= best[1]):

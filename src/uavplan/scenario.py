@@ -192,9 +192,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def windowed_sum(x: np.ndarray, horizon: int) -> np.ndarray:
     """Sum of x over each epoch's satisfaction window: out[k] is the sum of
     x[max(0, k - horizon)] through x[k] along the first axis."""
-    cs = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
-    lo = np.maximum(np.arange(x.shape[0]) - horizon, 0)
-    return cs[1:] - cs[lo]
+    cs = np.cumsum(x, axis=0)
+    out = cs.copy()
+    out[horizon + 1 :] -= cs[: max(0, len(cs) - horizon - 1)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,33 @@ def _index(value, size: int, what: str) -> int:
     if not 0 <= i < size:
         raise ScenarioError(f"{what} {value!r} is outside [0, {size})")
     return i
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; fractional and non-numeric values are rejected
+    instead of truncated.  int() raises OverflowError on an infinite value,
+    which the CLI reports as bad input too."""
+    if type(value) is int:
+        return value
+    try:
+        i = int(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} {value!r} is not an integer") from None
+    if i != value:
+        raise ScenarioError(f"{what} {value!r} is not an integer")
+    return i
+
+
+def _number(value, what: str) -> float:
+    """value as a float; text (which float() would parse) and null are rejected."""
+    if type(value) is float:
+        return value
+    if isinstance(value, str):
+        raise ScenarioError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{what} {value!r} is not a number") from None
 
 
 def make_scenario(
@@ -543,12 +571,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     locations = []
     for i, ld in enumerate(need(doc, "locations", "$")):
+        if not isinstance(ld.get("depot", False), bool):  # bool() would call "no" a depot
+            raise ScenarioError(f"locations[{i}]: depot {ld['depot']!r} is not true or false")
         locations.append(
             Location(
                 id=i,
-                x=float(need(ld, "x", f"locations[{i}]")),
-                y=float(need(ld, "y", f"locations[{i}]")),
-                is_depot=bool(ld.get("depot", False)),
+                x=_number(need(ld, "x", f"locations[{i}]"), f"locations[{i}]: x"),
+                y=_number(need(ld, "y", f"locations[{i}]"), f"locations[{i}]: y"),
+                is_depot=ld.get("depot", False),
             )
         )
 
@@ -557,15 +587,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for i, pd in enumerate(doc.get("payloads", [])):
         name = pd.get("name", f"payload-{i}")
         deliver_to = pd.get("deliver_to")
+        if deliver_to is not None:
+            deliver_to = _integer(deliver_to, f"payloads[{i}]: deliver_to")
         window = pd.get("window")
+        if window is not None:
+            if not isinstance(window, list) or len(window) != 2:
+                raise ScenarioError(f"payloads[{i}]: expected window [earliest, latest]")
+            window = tuple(_integer(e, f"payloads[{i}]: window epoch") for e in window)
         payloads.append(
             PayloadItem(
                 id=i,
-                weight_kg=float(need(pd, "weight_kg", f"payloads[{i}]")),
+                weight_kg=_number(need(pd, "weight_kg", f"payloads[{i}]"), f"payloads[{i}]: weight_kg"),
                 name=name,
                 deliverable=deliver_to is not None,
-                target=None if deliver_to is None else int(deliver_to),
-                window=None if window is None else (int(window[0]), int(window[1])),
+                target=deliver_to,
+                window=window,
             )
         )
         pname_to_id[name] = i
@@ -579,13 +615,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     raise ScenarioError(f"missions[{i}]: requires unknown payload {r!r}")
                 req.append(pname_to_id[r])
             else:
-                req.append(int(r))
+                req.append(_integer(r, f"missions[{i}]: requires payload id"))
         missions.append(
             Mission(
                 id=i,
                 name=need(md, "name", f"missions[{i}]"),
                 requires=tuple(req),
-                mb_per_work=float(md.get("mb_per_work", 0.0)),
+                mb_per_work=_number(md.get("mb_per_work", 0.0), f"missions[{i}]: mb_per_work"),
             )
         )
     mission_names = {m.name for m in missions}
@@ -594,8 +630,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for i, zd in enumerate(doc.get("zones", [])):
         served: dict[int, dict[str, float]] = {}
         for entry in zd.get("served_from", []):
-            loc = int(need(entry, "location", f"zones[{i}].served_from"))
-            qmap = {str(k): float(v) for k, v in need(entry, "quality", f"zones[{i}].served_from").items()}
+            where = f"zones[{i}].served_from"
+            loc = _integer(need(entry, "location", where), f"{where}: location id")
+            what = f"{where}: quality"
+            qmap = {str(k): _number(v, what) for k, v in need(entry, "quality", where).items()}
             for mname in qmap:
                 if mname not in mission_names:
                     raise ScenarioError(f"zones[{i}]: quality names unknown mission {mname!r}")
@@ -604,23 +642,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     ud = need(doc, "uavs", "$")
     uav = UavSpec(
-        empty_weight_kg=float(need(ud, "empty_weight_kg", "uavs")),
-        payload_capacity_kg=float(need(ud, "payload_capacity_kg", "uavs")),
-        battery_capacity_wh=float(need(ud, "battery_capacity_wh", "uavs")),
-        max_step_km=float(need(ud, "max_step_km", "uavs")),
-        count=int(need(ud, "count", "uavs")),
+        empty_weight_kg=_number(need(ud, "empty_weight_kg", "uavs"), "uavs: empty_weight_kg"),
+        payload_capacity_kg=_number(need(ud, "payload_capacity_kg", "uavs"), "uavs: payload_capacity_kg"),
+        battery_capacity_wh=_number(need(ud, "battery_capacity_wh", "uavs"), "uavs: battery_capacity_wh"),
+        max_step_km=_number(need(ud, "max_step_km", "uavs"), "uavs: max_step_km"),
+        count=_integer(need(ud, "count", "uavs"), "uavs: count"),
     )
 
     energy = doc.get("energy", {})
     links = doc.get("links", {})
     demand_rows = doc.get("demand", [])
     for j, row in enumerate(demand_rows):
-        if len(row) != 4:
+        if type(row) is not list or len(row) != 4:
             raise ScenarioError(f"demand[{j}]: expected [epoch, mission, zone, value]")
+        value = row[3]
+        if type(value) is not float and type(value) is not int:  # the usual case builds no message
+            _number(value, f"demand[{j}]: value")
     for key, width, shape in (("uav", 3, "[location, location, mb]"), ("sink", 2, "[location, mb]")):
         for j, row in enumerate(links.get(key, [])):
             if not isinstance(row, list) or len(row) != width:
                 raise ScenarioError(f"links.{key}[{j}]: expected {shape}")
+            _number(row[-1], f"links.{key}[{j}]: mb")
 
     s = make_scenario(
         locations=locations,
@@ -628,16 +670,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
         uav=uav,
         payloads=payloads,
         missions=missions,
-        epochs=int(need(doc, "epochs", "$")),
-        horizon=int(need(doc, "horizon", "$")),
+        epochs=_integer(need(doc, "epochs", "$"), "epochs"),
+        horizon=_integer(need(doc, "horizon", "$"), "horizon"),
         demand_entries=demand_rows,
         link_uav_entries=links.get("uav", []),
         link_sink_entries=links.get("sink", []),
-        link_default_uav_mb=float(links.get("default_uav_mb", 50000.0)),
-        link_default_sink_mb=float(links.get("default_sink_mb", 50000.0)),
-        e_per_km_kg=float(energy.get("per_km_kg", 3.125)),
-        hover_km_equiv=float(energy.get("hover_km_equiv", 0.1)),
-        epoch_minutes=float(doc.get("epoch_minutes", 10.0)),
+        link_default_uav_mb=_number(links.get("default_uav_mb", 50000.0), "links: default_uav_mb"),
+        link_default_sink_mb=_number(links.get("default_sink_mb", 50000.0), "links: default_sink_mb"),
+        e_per_km_kg=_number(energy.get("per_km_kg", 3.125), "energy: per_km_kg"),
+        hover_km_equiv=_number(energy.get("hover_km_equiv", 0.1), "energy: hover_km_equiv"),
+        epoch_minutes=_number(doc.get("epoch_minutes", 10.0), "epoch_minutes"),
     )
     issues = validate(s)
     if issues:

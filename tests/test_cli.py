@@ -66,6 +66,8 @@ class TestValidate:
             ("sink", [[2, float("inf")]]),
             ("default_uav_mb", float("inf")),
             ("default_sink_mb", float("nan")),
+            ("uav", [[0, 1, None]]),
+            ("sink", [[1, "5"]]),
         ],
     )
     def test_bad_link_rows_exit_2(self, tmp_path, capsys, field, value):
@@ -101,6 +103,20 @@ class TestValidate:
             (("energy", "per_km_kg"), float("inf"), "energy[per_km_kg]: must be finite"),
             (("epoch_minutes",), float("nan"), "epoch_minutes: must be finite"),
             (("epochs",), float("inf"), "error: "),
+            (("epochs",), 4.5, "epochs 4.5 is not an integer"),  # would truncate to 4
+            (("horizon",), 1.5, "horizon 1.5 is not an integer"),
+            (("uavs", "count"), 2.5, "uavs: count 2.5 is not an integer"),
+            (("uavs", "count"), None, "uavs: count None is not an integer"),
+            (("payloads", 1, "window", 0), 1.5, "payloads[1]: window epoch 1.5 is not an integer"),
+            (("payloads", 1, "window"), [1], "payloads[1]: expected window"),
+            (("payloads", 1, "deliver_to"), 1.5, "payloads[1]: deliver_to 1.5 is not an integer"),
+            (("zones", 0, "served_from", 0, "location"), 1.5, "zones[0].served_from: location id 1.5 is not"),
+            (("missions", 0, "requires", 0), 0.5, "missions[0]: requires payload id 0.5 is not"),
+            (("demand", 0, 3), None, "demand[0]: value None is not a number"),  # was a TypeError, exit 1
+            (("demand", 0, 3), "x", "demand[0]: value 'x' is not a number"),
+            (("demand", 0, 3), "1.5", "demand[0]: value '1.5' is not a number"),
+            (("locations", 1, "x"), None, "locations[1]: x None is not a number"),
+            (("locations", 1, "depot"), "no", "locations[1]: depot 'no' is not true or false"),
         ],
     )
     def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):
@@ -144,6 +160,20 @@ class TestSolve:
         summary = json.loads(capsys.readouterr().out)
         assert summary["objective"] == pytest.approx(TINY_MIXED_OBJECTIVE, abs=1e-9)
         assert summary["proven_optimal"] is True
+
+    def test_exact_counters_in_manifest_only(self, tmp_path, capsys):
+        scen = tmp_path / "tiny.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        plan_file = tmp_path / "p.json"
+        assert run("solve", "--scenario", scen, "--engine", "exact", "--out", plan_file) == 0
+        printed = json.loads(capsys.readouterr().out)
+        stats = json.loads((tmp_path / "p.json.manifest.json").read_text())["stats"]
+        assert set(stats) == {"assignments_visited", "lp_solves", "simplex_iterations", "bound_prunes"}
+        assert stats["lp_solves"] > 0 and stats["simplex_iterations"] > 0
+        assert stats["lp_solves"] + stats["bound_prunes"] <= stats["assignments_visited"]
+        assert stats["assignments_visited"] == printed["assignments_visited"]
+        summary = json.loads((tmp_path / "p.json.summary.json").read_text())
+        assert "stats" not in printed and "lp_solves" not in summary
 
     def test_exact_guard_refusal_exit_3(self, sf_small_file, tmp_path):
         assert run("solve", "--scenario", sf_small_file, "--engine", "exact", "--out", tmp_path / "p") == 3

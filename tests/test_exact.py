@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from uavplan.evaluator import check_feasibility, satisfaction
 from uavplan.exact import (
     EnumerationLimits,
     GuardError,
+    _Capability,
     _capability,
     _objective_upper_bound,
     enumerate_configs,
@@ -19,7 +21,7 @@ from uavplan.exact import (
 from uavplan.scenario import Location, PayloadItem, UavSpec, make_scenario
 from uavplan.synth import Dims, generate_preset, generate_synthetic
 
-from scenarios import flex_fixed_scenario, tiny_delivery, tiny_mixed
+from scenarios import flex_fixed_scenario, tiny_delivery, tiny_instance, tiny_mixed
 
 # objective of the tiny-mixed fixture, frozen after verification against the
 # exported-model brute force (see test_milp)
@@ -165,16 +167,21 @@ def _loop_window_need(s):
 
 
 def _loop_bound(s, assignment, win_need):
-    """The objective bound as first written: per-config, per-epoch loops."""
+    """The objective bound as first written: per-config, per-epoch loops,
+    plus the time-budget term per window and zone."""
     service = s.service_mission_ids
     if not service:
         return 1.0
     K, M, Z = s.epochs, s.num_missions, s.num_zones
+
+    def equipped(cfg, k, m):
+        return all(p in cfg.aboard[k] for p in s.missions[m].requires)
+
     cap = np.zeros((K, M, Z))
     for cfg in assignment:
         for k in range(K):
             for m in service:
-                if all(p in cfg.aboard[k] for p in s.missions[m].requires):
+                if equipped(cfg, k, m):
                     cap[k, m, :] += s.quality[cfg.locs[k], m, :]
     cap = np.minimum(cap, s.demand)
     cs = np.concatenate([np.zeros((1, M, Z)), np.cumsum(cap, axis=0)])
@@ -186,6 +193,28 @@ def _loop_bound(s, assignment, win_need):
             if mask.any():
                 ratios = horizon_cap[m, mask] / win_need[k, m, mask]
                 ub = min(ub, float(np.minimum(ratios, 1.0).min()))
+    # time budget: UAV-epoch (d, h) can serve (m, z) if it has a mu column
+    for k in range(K):
+        window = range(max(0, k - s.horizon), k + 1)
+        for z in range(Z):
+
+            def serves(cfg, h, m):
+                q = s.quality[cfg.locs[h], m, z]
+                return equipped(cfg, h, m) and q > 0 and s.demand[h, m, z] > 0
+
+            servers = sum(
+                1 for cfg in assignment for h in window if any(serves(cfg, h, m) for m in service)
+            )
+            time_need = 0.0
+            for m in service:
+                if win_need[k, m, z] > 0:
+                    best = max(
+                        (s.quality[cfg.locs[h], m, z] for cfg in assignment for h in window if serves(cfg, h, m)),
+                        default=0.0,
+                    )
+                    time_need += win_need[k, m, z] / best if best > 0 else np.inf
+            if time_need > 0:
+                ub = min(ub, float(servers / time_need))
     return ub
 
 
@@ -195,20 +224,27 @@ def _groups(s, mode):
     return [(s.num_uavs, frozenset(), frozenset())]
 
 
+def _batched_bound(s, picks, stack):
+    """The bound on the drawn (pool, index) picks, read from one batch over
+    every config of the last pick's pool (stacked in stack)."""
+    prefix = [_capability(s, pool[i]) for pool, i in picks[:-1]]
+    return float(_objective_upper_bound(s, prefix, stack)[picks[-1][1]])
+
+
 class TestHotPathEquivalence:
     @pytest.mark.parametrize("mode", ["flexible", "fixed"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_bound_matches_loop_reference(self, seed, mode):
         s = flex_fixed_scenario(seed, 4)
         pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
+        stack = _Capability.stack([_capability(s, c) for c in pools[-1][1]])
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
         for _ in range(300):
-            assignment = [pool[i] for count, pool in pools for i in rng.integers(len(pool), size=count)]
-            want = _loop_bound(s, assignment, win_need)
-            got = _objective_upper_bound(s, [_capability(s, c) for c in assignment])
-            assert repr(got) == repr(want)
+            picks = [(pool, i) for count, pool in pools for i in rng.integers(len(pool), size=count)]
+            want = _loop_bound(s, [pool[i] for pool, i in picks], win_need)
+            assert repr(_batched_bound(s, picks, stack)) == repr(want)
             seen.add(want)
         assert len(seen) > 4 and min(seen) < 1.0  # the draws exercise the bound
 
@@ -216,14 +252,14 @@ class TestHotPathEquivalence:
     def test_bound_matches_loop_reference_multi_zone(self, seed):
         s = generate_synthetic(seed, Dims(3, 4, 2, 2, 5))
         cfgs = enumerate_configs(s)
+        stack = _Capability.stack([_capability(s, c) for c in cfgs])
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
         for _ in range(200):
-            assignment = [cfgs[i] for i in rng.integers(len(cfgs), size=s.num_uavs)]
-            want = _loop_bound(s, assignment, win_need)
-            got = _objective_upper_bound(s, [_capability(s, c) for c in assignment])
-            assert repr(got) == repr(want)
+            picks = [(cfgs, i) for i in rng.integers(len(cfgs), size=s.num_uavs)]
+            want = _loop_bound(s, [cfgs[i] for _, i in picks], win_need)
+            assert repr(_batched_bound(s, picks, stack)) == repr(want)
             seen.add(want)
         assert len(seen) > 4 and min(seen) < 1.0
 
@@ -274,3 +310,88 @@ class TestCounters:
         unpruned = solve_exact(s, equipment_groups=groups, prune_bound=False)
         assert (unpruned.bound_prunes, unpruned.lp_solves) == (0, covering)
         assert unpruned.objective == res.objective
+
+
+def _bounds_and_gammas(s, groups):
+    """(bound, inner-LP gamma) for every covering assignment, each solved
+    once by an unpruned search."""
+    pairs, caps = [], {}
+    inner_lp = exact._inner_lp
+
+    def recording_lp(s_, assignment):
+        out = inner_lp(s_, assignment)
+        records = [caps.setdefault(c, _capability(s, c)) for c in assignment]
+        ub = _objective_upper_bound(s, records[:-1], _Capability.stack(records[-1:]))[0]
+        pairs.append((float(ub), out[0]))
+        return out
+
+    with mock.patch.object(exact, "_inner_lp", recording_lp):
+        solve_exact(s, equipment_groups=groups, prune_bound=False)
+    return pairs
+
+
+class TestBoundSoundness:
+    @pytest.mark.parametrize(
+        "build, mode",
+        [
+            pytest.param(lambda: flex_fixed_scenario(1, 4), "flexible", id="flex-fixed-flexible"),
+            pytest.param(lambda: flex_fixed_scenario(1, 4), "fixed", id="flex-fixed-fixed"),
+            pytest.param(tiny_mixed, "flexible", id="tiny-mixed"),
+        ]
+        + [
+            pytest.param(lambda seed=seed: tiny_instance(seed), "flexible", id=f"tiny-{seed}")
+            for seed in range(1, 21)
+        ],
+    )
+    def test_bound_never_below_inner_lp(self, build, mode):
+        s = build()
+        pairs = _bounds_and_gammas(s, _groups(s, mode))
+        assert pairs
+        # the bound can sit a few ulps below gamma where they are equal
+        assert all(ub >= gamma - 1e-12 for ub, gamma in pairs)
+
+    @pytest.mark.parametrize("seed, uavs", [(1, 3), (2, 5)])
+    def test_bound_exact_at_optimum_when_nothing_is_relayed(self, seed, uavs):
+        """With no data to relay, the time budget is the only limit besides
+        demand, so the bound meets gamma at an optimal assignment."""
+        s = flex_fixed_scenario(seed, uavs)
+        s = dataclasses.replace(s, missions=tuple(dataclasses.replace(m, mb_per_work=0.0) for m in s.missions))
+        pairs = _bounds_and_gammas(s, _groups(s, "fixed"))
+        best = max(gamma for _, gamma in pairs)
+        assert 0.0 < best < 1.0
+        assert min(ub for ub, gamma in pairs if gamma >= best - 1e-12) == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    def test_search_reads_each_assignments_own_bound(self, mode):
+        """solve_exact bounds the last pick's choices in one batch per prefix;
+        a stand-in bound that prunes a pseudo-random half of the assignments
+        shows that each one is judged by its own entry."""
+        s = flex_fixed_scenario(1, 3)
+
+        def keep(qualities) -> bool:
+            return zlib.crc32(b"".join(qualities)) % 2 == 1
+
+        def stand_in(s_, prefix, last):
+            head = [c.quality.tobytes() for c in prefix]
+            return np.array([1.0 if keep(head + [q.tobytes()]) else 0.0 for q in last.quality])
+
+        solved = []
+        inner_lp = exact._inner_lp
+
+        def recording_lp(s_, assignment):
+            solved.append([_capability(s, c).quality.tobytes() for c in assignment])
+            return inner_lp(s_, assignment)
+
+        with mock.patch.object(exact, "_objective_upper_bound", stand_in), mock.patch.object(
+            exact, "_inner_lp", recording_lp
+        ):
+            res = solve_exact(s, equipment_groups=_groups(s, mode))
+        assert 0.0 < res.objective < 1.0  # so 0.0 always prunes and 1.0 never does
+        # every assignment in search order; the first meets no incumbent
+        pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
+        combos = itertools.product(
+            *(itertools.combinations_with_replacement(pool, count) for count, pool in pools)
+        )
+        first, *rest = [[_capability(s, c).quality.tobytes() for picks in combo for c in picks] for combo in combos]
+        assert solved == [first] + [qualities for qualities in rest if keep(qualities)]
+        assert 0 < res.bound_prunes < len(rest)
