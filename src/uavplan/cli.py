@@ -147,14 +147,15 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
     per_uav = None
     if equipment == "fixed":
         _, per_uav = _fixed_equipment(s)
-    tours, plan = insertion_solve(s, cfg, uav_equipment=per_uav)
+    stats: dict = {}
+    tours, plan = insertion_solve(s, cfg, uav_equipment=per_uav, stats=stats)
     info = {
         "engine": "heuristic",
         "alpha1": cfg.alpha1,
         "alpha2": cfg.alpha2,
         "tours": len(tours),
     }
-    return plan, info, tours, None
+    return plan, info, tours, stats
 
 
 def _checked_solve(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, limits: EnumerationLimits):

@@ -84,6 +84,7 @@ class RouteGraph:
     routes: dict[tuple[int, int], tuple[Route, ...]]
     path_km: np.ndarray
     next_hop: np.ndarray
+    fewest_hops: dict[tuple[int, int], int]  # fewest hops over each pair's routes
 
     def between(self, a: int, b: int) -> tuple[Route, ...]:
         return self.routes[(a, b)]
@@ -144,7 +145,10 @@ def build_route_graph(s: Scenario) -> RouteGraph:
                 consider(seq, (int(l3), int(l4)))
             ordered = sorted(cands.values(), key=lambda r: (r.length_km, r.hops, r.seq))
             routes[(a, b)] = tuple(ordered)
-    return RouteGraph(depot=depot, nodes=nodes, routes=routes, path_km=path_km, next_hop=next_hop)
+    fewest = {pair: min(r.hops for r in rs) for pair, rs in routes.items()}
+    return RouteGraph(
+        depot=depot, nodes=nodes, routes=routes, path_km=path_km, next_hop=next_hop, fewest_hops=fewest
+    )
 
 
 # -- service weights along a route -------------------------------------------------
@@ -321,14 +325,51 @@ def _simulate(
     return _Schedule(depart, arrivals, services, ret, energy, lowest)
 
 
+# -- checks that no route pair can pass ---------------------------------------------
+
+
+def _load_fits(s: Scenario, equip_w: float, stops: list[Stop]) -> bool:
+    """_simulate's capacity and delivery-target checks, same expressions and
+    tolerance; neither depends on the legs."""
+    w = s.payload_weights()
+    pack_w = float(sum(w[st.payload] for st in stops))
+    if equip_w + pack_w > s.uav.payload_capacity_kg + 1e-12:
+        return False
+    for st in stops:
+        pl = s.payloads[st.payload]
+        if not pl.deliverable or pl.target != st.location:
+            return False
+    return True
+
+
+def _windows_fit(s: Scenario, stops: list[Stop], hops: list[int]) -> bool:
+    """_simulate's backward window pass on per-leg hop counts.  Latest service
+    epochs only fall as any leg gains hops, so a failure at each leg's fewest
+    hops fails every route choice; with depart=None the forward pass cannot
+    fail once this pass holds."""
+    bound = (s.epochs - 1) - hops[len(stops)]
+    for i in range(len(stops) - 1, -1, -1):
+        earliest, latest = s.payloads[stops[i].payload].window
+        latest = min(latest, bound)
+        if earliest > latest:
+            return False
+        bound = latest - hops[i]
+    return bound >= 0
+
+
 # -- insertion machinery -----------------------------------------------------------
 
 
+STAT_KEYS = ("phi1_calls", "precheck_rejected", "simulate_calls", "simulate_feasible", "tours")
+
+
 class _SolveContext:
-    def __init__(self, s: Scenario, graph: RouteGraph, cfg: HeuristicConfig):
+    def __init__(self, s: Scenario, graph: RouteGraph, cfg: HeuristicConfig, stats: dict | None = None):
         self.s = s
         self.graph = graph
         self.cfg = cfg
+        self.stats = {} if stats is None else stats
+        self.stats.update(dict.fromkeys(STAT_KEYS, 0))
         self.weights = _WeightContext(s)
         self.equip_ids = list(s.equipment_ids)
         w = s.payload_weights()
@@ -336,6 +377,13 @@ class _SolveContext:
         self.committed = s.demand  # residual after the committed tours
         self.residual = s.demand.copy()  # after the committed tours and the open one
         self._refresh_values()
+
+    def simulate(self, equip_w: float, stops: list[Stop], legs: list[Route], depart: int | None = None):
+        """_simulate, counted in self.stats."""
+        sched = _simulate(self.s, equip_w, stops, legs, depart)
+        self.stats["simulate_calls"] += 1
+        self.stats["simulate_feasible"] += sched is not None
+        return sched
 
     def _refresh_values(self):
         mean = self.residual.mean(axis=0) if self.s.epochs else self.residual.sum(axis=0)
@@ -360,19 +408,32 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
     """Best feasible route pair for inserting the delivery at this position.
 
     Returns (cost, g, g_prime) minimizing the weighted detour, or None when
-    every route pair breaks a window, the battery or capacity."""
+    every route pair breaks a window, the battery or capacity.  Capacity,
+    delivery targets and windows at the fewest hops are checked once, before
+    any route pair is scored or simulated."""
     s = ctx.s
+    ctx.stats["phi1_calls"] += 1
     target = s.payloads[payload_id].target
     nodes = tour.node_list(ctx.graph.depot)
     prev_node, next_node = nodes[position - 1], nodes[position]
+    new_stops = tour.stops[:]
+    new_stops.insert(position - 1, Stop(payload_id, target))
+    if not _load_fits(s, ctx.equip_w, new_stops):
+        ctx.stats["precheck_rejected"] += 1
+        return None
+    fewest = ctx.graph.fewest_hops
+    hops = [leg.hops for leg in tour.legs]
+    hops[position - 1 : position] = [fewest[prev_node, target], fewest[target, next_node]]
+    if not _windows_fit(s, new_stops, hops):
+        ctx.stats["precheck_rejected"] += 1
+        return None
+
     base = ctx.route_score(tour.legs[position - 1])
     first = ctx.leg_candidates(prev_node, target)
     second = ctx.leg_candidates(target, next_node)
     if not first or not second:
         return None
 
-    new_stops = tour.stops[:]
-    new_stops.insert(position - 1, Stop(payload_id, target))
     best = None
     min_second = second[0][0]
     for f_g, g in first:
@@ -384,7 +445,7 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
                 break
             legs = tour.legs[:]
             legs[position - 1 : position] = [g, g2]
-            if _simulate(s, ctx.equip_w, new_stops, legs) is not None:
+            if ctx.simulate(ctx.equip_w, new_stops, legs) is not None:
                 if best is None or cost < best[0] - 1e-12:
                     best = (cost, g, g2)
                 break  # later second-leg routes only cost more
@@ -434,7 +495,7 @@ def _project_residual(ctx: _SolveContext, current: Tour):
     tour is replayed here."""
     s = ctx.s
     resid = ctx.committed.copy()
-    sched = _simulate(s, ctx.equip_w, current.stops, current.legs)
+    sched = ctx.simulate(ctx.equip_w, current.stops, current.legs)
     if sched is not None:
         aboard = frozenset(ctx.equip_ids)
         for k, l in _epoch_walk(s, current, sched):
@@ -447,17 +508,21 @@ def insertion_solve(
     s: Scenario,
     cfg: HeuristicConfig = HeuristicConfig(),
     uav_equipment: list[tuple[frozenset, frozenset]] | None = None,
+    stats: dict | None = None,
 ) -> tuple[list[Tour], Plan]:
     """Run the insertion heuristic and materialize a full plan.
 
     uav_equipment optionally pins (forced_on, forbidden) payload sets per UAV;
-    by default every UAV flies with the full mission equipment.
+    by default every UAV flies with the full mission equipment.  A stats dict,
+    if given, receives the STAT_KEYS counters of the run.
     """
     issues = validate(s)
     if issues:
         raise ValueError("scenario failed validation: " + "; ".join(map(str, issues)))
     graph = build_route_graph(s)
-    ctx = _SolveContext(s, graph, cfg)
+    ctx = _SolveContext(s, graph, cfg, stats)
+    w = s.payload_weights()
+    cap = s.uav.payload_capacity_kg
 
     unserved = sorted(p.id for p in s.payloads if p.deliverable)
     tours: list[Tour] = []
@@ -475,7 +540,14 @@ def insertion_solve(
             _project_residual(ctx, current)
             continue
         candidates = []
+        pack_w = float(sum(w[st.payload] for st in current.stops))
         for pid in unserved:
+            # The pack sum's order, hence its last bits, follows the insertion
+            # position; a relative 1e-9 margin covers any order, so this
+            # rejects only what phi1 would reject at every position.
+            if (ctx.equip_w + pack_w + w[pid]) * (1.0 - 1e-9) > cap + 1e-12:
+                ctx.stats["precheck_rejected"] += len(current.stops) + 1
+                continue
             best_pos = None
             for pos in range(1, len(current.stops) + 2):
                 got = phi1(ctx, current, pid, pos)
@@ -504,6 +576,7 @@ def insertion_solve(
         unserved.remove(pid)
         _project_residual(ctx, current)
 
+    ctx.stats["tours"] = len(tours)
     _assign_tours(s, ctx, tours, uav_equipment)
     plan = tours_to_plan(s, tours, uav_equipment)
     return tours, plan
@@ -522,7 +595,7 @@ def _assign_tours(s, ctx, tours, uav_equipment):
 
     def deadline(item):
         idx, tour = item
-        sched = _simulate(s, ctx.equip_w, tour.stops, tour.legs)
+        sched = ctx.simulate(ctx.equip_w, tour.stops, tour.legs)
         return (sched.depart if sched else 0, idx)
 
     ordered = [t for _, t in sorted(enumerate(tours), key=deadline)]
@@ -534,11 +607,11 @@ def _assign_tours(s, ctx, tours, uav_equipment):
                 on, off = uav_equipment[u]
             equip = [e for e in on if not s.payloads[e].deliverable]
             equip_w = float(sum(w[e] for e in equip))
-            latest = _simulate(s, equip_w, tour.stops, tour.legs)
+            latest = ctx.simulate(equip_w, tour.stops, tour.legs)
             if latest is None or avail[u] > latest.depart:
                 continue
             for depart in range(avail[u], latest.depart + 1):
-                sched = _simulate(s, equip_w, tour.stops, tour.legs, depart=depart)
+                sched = ctx.simulate(equip_w, tour.stops, tour.legs, depart=depart)
                 if sched is not None:
                     placed = (u, sched)
                     break

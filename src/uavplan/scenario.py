@@ -268,6 +268,13 @@ def _number(value, what: str) -> float:
         raise ScenarioError(f"{what} {value!r} is not a number") from None
 
 
+def _text(value, what: str) -> str:
+    """value as a name; numbers, null and lists are rejected."""
+    if not isinstance(value, str):
+        raise ScenarioError(f"{what} {value!r} is not a string")
+    return value
+
+
 def make_scenario(
     locations,
     zones,
@@ -585,7 +592,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     payloads = []
     pname_to_id: dict[str, int] = {}
     for i, pd in enumerate(doc.get("payloads", [])):
-        name = pd.get("name", f"payload-{i}")
+        name = _text(pd.get("name", f"payload-{i}"), f"payloads[{i}]: name")
         deliver_to = pd.get("deliver_to")
         if deliver_to is not None:
             deliver_to = _integer(deliver_to, f"payloads[{i}]: deliver_to")
@@ -619,7 +626,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         missions.append(
             Mission(
                 id=i,
-                name=need(md, "name", f"missions[{i}]"),
+                name=_text(need(md, "name", f"missions[{i}]"), f"missions[{i}]: name"),
                 requires=tuple(req),
                 mb_per_work=_number(md.get("mb_per_work", 0.0), f"missions[{i}]: mb_per_work"),
             )

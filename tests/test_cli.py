@@ -117,6 +117,8 @@ class TestValidate:
             (("demand", 0, 3), "1.5", "demand[0]: value '1.5' is not a number"),
             (("locations", 1, "x"), None, "locations[1]: x None is not a number"),
             (("locations", 1, "depot"), "no", "locations[1]: depot 'no' is not true or false"),
+            (("missions", 0, "name"), 5, "missions[0]: name 5 is not a string"),
+            (("payloads", 0, "name"), 5, "payloads[0]: name 5 is not a string"),
         ],
     )
     def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):
@@ -174,6 +176,21 @@ class TestSolve:
         assert stats["assignments_visited"] == printed["assignments_visited"]
         summary = json.loads((tmp_path / "p.json.summary.json").read_text())
         assert "stats" not in printed and "lp_solves" not in summary
+
+    def test_heuristic_counters_in_manifest_only(self, sf_small_file, tmp_path, capsys):
+        runs = []
+        for name in ("a.json", "b.json"):
+            plan_file = tmp_path / name
+            assert run("solve", "--scenario", sf_small_file, "--engine", "heuristic", "--out", plan_file) == 0
+            printed = json.loads(capsys.readouterr().out)
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            runs.append(manifest["stats"])
+        stats = runs[0]
+        assert set(stats) == {"phi1_calls", "precheck_rejected", "simulate_calls", "simulate_feasible", "tours"}
+        assert stats == runs[1]
+        assert stats["tours"] == printed["tours"] > 0
+        assert 0 < stats["simulate_feasible"] <= stats["simulate_calls"]
+        assert "stats" not in printed and "phi1_calls" not in printed
 
     def test_exact_guard_refusal_exit_3(self, sf_small_file, tmp_path):
         assert run("solve", "--scenario", sf_small_file, "--engine", "exact", "--out", tmp_path / "p") == 3

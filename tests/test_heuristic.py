@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from uavplan.heuristic import (
     HeuristicConfig,
     InsertionError,
     RouteGraphError,
+    Stop,
     _allocate_service,
     _epoch_walk,
     _simulate,
@@ -261,6 +264,17 @@ class TestPhi:
         assert savings >= 0
 
 
+def full_capacity_scenario(weights=(0.5,)):
+    """Radio and camera at 1 kg each plus packs that fill the 2.5 kg
+    capacity exactly, delivered two and one hops out."""
+    zones = [Zone(0, {1: {"coverage": 1.0, "monitoring": 1.0}})]
+    demand = [(k, "coverage", 0, 0.5) for k in range(2, 12)]
+    return line_scenario(
+        targets=[2, 1][: len(weights)], windows=[(2, 10)] * len(weights), weights=list(weights),
+        zones=zones, demand=demand, missions=True,
+    )
+
+
 def _seed(ctx, payload_id):
     from uavplan.heuristic import _seed_tour
 
@@ -343,12 +357,7 @@ class TestInsertion:
     def test_full_capacity_equipment_plus_blood(self):
         """Camera and radio at 1 kg each plus a 0.5 kg pack ride at exactly
         the 2.5 kg capacity."""
-        zones = [Zone(0, {1: {"coverage": 1.0, "monitoring": 1.0}})]
-        demand = [(k, "coverage", 0, 0.5) for k in range(2, 12)]
-        s = line_scenario(
-            targets=[2], windows=[(2, 10)], weights=[0.5], zones=zones,
-            demand=demand, missions=True,
-        )
+        s = full_capacity_scenario()
         tours, plan = insertion_solve(s)
         assert check_feasibility(s, plan).ok
         flying = plan.locations != 0
@@ -464,7 +473,131 @@ def _full_replay_residual(ctx, tours):
     return resid
 
 
+def _phi1_full_scan(ctx, tour, payload_id, position):
+    """Reference for phi1: both leg lists scored, _simulate on every route
+    pair in phi1's scan order, no pre-check and no pruning."""
+    s = ctx.s
+    target = s.payloads[payload_id].target
+    nodes = tour.node_list(ctx.graph.depot)
+    base = ctx.route_score(tour.legs[position - 1])
+    first = ctx.leg_candidates(nodes[position - 1], target)
+    second = ctx.leg_candidates(target, nodes[position])
+    new_stops = tour.stops[:]
+    new_stops.insert(position - 1, Stop(payload_id, target))
+    best = None
+    for f_g, g in first:
+        for f_g2, g2 in second:
+            legs = tour.legs[:]
+            legs[position - 1 : position] = [g, g2]
+            if _simulate(s, ctx.equip_w, new_stops, legs) is None:
+                continue
+            cost = f_g + f_g2 - base
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, g, g2)
+    return best
+
+
+def _over_capacity(ctx, stops):
+    """_simulate's first check, which no choice of legs can pass."""
+    w = ctx.s.payload_weights()
+    return ctx.equip_w + float(sum(w[st.payload] for st in stops)) > ctx.s.uav.payload_capacity_kg + 1e-12
+
+
+def _solve_digest(s, cfg):
+    """sha256 of the plan arrays and tour legs, or of the refusal."""
+    h = hashlib.sha256()
+    try:
+        tours, plan = insertion_solve(s, cfg)
+    except InsertionError as exc:
+        h.update(repr((str(exc), exc.payloads)).encode())
+        return h.hexdigest()
+    for f in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers"):
+        h.update(np.ascontiguousarray(getattr(plan, f)).tobytes())
+    h.update(repr([(t.uav, t.depart, [leg.seq for leg in t.legs]) for t in tours]).encode())
+    return h.hexdigest()
+
+
+# insertion_solve on sf-large seeds 1-3 under each preset, before the
+# route-pair-free pre-check was added
+HEURISTIC_DIGESTS = {
+    (1, "save-time"): "2ad13a2dd5547543d96068c6e01fe969065f199cf015461c0e203420c08d1054",
+    (1, "coverage"): "50cd37a0b33edb98c625a02998fc5f7f272ab71291cc0aeb7756f4ee4088bb6a",
+    (1, "monitoring"): "50cd37a0b33edb98c625a02998fc5f7f272ab71291cc0aeb7756f4ee4088bb6a",
+    (2, "save-time"): "f658be67211405bc187c90c039c66606b797c87559dc0b2d554c16db1a69a8a0",
+    (2, "coverage"): "51e8a2aa59a81273863d3dc802cd5382507b532dd931f0bf335c1c20dbb18abd",
+    (2, "monitoring"): "51e8a2aa59a81273863d3dc802cd5382507b532dd931f0bf335c1c20dbb18abd",
+    (3, "save-time"): "bfe9ea3d846079f956840b7ad4b6d5e4551c6e42a29dfdcbcb1aeed04f7e7367",
+    (3, "coverage"): "6bcfbe7df7d2ba8b442c647cdfb0a44c1c6674e9b2a718544c65e391a1ad5c9b",
+    (3, "monitoring"): "16056823ad883a10c1ab825288fbb930373c92ad52a2f01ca93a221014e1381c",
+}
+
+
 class TestHotPathEquivalence:
+    @pytest.mark.parametrize("case", ["sf-large/1", "sf-large/2", "sf-large/3", "full-capacity", "tight-windows"])
+    def test_precheck_matches_full_route_pair_scan(self, case, monkeypatch):
+        """phi1 answers every insertion it sees as the reference does, and
+        every insertion the candidate loop skips without phi1 fails
+        _simulate's capacity check whatever its legs.  On tight-windows each
+        stop is due the epoch its fewest hops reach it, and the last one can
+        never be back in time."""
+        if case == "full-capacity":
+            s = full_capacity_scenario(weights=(0.25, 0.25))
+        elif case == "tight-windows":
+            s = line_scenario(targets=[1, 2, 3, 3], windows=[(1, 1), (2, 2), (3, 3), (15, 15)])
+        else:
+            s = generate_preset("sf-large", int(case.split("/")[1]))
+        real_phi1, project = heuristic.phi1, heuristic._project_residual
+        counts = {"phi1": 0, "placed": 0, "skipped": 0}
+        for name, cfg in PRESETS.items():
+            projected: list = []  # tours in order of first projection; the open one last
+            pending: dict = {}  # (pid, pos) -> (ctx, stops) the next candidate loop may try
+
+            def settle():
+                for ctx, stops in pending.values():
+                    assert _over_capacity(ctx, stops), f"{case} {name}: skipped an insertion that fits"
+                    counts["skipped"] += 1
+                pending.clear()
+
+            def checked_phi1(ctx, tour, payload_id, position):
+                got = real_phi1(ctx, tour, payload_id, position)
+                assert got == _phi1_full_scan(ctx, tour, payload_id, position), (case, name, payload_id, position)
+                if projected and tour is projected[-1]:
+                    del pending[payload_id, position]
+                counts["phi1"] += 1
+                counts["placed"] += got is not None
+                return got
+
+            def checked_project(ctx, current):
+                settle()
+                project(ctx, current)
+                if not projected or projected[-1] is not current:
+                    projected.append(current)
+                served = {st.payload for tour in projected for st in tour.stops}
+                for pid in sorted(set(s.deliverable_ids) - served):
+                    for pos in range(1, len(current.stops) + 2):
+                        stops = current.stops[:]
+                        stops.insert(pos - 1, Stop(pid, s.payloads[pid].target))
+                        pending[pid, pos] = (ctx, stops)
+
+            monkeypatch.setattr(heuristic, "phi1", checked_phi1)
+            monkeypatch.setattr(heuristic, "_project_residual", checked_project)
+            try:
+                tours, plan = insertion_solve(s, cfg())
+            except InsertionError:
+                pass  # fleet refusals come after every insertion was checked
+            settle()
+            if case == "full-capacity" and name == "save-time":
+                assert [len(t.stops) for t in tours] == [2]
+                assert (plan.payloads @ s.payload_weights()).max() == 2.5
+        assert counts["phi1"] > 0 and counts["placed"] > 0
+        assert counts["skipped"] > 0 or not case.startswith("sf-large")
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_plans_match_pinned_digests(self, seed):
+        s = generate_preset("sf-large", seed)
+        got = {name: _solve_digest(s, cfg()) for name, cfg in PRESETS.items()}
+        assert got == {name: HEURISTIC_DIGESTS[seed, name] for name in PRESETS}
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_residual_matches_full_replay_after_every_insertion(self, seed, monkeypatch):
         s = generate_preset("sf-large", seed)
