@@ -361,7 +361,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     """One row per (run, UAV count), run-major, each job solved and checked
-    in turn; a failed job removes a stale --out before the error surfaces."""
+    in turn; a failed job removes a stale --out before the error surfaces.
+    The manifest's stats list holds each row's engine counters, in row order."""
     t0 = time.monotonic()
     s = _read_scenario(args.scenario)
     counts = [int(x) for x in args.uav_counts.split(",")]
@@ -380,12 +381,14 @@ def cmd_compare(args) -> int:
     }
     header += list(summary_cols)
     lines = [",".join(header)]
+    row_stats = []
     try:
         for ri, (engine, equipment, preset) in enumerate(runs):
             cfg = HEURISTIC_PRESETS[preset]() if preset else HeuristicConfig()
             for count in counts:
                 sc = _with_uav_count(s, count)
-                plan, _, _, _ = _checked_solve(sc, engine, equipment, cfg, limits)
+                plan, _, _, stats = _checked_solve(sc, engine, equipment, cfg, limits)
+                row_stats.append(stats)
                 metrics = plan_metrics(sc, plan)
                 values = [cfg.alpha1, cfg.alpha2, count, metrics["objective"]]
                 values += [metrics["sigma_bar"][n] for n in service_names]
@@ -403,6 +406,7 @@ def cmd_compare(args) -> int:
         {"scenario": args.scenario, "uav_counts": args.uav_counts, "runs": args.runs},
         [args.out],
         time.monotonic() - t0,
+        stats=row_stats,
     )
     print(json.dumps({"out": args.out, "rows": len(lines) - 1}))
     return EXIT_OK

@@ -71,10 +71,10 @@ class Route:
     seq: tuple[int, ...]  # per-epoch location hops, seq[0] .. seq[-1]
     anchors: tuple[int, ...]  # intermediate anchor locations (at most two)
     length_km: float
+    hops: int = field(init=False, repr=False, compare=False)  # len(seq) - 1
 
-    @property
-    def hops(self) -> int:
-        return len(self.seq) - 1
+    def __post_init__(self):
+        object.__setattr__(self, "hops", len(self.seq) - 1)
 
 
 @dataclass
@@ -110,7 +110,6 @@ def build_route_graph(s: Scenario) -> RouteGraph:
         if not np.isfinite(path_km[depot, t]):
             raise RouteGraphError(f"delivery location {t} is unreachable from the depot")
     nodes = tuple([depot] + [t for t in targets if t != depot])
-    L = s.num_locations
 
     routes: dict[tuple[int, int], tuple[Route, ...]] = {}
     for a in nodes:
@@ -191,18 +190,20 @@ class _WeightContext:
         return out
 
 
+def _route_value(values: np.ndarray, route: Route) -> float:
+    """Sum of per-location values over one traversal of the route, one epoch
+    per waypoint, added in waypoint order."""
+    return float(sum(values[l] for l in route.seq[1:]))
+
+
 def arc_service_weights(s: Scenario, route: Route, residual_mean: np.ndarray) -> tuple[float, float]:
     """Coverage and monitoring value collected over one traversal of the
     route, one epoch per waypoint, bounded by residual demand and normalized
     to the scenario's best single-epoch service."""
     ctx = _WeightContext(s)
     vals = ctx.location_value(residual_mean)
-    c = v = 0.0
-    for l in route.seq[1:]:
-        if ctx.cov is not None:
-            c += float(vals[ctx.cov][l])
-        if ctx.mon is not None:
-            v += float(vals[ctx.mon][l])
+    c = 0.0 if ctx.cov is None else _route_value(vals[ctx.cov], route)
+    v = 0.0 if ctx.mon is None else _route_value(vals[ctx.mon], route)
     return c, v
 
 
@@ -222,7 +223,6 @@ class Tour:
     uav: int | None = None
     depart: int | None = None
     service_epochs: list[int] = field(default_factory=list)
-    arrival_epochs: list[int] = field(default_factory=list)
     return_epoch: int | None = None
     energy_wh: float = 0.0
 
@@ -233,11 +233,42 @@ class Tour:
 @dataclass
 class _Schedule:
     depart: int
-    arrivals: list[int]
     services: list[int]
     return_epoch: int
     energy_wh: float
-    min_battery: float
+
+
+def _pack_weight(s: Scenario, equip_w: float, stops: list[Stop]) -> float | None:
+    """Delivery pack weight of the stops, or None when equipment plus packs
+    exceed the payload capacity or a stop is not its payload's delivery
+    target.  Neither check depends on the legs."""
+    w = s.payload_weights()
+    pack_w = float(sum(w[st.payload] for st in stops))
+    if equip_w + pack_w > s.uav.payload_capacity_kg + 1e-12:
+        return None
+    for st in stops:
+        pl = s.payloads[st.payload]
+        if not pl.deliverable or pl.target != st.location:
+            return None
+    return pack_w
+
+
+def _latest_services(s: Scenario, stops: list[Stop], hops: list[int]) -> list[int] | None:
+    """Latest service epoch per stop, backward from the mandatory depot
+    return over per-leg hop counts, or None when a window closes before that
+    or the first leg would have to leave before epoch 0.  Latest epochs only
+    fall as any leg gains hops, so a failure at each leg's fewest hops fails
+    every route choice."""
+    m = len(stops)
+    latest = [0] * m
+    bound = (s.epochs - 1) - hops[m]
+    for i in range(m - 1, -1, -1):
+        earliest, last = s.payloads[stops[i].payload].window
+        latest[i] = min(last, bound)
+        if earliest > latest[i]:
+            return None
+        bound = latest[i] - hops[i]
+    return latest if bound >= 0 else None
 
 
 def _simulate(
@@ -247,35 +278,13 @@ def _simulate(
     window-feasible departure is used; otherwise the given epoch.  Early
     arrivals wait on site; payload weight rides for the whole tour (failed
     drops must be able to come home)."""
-    K = s.epochs
-    W = s.uav.empty_weight_kg
-    cap = s.uav.payload_capacity_kg
-    is_depot = s.is_depot_arr()
-    w = s.payload_weights()
-    pack_w = float(sum(w[st.payload] for st in stops))
-    if equip_w + pack_w > cap + 1e-12:
+    pack_w = _pack_weight(s, equip_w, stops)
+    if pack_w is None:
         return None
-    gross = W + equip_w + pack_w
-
-    windows = []
-    for st in stops:
-        pl = s.payloads[st.payload]
-        if not pl.deliverable or pl.target != st.location:
-            return None
-        windows.append(pl.window)
-
+    latest = _latest_services(s, stops, [leg.hops for leg in legs])
+    if latest is None:
+        return None
     m = len(stops)
-    # latest service per stop, backward from the mandatory depot return
-    latest = [0] * m
-    bound = (K - 1) - legs[m].hops
-    for i in range(m - 1, -1, -1):
-        latest[i] = min(windows[i][1], bound)
-        bound = latest[i] - legs[i].hops
-    if m and latest[0] - legs[0].hops < 0:
-        return None
-    for i in range(m):
-        if windows[i][0] > latest[i]:
-            return None
     if depart is None:
         depart = latest[0] - legs[0].hops if m else 0
     elif depart < 0 or (m and depart > latest[0] - legs[0].hops):
@@ -286,17 +295,19 @@ def _simulate(
     t = depart
     for i in range(m):
         arr = t + legs[i].hops
-        svc = max(arr, windows[i][0])
+        svc = max(arr, s.payloads[stops[i].payload].window[0])
         if svc > latest[i]:
             return None
         arrivals.append(arr)
         services.append(svc)
         t = svc
     ret = t + legs[m].hops
-    if ret > K - 1:
+    if ret > s.epochs - 1:
         return None
 
     # battery along the realized epoch walk, resetting at depot waypoints
+    is_depot = s.is_depot_arr()
+    gross = s.uav.empty_weight_kg + equip_w + pack_w
     E = s.uav.battery_capacity_wh
     battery = E
     lowest = E
@@ -322,39 +333,7 @@ def _simulate(
                     lowest = min(lowest, battery)
     if lowest < -1e-9:
         return None
-    return _Schedule(depart, arrivals, services, ret, energy, lowest)
-
-
-# -- checks that no route pair can pass ---------------------------------------------
-
-
-def _load_fits(s: Scenario, equip_w: float, stops: list[Stop]) -> bool:
-    """_simulate's capacity and delivery-target checks, same expressions and
-    tolerance; neither depends on the legs."""
-    w = s.payload_weights()
-    pack_w = float(sum(w[st.payload] for st in stops))
-    if equip_w + pack_w > s.uav.payload_capacity_kg + 1e-12:
-        return False
-    for st in stops:
-        pl = s.payloads[st.payload]
-        if not pl.deliverable or pl.target != st.location:
-            return False
-    return True
-
-
-def _windows_fit(s: Scenario, stops: list[Stop], hops: list[int]) -> bool:
-    """_simulate's backward window pass on per-leg hop counts.  Latest service
-    epochs only fall as any leg gains hops, so a failure at each leg's fewest
-    hops fails every route choice; with depart=None the forward pass cannot
-    fail once this pass holds."""
-    bound = (s.epochs - 1) - hops[len(stops)]
-    for i in range(len(stops) - 1, -1, -1):
-        earliest, latest = s.payloads[stops[i].payload].window
-        latest = min(latest, bound)
-        if earliest > latest:
-            return False
-        bound = latest - hops[i]
-    return bound >= 0
+    return _Schedule(depart, services, ret, energy)
 
 
 # -- insertion machinery -----------------------------------------------------------
@@ -389,14 +368,18 @@ class _SolveContext:
         mean = self.residual.mean(axis=0) if self.s.epochs else self.residual.sum(axis=0)
         self.loc_value = self.weights.location_value(mean)
 
-    def route_score(self, r: Route) -> float:
-        """(1 - a1 - a2) * time - a1 * coverage - a2 * monitoring for one leg."""
+    def weighted_score(self, time: float, r: Route) -> float:
+        """(1 - a1 - a2) * time - a1 * coverage - a2 * monitoring along r."""
         a1, a2 = self.cfg.alpha1, self.cfg.alpha2
-        score = (1.0 - a1 - a2) * r.hops
+        score = (1.0 - a1 - a2) * time
         for mid, weight in ((self.weights.cov, a1), (self.weights.mon, a2)):
             if mid is not None and weight:
-                score -= weight * float(sum(self.loc_value[mid][l] for l in r.seq[1:]))
+                score -= weight * _route_value(self.loc_value[mid], r)
         return score
+
+    def route_score(self, r: Route) -> float:
+        """weighted_score with the leg's own hops as its time."""
+        return self.weighted_score(r.hops, r)
 
     def leg_candidates(self, a: int, b: int) -> list[tuple[float, Route]]:
         cands = [(self.route_score(r), r) for r in self.graph.between(a, b)]
@@ -418,13 +401,10 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
     prev_node, next_node = nodes[position - 1], nodes[position]
     new_stops = tour.stops[:]
     new_stops.insert(position - 1, Stop(payload_id, target))
-    if not _load_fits(s, ctx.equip_w, new_stops):
-        ctx.stats["precheck_rejected"] += 1
-        return None
     fewest = ctx.graph.fewest_hops
     hops = [leg.hops for leg in tour.legs]
     hops[position - 1 : position] = [fewest[prev_node, target], fewest[target, next_node]]
-    if not _windows_fit(s, new_stops, hops):
+    if _pack_weight(s, ctx.equip_w, new_stops) is None or _latest_services(s, new_stops, hops) is None:
         ctx.stats["precheck_rejected"] += 1
         return None
 
@@ -455,20 +435,10 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
 def phi2(ctx: _SolveContext, tour: Tour, position: int, phi1_cost: float) -> float:
     """Savings of inserting here versus opening a dedicated tour: weighted
     value of the depot leg to the insertion successor minus the detour cost."""
-    a1, a2 = ctx.cfg.alpha1, ctx.cfg.alpha2
-    nodes = tour.node_list(ctx.graph.depot)
-    succ = nodes[position]
     depot = ctx.graph.depot
+    succ = tour.node_list(depot)[position]
     psi_short = ctx.graph.shortest_hops(depot, succ)
-    best_term = None
-    for r in ctx.graph.between(depot, succ):
-        term = (1.0 - a1 - a2) * psi_short
-        for mid, weight in ((ctx.weights.cov, a1), (ctx.weights.mon, a2)):
-            if mid is not None and weight:
-                term -= weight * float(sum(ctx.loc_value[mid][l] for l in r.seq[1:]))
-        if best_term is None or term > best_term:
-            best_term = term
-    return best_term - phi1_cost
+    return max(ctx.weighted_score(psi_short, r) for r in ctx.graph.between(depot, succ)) - phi1_cost
 
 
 def _seed_tour(ctx: _SolveContext, payload_id: int) -> Tour:
@@ -498,7 +468,7 @@ def _project_residual(ctx: _SolveContext, current: Tour):
     sched = ctx.simulate(ctx.equip_w, current.stops, current.legs)
     if sched is not None:
         aboard = frozenset(ctx.equip_ids)
-        for k, l in _epoch_walk(s, current, sched):
+        for k, l in _epoch_walk(s, current, sched.depart, sched.services):
             _allocate_service(s, l, k, aboard, resid, collect=None)
     ctx.residual = resid
     ctx._refresh_values()
@@ -590,6 +560,7 @@ def _assign_tours(s, ctx, tours, uav_equipment):
     on-site waits, which keeps the fleet from bunching at the horizon's end."""
     D = s.num_uavs
     w = s.payload_weights()
+    equip_w = [float(sum(w[e] for e in _uav_equipment(s, uav_equipment, u))) for u in range(D)]
     avail = [0] * D
     unserved: list[int] = []
 
@@ -602,16 +573,11 @@ def _assign_tours(s, ctx, tours, uav_equipment):
     for tour in ordered:
         placed = None
         for u in sorted(range(D), key=lambda u: (avail[u], u)):
-            on, off = (frozenset(ctx.equip_ids), frozenset())
-            if uav_equipment is not None:
-                on, off = uav_equipment[u]
-            equip = [e for e in on if not s.payloads[e].deliverable]
-            equip_w = float(sum(w[e] for e in equip))
-            latest = ctx.simulate(equip_w, tour.stops, tour.legs)
+            latest = ctx.simulate(equip_w[u], tour.stops, tour.legs)
             if latest is None or avail[u] > latest.depart:
                 continue
             for depart in range(avail[u], latest.depart + 1):
-                sched = ctx.simulate(equip_w, tour.stops, tour.legs, depart=depart)
+                sched = ctx.simulate(equip_w[u], tour.stops, tour.legs, depart=depart)
                 if sched is not None:
                     placed = (u, sched)
                     break
@@ -623,7 +589,6 @@ def _assign_tours(s, ctx, tours, uav_equipment):
         u, sched = placed
         tour.uav = u
         tour.depart = sched.depart
-        tour.arrival_epochs = sched.arrivals
         tour.service_epochs = sched.services
         tour.return_epoch = sched.return_epoch
         tour.energy_wh = sched.energy_wh
@@ -635,11 +600,20 @@ def _assign_tours(s, ctx, tours, uav_equipment):
         )
 
 
-def _epoch_walk(s: Scenario, tour: Tour, sched: _Schedule):
-    """(epoch, location) for every non-depot epoch of the scheduled tour."""
+def _uav_equipment(s: Scenario, uav_equipment, u: int) -> frozenset:
+    """Equipment UAV u flies with: its pinned forced-on payloads that are not
+    deliveries, or by default every mission equipment payload."""
+    if uav_equipment is None:
+        return frozenset(s.equipment_ids)
+    return frozenset(e for e in uav_equipment[u][0] if not s.payloads[e].deliverable)
+
+
+def _epoch_walk(s: Scenario, tour: Tour, depart: int, services: list[int]):
+    """(epoch, location) for every non-depot epoch of the tour flown from
+    depart with the given service epochs."""
     is_depot = s.is_depot_arr()
     out = []
-    t = sched.depart
+    t = depart
     for i, leg in enumerate(tour.legs):
         for j in range(leg.hops):
             t += 1
@@ -647,7 +621,7 @@ def _epoch_walk(s: Scenario, tour: Tour, sched: _Schedule):
                 out.append((t, leg.seq[j + 1]))
         if i < len(tour.stops):
             loc = tour.stops[i].location
-            while t < sched.services[i]:
+            while t < services[i]:
                 t += 1
                 if not is_depot[loc]:
                     out.append((t, loc))
@@ -702,25 +676,18 @@ def tours_to_plan(
     resid = s.demand.copy()
     w = s.payload_weights()
     cap = s.uav.payload_capacity_kg
-    base_equip = list(s.equipment_ids)
 
     for tour in tours:
         if tour.uav is None or tour.depart is None:
             raise ValueError("tours must be scheduled before materialization")
         d = tour.uav
-        on = frozenset(base_equip)
-        if uav_equipment is not None:
-            on = frozenset(e for e in uav_equipment[d][0] if not s.payloads[e].deliverable)
         pack = [st.payload for st in tour.stops]
-        aboard = sorted(set(pack) | on)
+        aboard = sorted(set(pack) | _uav_equipment(s, uav_equipment, d))
         total_w = float(sum(w[list(aboard)]))
         if total_w > cap + 1e-12:
             raise InsertionError(
                 f"tour payload {total_w:.3f} kg exceeds capacity {cap} kg", pack
             )
-        sched = _Schedule(
-            tour.depart, tour.arrival_epochs, tour.service_epochs, tour.return_epoch, tour.energy_wh, 0.0
-        )
         # payload aboard from the loading depot epoch until just before return
         for k in range(tour.depart, tour.return_epoch):
             for pid in aboard:
@@ -728,7 +695,7 @@ def tours_to_plan(
         # away epochs: location, greedy service and direct-to-ground traffic;
         # the epochs the walk skips keep the single depot from Plan.idle
         aboard_set = frozenset(aboard)
-        for k, l in _epoch_walk(s, tour, sched):
+        for k, l in _epoch_walk(s, tour, tour.depart, tour.service_epochs):
             plan.locations[d, k] = l
             taken: list = []
             gen = _allocate_service(s, l, k, aboard_set, resid, taken)

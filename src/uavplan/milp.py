@@ -106,9 +106,6 @@ class _Builder:
     def get(self, symbol, *indices) -> int:
         return self.index[_name(symbol, indices)]
 
-    def has(self, symbol, *indices) -> bool:
-        return _name(symbol, indices) in self.index
-
 
 def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     """Emit the linearized model for a validated scenario; maximize Gamma."""

@@ -7,7 +7,6 @@ import numpy as np
 
 def step_graph(dist_km: np.ndarray, max_step_km: float) -> np.ndarray:
     """Adjacency weights: dist where a single-epoch hop is possible, inf elsewhere."""
-    L = dist_km.shape[0]
     g = np.where(dist_km <= max_step_km + 1e-12, dist_km, np.inf)
     np.fill_diagonal(g, 0.0)
     return g
@@ -55,7 +54,6 @@ def mst_max_edge(dist_km: np.ndarray) -> float:
     if L <= 1:
         return 0.0
     in_tree = np.zeros(L, dtype=bool)
-    best = np.full(L, np.inf)
     in_tree[0] = True
     best = dist_km[0].copy()
     best[0] = np.inf

@@ -710,8 +710,3 @@ def load_scenario(text: str) -> Scenario:
 def serialize_scenario(s: Scenario) -> str:
     """Canonical JSON text; load_scenario(serialize_scenario(s)) reproduces s exactly."""
     return json.dumps(scenario_to_dict(s), indent=2) + "\n"
-
-
-def scenarios_equal(a: Scenario, b: Scenario) -> bool:
-    """Structural equality on every field that defines the instance."""
-    return serialize_scenario(a) == serialize_scenario(b)

@@ -7,6 +7,17 @@ or 10 epochs (medicine).  Every generated delivery is guaranteed to admit a
 dedicated depot round trip within its window and battery budget at full
 equipment, so instances are never trivially infeasible; layouts that cannot
 offer enough such targets are redrawn from the same seeded stream.
+
+The reference UAV and mission values are fixed module constants: 4 kg empty
+weight, 2.5 kg payload capacity, a 200 Wh battery, 3.125 Wh per km and kg
+(hover counted as 0.1 km per epoch), 10-minute epochs, 1 kg radio and camera,
+50 and 10 Mb per unit of coverage and monitoring work, and a dedicated round
+trip within 90% of the battery.  The per-epoch step is the larger of 2.5 km
+and 1.05 times the layout's longest minimum-spanning-tree edge, so every
+location is reachable.  With the monitoring mission, every zone has monitoring
+demand 1 in each demand epoch.  Only the satisfaction horizon, the two pack
+weights, whether monitoring is included and whether delivery targets are
+unique vary per call.
 """
 
 from __future__ import annotations
@@ -56,48 +67,36 @@ class GenerationError(ValueError):
     pass
 
 
-def _as_dims(dims) -> Dims:
-    if isinstance(dims, Dims):
-        return dims
-    if isinstance(dims, dict):
-        return Dims(
-            locations=int(dims["locations"]),
-            zones=int(dims["zones"]),
-            uavs=int(dims["uavs"]),
-            deliveries=int(dims["deliveries"]),
-            epochs=int(dims["epochs"]),
-        )
-    raise GenerationError(f"unsupported dims spec: {dims!r}")
+SPACING_KM = 2.0  # mean nearest-neighbor spacing
+EMPTY_WEIGHT_KG = 4.0
+PAYLOAD_CAPACITY_KG = 2.5
+BATTERY_CAPACITY_WH = 200.0
+E_PER_KM_KG = 3.125
+HOVER_KM_EQUIV = 0.1
+EPOCH_MINUTES = 10.0
+PACK_WINDOWS = (5, 10)  # epochs, blood / medicine
+EQUIPMENT_WEIGHT_KG = 1.0  # radio and camera each
+COVERAGE_MB_PER_WORK = 50.0
+MONITORING_MB_PER_WORK = 10.0
+MONITORED_FRACTION = 1.0  # share of zones with monitoring demand
+BATTERY_SAFETY = 0.9  # share of the battery a dedicated round trip may use
+MAX_ATTEMPTS = 500  # layout redraws before giving up
 
 
 def generate_synthetic(
     seed: int,
-    dims,
+    dims: Dims,
     *,
-    spacing_km: float = 2.0,
     horizon: int | None = None,
-    empty_weight_kg: float = 4.0,
-    payload_capacity_kg: float = 2.5,
-    battery_capacity_wh: float = 200.0,
-    max_step_km: float | None = None,
-    e_per_km_kg: float = 3.125,
-    hover_km_equiv: float = 0.1,
-    epoch_minutes: float = 10.0,
     pack_weights: tuple[float, float] = (0.25, 0.2),
-    pack_windows: tuple[int, int] = (5, 10),
-    equipment_weight_kg: float = 1.0,
-    coverage_mb_per_work: float = 50.0,
-    monitoring_mb_per_work: float = 10.0,
-    demand_scale: float = 1.0,
-    monitored_fraction: float = 1.0,
     include_monitoring: bool = True,
     unique_targets: bool = False,
-    battery_safety: float = 0.9,
-    max_attempts: int = 500,
 ) -> Scenario:
-    """Deterministic scenario synthesis; identical (seed, dims, params) give
+    """Deterministic scenario synthesis; identical (seed, dims, options) give
     byte-identical scenarios on re-serialization."""
-    d = _as_dims(dims)
+    if not isinstance(dims, Dims):
+        raise GenerationError(f"unsupported dims spec: {dims!r}")
+    d = dims
     if d.locations < 1 or d.uavs < 1 or d.epochs < 1:
         raise GenerationError("locations, uavs and epochs must be at least 1")
     if d.zones < 0 or d.deliveries < 0:
@@ -108,9 +107,9 @@ def generate_synthetic(
     rng = np.random.default_rng(seed)
     include_missions = d.zones > 0
     n_equipment = (2 if include_monitoring else 1) if include_missions else 0
-    equip_w = n_equipment * equipment_weight_kg
+    equip_w = n_equipment * EQUIPMENT_WEIGHT_KG
     heaviest_pack = max(pack_weights) if d.deliveries else 0.0
-    if equip_w + heaviest_pack > payload_capacity_kg:
+    if equip_w + heaviest_pack > PAYLOAD_CAPACITY_KG:
         raise GenerationError("equipment plus one pack exceeds payload capacity")
 
     needed_targets = 1 if d.deliveries else 0
@@ -122,18 +121,16 @@ def generate_synthetic(
         if d.deliveries > d.locations - 1:
             raise GenerationError("more deliveries than non-depot locations with unique targets")
 
-    side = 2.0 * spacing_km * np.sqrt(d.locations)
-    for _ in range(max_attempts):
+    side = 2.0 * SPACING_KM * np.sqrt(d.locations)
+    for _ in range(MAX_ATTEMPTS):
         coords = rng.uniform(0.0, side, size=(d.locations, 2))
         coords[0] = (0.0, 0.0)  # depot anchors a corner
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
-        vmax = max_step_km
-        if vmax is None:
-            vmax = max(2.5, mst_max_edge(dist) * 1.05)
+        vmax = max(2.5, mst_max_edge(dist) * 1.05)
         path_km, next_hop = all_pairs_shortest(dist, vmax)
 
-        gross = empty_weight_kg + equip_w + heaviest_pack
+        gross = EMPTY_WEIGHT_KG + equip_w + heaviest_pack
         eligible = []
         for l in range(1, d.locations):
             if not np.isfinite(path_km[0, l]):
@@ -141,7 +138,7 @@ def generate_synthetic(
             hops = len(reconstruct(next_hop, 0, l)) - 1
             if 2 * hops > d.epochs - 1:
                 continue  # no epoch left to go out and return
-            if 2.0 * path_km[0, l] * e_per_km_kg * gross > battery_safety * battery_capacity_wh:
+            if 2.0 * path_km[0, l] * E_PER_KM_KG * gross > BATTERY_SAFETY * BATTERY_CAPACITY_WH:
                 continue
             eligible.append((l, hops))
         if d.deliveries and len(eligible) < needed_targets:
@@ -150,7 +147,7 @@ def generate_synthetic(
     else:
         raise GenerationError(
             f"could not draw a layout with {needed_targets} reachable delivery targets "
-            f"in {max_attempts} attempts; dims are inconsistent with the UAV range"
+            f"in {MAX_ATTEMPTS} attempts; dims are inconsistent with the UAV range"
         )
 
     locations = [
@@ -161,12 +158,12 @@ def generate_synthetic(
     payloads: list[PayloadItem] = []
     missions: list[Mission] = []
     if include_missions:
-        payloads.append(PayloadItem(id=0, weight_kg=equipment_weight_kg, name="radio"))
-        missions = [Mission(id=0, name="coverage", requires=(0,), mb_per_work=coverage_mb_per_work)]
+        payloads.append(PayloadItem(id=0, weight_kg=EQUIPMENT_WEIGHT_KG, name="radio"))
+        missions = [Mission(id=0, name="coverage", requires=(0,), mb_per_work=COVERAGE_MB_PER_WORK)]
         if include_monitoring:
-            payloads.append(PayloadItem(id=1, weight_kg=equipment_weight_kg, name="camera"))
+            payloads.append(PayloadItem(id=1, weight_kg=EQUIPMENT_WEIGHT_KG, name="camera"))
             missions.append(
-                Mission(id=1, name="monitoring", requires=(1,), mb_per_work=monitoring_mb_per_work)
+                Mission(id=1, name="monitoring", requires=(1,), mb_per_work=MONITORING_MB_PER_WORK)
             )
         missions.append(
             Mission(id=len(missions), name="relay", requires=(0,), mb_per_work=0.0)
@@ -177,7 +174,7 @@ def generate_synthetic(
     for i in range(d.deliveries):
         kind = i % 2  # alternate blood / medicine
         weight = pack_weights[kind]
-        win_len = pack_windows[kind]
+        win_len = PACK_WINDOWS[kind]
         if unique_targets:
             pick = int(rng.integers(len(target_pool)))
             target = target_pool.pop(pick)
@@ -204,7 +201,7 @@ def generate_synthetic(
     if include_missions:
         k_lo = min(2, d.epochs - 1)
         k_hi = max(k_lo, d.epochs - 2)
-        monitored = rng.random(d.zones) < monitored_fraction
+        monitored = rng.random(d.zones) < MONITORED_FRACTION
         for z in range(d.zones):
             n_wire = int(rng.integers(1, 4))  # one to three serving locations
             wired = rng.choice(d.locations, size=min(n_wire, d.locations), replace=False)
@@ -216,20 +213,20 @@ def generate_synthetic(
                     qmap["monitoring"] = mon_q
                 served[loc] = qmap
             zones.append(Zone(id=z, served_from=served))
-            base = float(rng.uniform(0.3, 1.0)) * demand_scale
+            base = float(rng.uniform(0.3, 1.0))
             for k in range(k_lo, k_hi + 1):
                 cov = float(np.round(base * rng.uniform(0.8, 1.2), 6))
                 demand_entries.append((k, "coverage", z, cov))
                 if include_monitoring and monitored[z]:
-                    demand_entries.append((k, "monitoring", z, float(np.round(demand_scale, 6))))
+                    demand_entries.append((k, "monitoring", z, 1.0))
 
     s = make_scenario(
         locations=locations,
         zones=zones,
         uav=UavSpec(
-            empty_weight_kg=empty_weight_kg,
-            payload_capacity_kg=payload_capacity_kg,
-            battery_capacity_wh=battery_capacity_wh,
+            empty_weight_kg=EMPTY_WEIGHT_KG,
+            payload_capacity_kg=PAYLOAD_CAPACITY_KG,
+            battery_capacity_wh=BATTERY_CAPACITY_WH,
             max_step_km=float(vmax),
             count=d.uavs,
         ),
@@ -238,9 +235,9 @@ def generate_synthetic(
         epochs=d.epochs,
         horizon=horizon,
         demand_entries=demand_entries,
-        e_per_km_kg=e_per_km_kg,
-        hover_km_equiv=hover_km_equiv,
-        epoch_minutes=epoch_minutes,
+        e_per_km_kg=E_PER_KM_KG,
+        hover_km_equiv=HOVER_KM_EQUIV,
+        epoch_minutes=EPOCH_MINUTES,
     )
     issues = validate(s)
     if issues:  # generator bug if this ever fires

@@ -358,6 +358,34 @@ class TestCompare:
             assert run("solve", "--scenario", scen, "--engine", "exact", "--equipment", r["equipment"]) == 0
             assert r["objective"] == repr(json.loads(capsys.readouterr().out)["objective"])
 
+    def test_engine_counters_per_row_in_manifest(self, tmp_path):
+        """The manifest's stats list has one entry per CSV row, in row order,
+        each equal to what solve writes for the same engine and UAV count."""
+        import dataclasses
+
+        scen = tmp_path / "tiny.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        out = tmp_path / "cmp.csv"
+        assert run(
+            "compare", "--scenario", scen, "--uav-counts", "2,1",
+            "--runs", "exact,heuristic:save-time", "--out", out,
+        ) == 0
+        stats = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())["stats"]
+        header, *rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert len(stats) == len(rows) == 4
+        base = load_scenario(scen.read_text())
+        for row, got in zip(rows, stats):
+            r = dict(zip(header, row))
+            count_file = tmp_path / f"tiny{r['uav_count']}.scenario"
+            count_file.write_text(serialize_scenario(
+                dataclasses.replace(base, uav=dataclasses.replace(base.uav, count=int(r["uav_count"])))
+            ))
+            plan_file = tmp_path / f"{r['engine']}{r['uav_count']}.json"
+            args = ["--engine", r["engine"]] + (["--preset", r["preset"]] if r["preset"] else [])
+            assert run("solve", "--scenario", count_file, *args, "--out", plan_file) == 0
+            assert got == json.loads(plan_file.with_name(plan_file.name + ".manifest.json").read_text())["stats"]
+        assert "lp_solves" in stats[0] and "phi1_calls" in stats[2]
+
     def test_guard_refusal_exit_3_removes_stale_out(self, tmp_path):
         scen = tmp_path / "t.scenario"
         scen.write_text((DATA / "tiny-mixed.scenario").read_text())

@@ -23,6 +23,7 @@ from uavplan.heuristic import (
     tours_to_plan,
 )
 from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, make_scenario
+from uavplan.cli import _fixed_equipment
 from uavplan.synth import Dims, generate_preset, generate_synthetic
 
 from scenarios import tiny_mixed
@@ -468,7 +469,7 @@ def _full_replay_residual(ctx, tours):
         sched = _simulate(s, ctx.equip_w, tour.stops, tour.legs)
         if sched is None:
             continue
-        for k, l in _epoch_walk(s, tour, sched):
+        for k, l in _epoch_walk(s, tour, sched.depart, sched.services):
             _allocate_service_loop(s, l, k, aboard, resid, None)
     return resid
 
@@ -503,17 +504,20 @@ def _over_capacity(ctx, stops):
     return ctx.equip_w + float(sum(w[st.payload] for st in stops)) > ctx.s.uav.payload_capacity_kg + 1e-12
 
 
-def _solve_digest(s, cfg):
-    """sha256 of the plan arrays and tour legs, or of the refusal."""
+def _solve_digest(s, cfg, uav_equipment=None):
+    """sha256 of the plan arrays and tour legs, or of the refusal; with pinned
+    equipment the tours' service epochs, return epochs and energy too."""
     h = hashlib.sha256()
     try:
-        tours, plan = insertion_solve(s, cfg)
+        tours, plan = insertion_solve(s, cfg, uav_equipment=uav_equipment)
     except InsertionError as exc:
         h.update(repr((str(exc), exc.payloads)).encode())
         return h.hexdigest()
     for f in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers"):
         h.update(np.ascontiguousarray(getattr(plan, f)).tobytes())
     h.update(repr([(t.uav, t.depart, [leg.seq for leg in t.legs]) for t in tours]).encode())
+    if uav_equipment is not None:
+        h.update(repr([(t.service_epochs, t.return_epoch, t.energy_wh) for t in tours]).encode())
     return h.hexdigest()
 
 
@@ -529,6 +533,21 @@ HEURISTIC_DIGESTS = {
     (3, "save-time"): "bfe9ea3d846079f956840b7ad4b6d5e4551c6e42a29dfdcbcb1aeed04f7e7367",
     (3, "coverage"): "6bcfbe7df7d2ba8b442c647cdfb0a44c1c6674e9b2a718544c65e391a1ad5c9b",
     (3, "monitoring"): "16056823ad883a10c1ab825288fbb930373c92ad52a2f01ca93a221014e1381c",
+}
+
+# the same runs with uav_equipment=_fixed_equipment(s)[1], pinned before the
+# tour rules were merged into one implementation each; seed 2's coverage and
+# monitoring runs are fleet-horizon refusals
+FIXED_EQUIPMENT_DIGESTS = {
+    (1, "save-time"): "472ddf0c72e2353eb0892fd61a5c8ba166a46a1b1b99139aa0c3a13b10f3a4a5",
+    (1, "coverage"): "076bf712b926519024ec63fc8afbb771f0d458ae87ad7de618938f2596b66ba1",
+    (1, "monitoring"): "076bf712b926519024ec63fc8afbb771f0d458ae87ad7de618938f2596b66ba1",
+    (2, "save-time"): "50b657b6a908b8eb4acaff83fcb27c45a4b8ec4190a7ad62a98604fb8d764d49",
+    (2, "coverage"): "51e8a2aa59a81273863d3dc802cd5382507b532dd931f0bf335c1c20dbb18abd",
+    (2, "monitoring"): "51e8a2aa59a81273863d3dc802cd5382507b532dd931f0bf335c1c20dbb18abd",
+    (3, "save-time"): "e824551cb72ff81c814a013dfb4a1cbbdcf6497333c23dc5fee43d3699ac4d89",
+    (3, "coverage"): "5d41a10f3b9e1178cf3ad647602809d29bc7cccfe33dd9818cadb904491b2761",
+    (3, "monitoring"): "9aaae7ea8c79f583927a513664a7d69dd00044c447a42a1528e6e9b945e74146",
 }
 
 
@@ -597,6 +616,13 @@ class TestHotPathEquivalence:
         s = generate_preset("sf-large", seed)
         got = {name: _solve_digest(s, cfg()) for name, cfg in PRESETS.items()}
         assert got == {name: HEURISTIC_DIGESTS[seed, name] for name in PRESETS}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fixed_equipment_plans_match_pinned_digests(self, seed):
+        s = generate_preset("sf-large", seed)
+        per_uav = _fixed_equipment(s)[1]
+        got = {name: _solve_digest(s, cfg(), per_uav) for name, cfg in PRESETS.items()}
+        assert got == {name: FIXED_EQUIPMENT_DIGESTS[seed, name] for name in PRESETS}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_residual_matches_full_replay_after_every_insertion(self, seed, monkeypatch):

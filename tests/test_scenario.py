@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,30 @@ from uavplan.synth import Dims, GenerationError, generate_preset, generate_synth
 from uavplan.paths import all_pairs_shortest, reconstruct
 
 from scenarios import tiny_mixed
+
+# sha256 of serialize_scenario(...), pinned before generate_synthetic's fixed
+# reference values became module constants
+PRESET_DIGESTS = {
+    ("sf-small", 1): "bf7780498f0df1fc1999b7942ae6e7907df3bacbd728560fbe31525a7a5f70f0",
+    ("sf-small", 2): "efcbc42684df36febc20e6f808b211d6d4cc9708831d9cb52cb20a078512cd00",
+    ("sf-small", 3): "d3180b4dd89537ae2a04a79b882a2f77e823b355921b59805c903bc20ad743e6",
+    ("sf-large", 1): "e027482daaa1532108385315b007e51389b5e3f77bbdd7fd705ee9efd4d5dcf8",
+    ("sf-large", 2): "01b9c95c4809b0022e037fad11c102b052d989473b37a3b17b20514b3e9e1f5d",
+    ("sf-large", 3): "07d2f0d65d5f1a6915e0d77a4acba04a463cfef4a279257aa372541f577020b3",
+}
+OPTION_DIGESTS = {  # seed -> (no monitoring on Dims(6, 4, 2, 3, 10), unique targets on Dims(8, 4, 2, 4, 12))
+    1: ("2d2de51b885a357a5ce51ee83ae3430f5d8076e220dfbcac77680c39da95630f",
+        "0d66ea7da5d89741e7c19222b2766a14d63f106d07650dd71e3a0162e3e3fefb"),
+    2: ("b5b2428423b79e6ebdb1253eeb9392021ee9185604ebca777b9145adf1fcc50e",
+        "6dfd35cda563f30237b334e4f7b9410b66ff6dce49039bbc34e0dba7eac883a6"),
+    3: ("179e02afca88306e396659ec7fa6d6d2568a3128586972839d6227ce18445948",
+        "f218b27d495c9b1519ea4c1d3c6dc32cdf6de32c3b714274a643b759488a9622"),
+}
+
+
+def _digest(s):
+    return hashlib.sha256(serialize_scenario(s).encode()).hexdigest()
+
 
 MINIMAL = {
     "epochs": 4,
@@ -157,6 +182,16 @@ class TestGenerator:
             gross = s.uav.empty_weight_kg + equip_w + p.weight_kg
             energy = 2.0 * path_km[depot, p.target] * s.e_per_km_kg * gross
             assert energy <= s.uav.battery_capacity_wh
+
+    @pytest.mark.parametrize("preset,seed", sorted(PRESET_DIGESTS))
+    def test_presets_match_pinned_digests(self, preset, seed):
+        assert _digest(generate_preset(preset, seed)) == PRESET_DIGESTS[preset, seed]
+
+    @pytest.mark.parametrize("seed", sorted(OPTION_DIGESTS))
+    def test_options_match_pinned_digests(self, seed):
+        no_monitoring = generate_synthetic(seed, Dims(6, 4, 2, 3, 10), include_monitoring=False)
+        unique = generate_synthetic(seed, Dims(8, 4, 2, 4, 12), unique_targets=True)
+        assert (_digest(no_monitoring), _digest(unique)) == OPTION_DIGESTS[seed]
 
     def test_unique_targets_overflow_rejected(self):
         with pytest.raises(GenerationError):
