@@ -86,7 +86,7 @@ def _payload_subsets(s: Scenario, forced_on: frozenset, forbidden: frozenset) ->
 def _hops_to_depot(s: Scenario) -> np.ndarray:
     """BFS hop counts from every location to the nearest depot."""
     L = s.num_locations
-    reach = s.dist_km <= s.uav.max_step_km + 1e-12
+    reach = s.reach
     hops = np.full(L, np.inf)
     frontier = list(s.depot_ids)
     for l in frontier:
@@ -140,7 +140,7 @@ def enumerate_configs(
     dominant idle set from _depot_idle_set."""
     K, L = s.epochs, s.num_locations
     depots = set(s.depot_ids)
-    reach = s.dist_km <= s.uav.max_step_km + 1e-12
+    reach = s.reach
     energy = s.energy_wh_per_kg
     W, E = s.uav.empty_weight_kg, s.uav.battery_capacity_wh
     w = s.payload_weights()
@@ -509,7 +509,7 @@ def solve_exact(
     if sum(g[0] for g in equipment_groups) != D:
         raise ValueError("equipment group counts must sum to the fleet size")
 
-    deliverables = frozenset(p.id for p in s.payloads if p.deliverable)
+    deliverables = frozenset(s.deliverable_ids)
     group_configs = []
     group_caps = []  # the configs' _Capability records stacked, per group with configs
     for count, on, off in equipment_groups:
@@ -592,127 +592,113 @@ def solve_model_exhaustive(
 ):
     """Optimize a MilpModel by exhaustive search over its binary variables.
 
-    Depth-first branching with bound propagation over the binary rows; every
-    completed assignment's continuous remainder is presolved (rows made slack
-    by the fixed binaries are dropped, zero-forced variables eliminated) and
-    handed to the bundled simplex.  Presolved subproblems are cached, so
-    assignments differing only in binaries the continuous part never sees cost
-    one LP solve.  The search stops early once the incumbent reaches the
-    objective variable's upper bound.
+    The rows become one dense coefficient matrix, split into a binary and a
+    continuous block; rows the variable bounds already satisfy are dropped.
+    Depth-first branching fixes, after every choice, each binary the rows
+    force (bound propagation to its fixpoint).  Every completed assignment's
+    continuous remainder is presolved (rows made slack by the fixed binaries
+    are dropped, zero-forced variables eliminated) and handed to the bundled
+    simplex.  Presolved subproblems are cached, so assignments differing only
+    in binaries the continuous part never sees cost one LP solve.  The search
+    stops early once the incumbent reaches the objective variable's upper
+    bound.
 
     Returns (status, value, variable dict); status is optimal, infeasible or
     limit."""
-    nvars = len(model.variables)
-    kinds = [v.kind for v in model.variables]
+    is_bin = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
     lbs = np.array([v.lb for v in model.variables])
     ubs = np.array([v.ub for v in model.variables])
-    bin_idx = [i for i in range(nvars) if kinds[i] == "binary"]
-    bin_pos = {i: j for j, i in enumerate(bin_idx)}
-    cont_idx = [i for i in range(nvars) if kinds[i] != "binary"]
-    cont_pos = {i: j for j, i in enumerate(cont_idx)}
-    obj_i = model.name_to_idx[model.objective]
-    obj_ub = ubs[obj_i]
+    bin_idx, cont_idx = np.flatnonzero(is_bin), np.flatnonzero(~is_bin)
+    lbs_c, ubs_c = lbs[cont_idx], ubs[cont_idx]
+    obj = cont_idx.tolist().index(model.name_to_idx[model.objective])
+    obj_ub = ubs_c[obj]
 
-    def _interval(i: int) -> tuple[float, float]:
-        if kinds[i] == "binary":
-            lo = 1.0 if lbs[i] >= 1.0 else 0.0
-            hi = 0.0 if ubs[i] <= 0.0 else 1.0
-            return lo, hi
-        return lbs[i], ubs[i]
-
-    rows = []
-    for c in model.constraints:
-        # drop rows the variable bounds already satisfy; they only widen the
-        # search over binaries the continuous problem never feels
-        lo_lhs = hi_lhs = 0.0
+    A = np.zeros((len(model.constraints), len(model.variables)))
+    for r, c in enumerate(model.constraints):
         for i, coef in c.terms:
-            lo, hi = _interval(i)
-            lo_lhs += coef * lo if coef >= 0 else coef * hi
-            hi_lhs += coef * hi if coef >= 0 else coef * lo
-        if c.sense == "<=" and hi_lhs <= c.rhs + 1e-9:
-            continue
-        if c.sense == ">=" and lo_lhs >= c.rhs - 1e-9:
-            continue
-        if c.sense == "=" and hi_lhs <= c.rhs + 1e-9 and lo_lhs >= c.rhs - 1e-9:
-            continue
-        bt = [(i, coef) for i, coef in c.terms if kinds[i] == "binary"]
-        ct = [(i, coef) for i, coef in c.terms if kinds[i] != "binary"]
-        rows.append((bt, ct, c.sense, c.rhs))
-    var_rows: list[list[int]] = [[] for _ in range(nvars)]
-    for ri, (bt, ct, _, _) in enumerate(rows):
-        for i, _ in bt:
-            var_rows[i].append(ri)
+            A[r, i] += coef
+    sense = np.array([c.sense for c in model.constraints], dtype="U2")
+    rhs = np.array([c.rhs for c in model.constraints], dtype=float)
 
-    # continuous-facing rows, vectorized for fast leaf keying
-    cont_rows = [ri for ri, (bt, ct, _, _) in enumerate(rows) if ct]
-    n_cr = len(cont_rows)
-    B = np.zeros((n_cr, len(bin_idx)))
-    base_rhs = np.zeros(n_cr)
-    senses = []
-    max_lhs = np.zeros(n_cr)  # largest continuous LHS the bounds allow
-    for r, ri in enumerate(cont_rows):
-        bt, ct, sense, rhs = rows[ri]
-        base_rhs[r] = rhs
-        senses.append(sense)
-        for i, coef in bt:
-            B[r, bin_pos[i]] += coef
-        hi = 0.0
-        for i, coef in ct:
-            top = coef * ubs[i] if coef >= 0 else coef * lbs[i]
-            hi += top
-        max_lhs[r] = hi
-    senses = np.array(senses)
-    le_mask = senses == "<="
+    def activity(M, lo, hi):
+        """Smallest and largest value of each row of M over the box [lo, hi]."""
+        with np.errstate(invalid="ignore"):  # 0 * inf, in entries where() drops
+            low = np.where(M > 0, M * lo, np.where(M < 0, M * hi, 0.0))
+            high = np.where(M > 0, M * hi, np.where(M < 0, M * lo, 0.0))
+        return low.sum(axis=1), high.sum(axis=1)
 
-    # single continuous-variable <= rows can force variables to zero
-    single_var = np.full(n_cr, -1, dtype=int)
-    for r, ri in enumerate(cont_rows):
-        _, ct, sense, _ = rows[ri]
-        if sense == "<=" and len(ct) == 1 and ct[0][1] > 0 and lbs[ct[0][0]] == 0.0:
-            single_var[r] = ct[0][0]
+    # drop rows the variable bounds already satisfy; they only widen the
+    # search over binaries the continuous problem never feels
+    low, high = activity(A, np.where(is_bin, lbs >= 1.0, lbs), np.where(is_bin, ubs > 0.0, ubs))
+    le, ge = sense == "<=", sense == ">="
+    keep = ~((ge | (high <= rhs + 1e-9)) & (le | (low >= rhs - 1e-9)))
+    sense, rhs, le, ge = sense[keep], rhs[keep], le[keep], ge[keep]
+    Ab, Ac = A[keep][:, bin_idx], A[keep][:, cont_idx]
+    c_low, c_high = activity(Ac, lbs_c, ubs_c)
+    nz_b, nz_c = Ab != 0, Ac != 0
 
-    assign = np.full(nvars, -1, dtype=np.int8)
-    for i in bin_idx:
-        if ubs[i] <= 0.0:
-            assign[i] = 0
-        elif lbs[i] >= 1.0:
-            assign[i] = 1
+    # propagation rows: the binary block in <= form (>= rows negated, = rows
+    # both ways); room is what the rhs leaves the binary terms once the
+    # continuous terms sit at their smallest activity
+    up, down = ~ge, ~le
+    G = np.vstack([Ab[up], -Ab[down]])
+    room = np.concatenate([rhs[up], -rhs[down]]) + 1e-9 - np.concatenate([c_low[up], -c_high[down]])
+    G_neg, G_abs = np.minimum(G, 0.0), np.abs(G)
+    G_pos_mask, G_neg_mask = G > 0, G < 0
+
+    # x holds the binary assignment: 1, 0, or -1 while free
+    x = np.where(ubs[bin_idx] <= 0.0, 0.0, np.where(lbs[bin_idx] >= 1.0, 1.0, -1.0))
+
+    def propagate() -> bool:
+        """Fix every binary the rows force, to the fixpoint; False on a conflict."""
+        while True:
+            free = x < 0
+            least = G @ (x > 0) + G_neg @ free
+            if (least > room).any():
+                return False
+            forced = free & (least[:, None] + G_abs > room[:, None])
+            if not forced.any():
+                return True
+            zero, one = (forced & G_pos_mask).any(axis=0), (forced & G_neg_mask).any(axis=0)
+            if (zero & one).any():
+                return False
+            x[zero], x[one] = 0.0, 1.0
 
     # structure mined from the rows, for objective bounding under partial
     # assignments: one-hot binary groups (sum = 1 rows) and continuous vars
     # dominated by a single binary (x - b <= 0 rows)
+    n_b, n_c = nz_b.sum(axis=1), nz_c.sum(axis=1)
     one_hot_group: dict[int, int] = {}
-    group_members: list[list[int]] = []
-    for bt, ct, sense, rhs in rows:
-        if sense == "=" and rhs == 1.0 and not ct and all(c == 1.0 for _, c in bt):
-            g = len(group_members)
-            group_members.append([i for i, _ in bt])
-            for i, _ in bt:
-                one_hot_group.setdefault(i, g)
+    group_members: list[np.ndarray] = []
+    for r in np.flatnonzero((sense == "=") & (rhs == 1.0) & (n_c == 0) & ((Ab == 1.0) | ~nz_b).all(axis=1)):
+        for b in np.flatnonzero(nz_b[r]).tolist():
+            one_hot_group.setdefault(b, len(group_members))
+        group_members.append(np.flatnonzero(nz_b[r]))
     dominator: dict[int, int] = {}
-    for bt, ct, sense, rhs in rows:
-        if sense == "<=" and rhs == 0.0 and len(bt) == 1 and len(ct) == 1:
-            (bi, bc), (xi, xc) = bt[0], ct[0]
-            if xc > 0 and abs(bc + xc) < 1e-12 and bi in one_hot_group:
-                dominator.setdefault(xi, bi)
+    for r in np.flatnonzero(le & (rhs == 0.0) & (n_b == 1) & (n_c == 1)):
+        b, j = int(nz_b[r].argmax()), int(nz_c[r].argmax())
+        if Ac[r, j] > 0 and abs(Ab[r, b] + Ac[r, j]) < 1e-12 and b in one_hot_group:
+            dominator.setdefault(j, b)
 
+    # rows that cap a positive continuous term from above, as term lists
+    lbs_cl = lbs_c.tolist()
+    bound_r = np.flatnonzero(~ge & (Ac > 0).any(axis=1))
     bound_rows = []
-    for ri in cont_rows:
-        bt, ct, sense, rhs = rows[ri]
-        if sense not in ("<=", "=") or not any(coef > 0 for _, coef in ct):
-            continue
-        pos_terms = [(i, c) for i, c in ct if c > 0]
+    for row in Ac[bound_r].tolist():
+        pos_terms = [(j, a) for j, a in enumerate(row) if a > 0]
         neg_plain: list[tuple[int, float]] = []
         grouped: dict[int, dict[int, list[tuple[int, float]]]] = {}
-        for i, c in ct:
-            if c >= 0:
-                continue
-            b = dominator.get(i)
-            if b is None:
-                neg_plain.append((i, -c))
-            else:
-                grouped.setdefault(one_hot_group[b], {}).setdefault(b, []).append((i, -c))
-        bound_rows.append((ri, pos_terms, neg_plain, grouped))
+        for j, a in enumerate(row):
+            if a < 0:
+                b = dominator.get(j)
+                if b is None:
+                    neg_plain.append((j, -a))
+                else:
+                    grouped.setdefault(one_hot_group[b], {}).setdefault(b, []).append((j, -a))
+        base = sum(a * lbs_cl[j] for j, a in pos_terms)
+        bound_rows.append((pos_terms, neg_plain, list(grouped.values()), base))
+    bound_B, bound_rhs = Ab[bound_r], rhs[bound_r]
+    bound_B_neg = np.minimum(bound_B, 0.0)
 
     def objective_upper_bound() -> float:
         """Upper bound on the objective given the partial binary assignment.
@@ -720,206 +706,117 @@ def solve_model_exhaustive(
         Interval propagation over the continuous rows, with sums of dominated
         variables collapsed per one-hot group: a UAV-epoch group contributes
         at most its best single member, not the sum over members."""
-        ub = {i: ubs[i] for i in cont_idx}
+        adjusted = (bound_rhs - np.where(x >= 0, bound_B * x, bound_B_neg).sum(axis=1)).tolist()
+        xs = x.tolist()
+        ub = ubs_c.tolist()
         for _ in range(2):
-            for ri, pos_terms, neg_plain, grouped in bound_rows:
-                bt, ct, sense, rhs = rows[ri]
-                rhs_adj = rhs
-                for i, coef in bt:
-                    a = assign[i]
-                    rhs_adj -= coef * a if a >= 0 else min(0.0, coef)
+            for rhs_adj, (pos_terms, neg_plain, grouped, base) in zip(adjusted, bound_rows):
                 reach = 0.0  # largest achievable total of the negated terms
-                for i, mag in neg_plain:
-                    reach += mag * ub[i]
-                for g, per_b in grouped.items():
+                for j, mag in neg_plain:
+                    reach += mag * ub[j]
+                for per_b in grouped:
                     best_b = 0.0
                     for b, terms in per_b.items():
-                        if assign[b] == 0:
+                        if xs[b] == 0:
                             continue
                         tot = 0.0
-                        for i, mag in terms:
-                            tot += mag * ub[i]
-                        if assign[b] == 1:
+                        for j, mag in terms:
+                            tot += mag * ub[j]
+                        if xs[b] == 1:
                             best_b = tot
                             break
                         best_b = max(best_b, tot)
                     reach += best_b
-                base = sum(c * lbs[i] for i, c in pos_terms)
-                for i, c in pos_terms:
-                    cand = (rhs_adj + reach - (base - c * lbs[i])) / c
-                    if cand < ub[i]:
-                        ub[i] = max(cand, lbs[i])
-        return ub[obj_i]
+                for j, c in pos_terms:
+                    cand = (rhs_adj + reach - (base - c * lbs_cl[j])) / c
+                    if cand < ub[j]:
+                        ub[j] = max(cand, lbs_cl[j])
+        return ub[obj]
 
-    def _scan_row(ri: int, trail: list[int]):
-        bt, ct, sense, rhs = rows[ri]
-        lb = 0.0
-        ub = 0.0
-        for i, coef in ct:
-            lb += coef * lbs[i] if coef >= 0 else coef * ubs[i]
-            ub += coef * ubs[i] if coef >= 0 else coef * lbs[i]
-        free = []
-        for i, coef in bt:
-            a = assign[i]
-            if a >= 0:
-                lb += coef * a
-                ub += coef * a
-            else:
-                lb += min(0.0, coef)
-                ub += max(0.0, coef)
-                free.append((i, coef))
-        if sense in ("<=", "=") and lb > rhs + 1e-9:
-            return None
-        if sense in (">=", "=") and ub < rhs - 1e-9:
-            return None
-        fixed = []
-        for i, coef in free:
-            force = -1
-            if sense in ("<=", "="):
-                if lb + max(0.0, coef) > rhs + 1e-9:
-                    force = 0
-                if lb - min(0.0, coef) > rhs + 1e-9:
-                    force = -2 if force == 0 else 1
-            if force != -2 and sense in (">=", "="):
-                if ub + min(0.0, coef) < rhs - 1e-9:
-                    force = -2 if force == 1 else 0
-                if ub - max(0.0, coef) < rhs - 1e-9:
-                    force = -2 if force == 0 else 1
-            if force == -2:
-                return None
-            if force >= 0:
-                assign[i] = force
-                trail.append(i)
-                fixed.append(i)
-                break  # bounds are stale now; the worklist rescans
-        return fixed
-
-    def propagate(trail: list[int]) -> bool:
-        queue = list(dict.fromkeys(ri for v in trail for ri in var_rows[v])) or list(
-            range(len(rows))
-        )
-        while queue:
-            ri = queue.pop()
-            fixed = _scan_row(ri, trail)
-            if fixed is None:
-                return False
-            if fixed:
-                queue.append(ri)
-                for v in fixed:
-                    queue.extend(var_rows[v])
-        return True
-
+    # the leaf LP reads the rows with continuous terms
+    cr = nz_c.any(axis=1)
+    B, C, nz, base_rhs, max_lhs = Ab[cr], Ac[cr], nz_c[cr], rhs[cr], c_high[cr]
+    c_sense, c_le = sense[cr], le[cr]
+    c_eq = c_sense == "="
+    # single continuous-variable <= rows can force variables to zero
+    single_col = nz.argmax(axis=1)
+    single = c_le & (nz.sum(axis=1) == 1) & (C.max(axis=1) > 0) & (lbs_c[single_col] == 0.0)
     lp_cache: dict[bytes, tuple] = {}
 
     def solve_continuous():
         """Presolve + solve the continuous remainder for the full assignment."""
-        xbin = np.array([assign[i] for i in bin_idx], dtype=float)
-        rhs_eff = base_rhs - B @ xbin
-        live = ~(le_mask & (max_lhs <= rhs_eff + 1e-9))
+        rhs_eff = base_rhs - B @ x
+        live = ~(c_le & (max_lhs <= rhs_eff + 1e-9))
         key = live.tobytes() + np.round(rhs_eff[live], 9).tobytes()
         hit = lp_cache.get(key)
         if hit is not None:
             return hit
 
-        # fixed-point zero-forcing from single-variable <= rows
-        forced_zero = set()
-        live_idx = np.nonzero(live)[0]
-        for r in live_idx:
-            if single_var[r] >= 0 and rhs_eff[r] <= 1e-12:
-                forced_zero.add(single_var[r])
-        changed = True
-        while changed:
-            changed = False
-            for r in live_idx:
-                ri = cont_rows[r]
-                _, ct, sense, _ = rows[ri]
-                if sense != "=":
-                    continue
-                unfixed = [(i, coef) for i, coef in ct if i not in forced_zero]
-                if len(unfixed) == 1 and abs(rhs_eff[r]) <= 1e-12:
-                    i, coef = unfixed[0]
-                    if lbs[i] == 0.0 and i not in forced_zero:
-                        forced_zero.add(i)
-                        changed = True
+        # fixed-point zero-forcing: single-variable <= rows at rhs 0, then =
+        # rows at rhs 0 with one variable left unforced
+        forced_zero = np.zeros(len(lbs_c), dtype=bool)
+        forced_zero[single_col[live & single & (rhs_eff <= 1e-12)]] = True
+        eq_zero = live & c_eq & (np.abs(rhs_eff) <= 1e-12)
+        while True:
+            open_ = nz[eq_zero] & ~forced_zero
+            cols = open_[open_.sum(axis=1) == 1].argmax(axis=1)
+            cols = cols[lbs_c[cols] == 0.0]
+            if not cols.size:
+                break
+            forced_zero[cols] = True
 
-        keep_vars = sorted(
-            {i for r in live_idx for i, _ in rows[cont_rows[r]][1] if i not in forced_zero}
-            | ({obj_i} if obj_i not in forced_zero else set())
+        nz_live = nz[live]
+        keep_vars = nz_live.any(axis=0) & ~forced_zero
+        keep_vars[obj] = not forced_zero[obj]
+        rows, r_eff, r_sense = C[live][:, keep_vars], rhs_eff[live], c_sense[live]
+        empty = ~nz_live[:, keep_vars].any(axis=1)
+        ok = np.where(
+            r_sense == "<=", r_eff >= -1e-9, np.where(r_sense == ">=", r_eff <= 1e-9, np.abs(r_eff) <= 1e-9)
         )
-        pos = {i: j for j, i in enumerate(keep_vars)}
-        m = len(keep_vars)
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for r in live_idx:
-            ri = cont_rows[r]
-            _, ct, sense, _ = rows[ri]
-            arr = np.zeros(m)
-            nonzero = False
-            for i, coef in ct:
-                if i in pos:
-                    arr[pos[i]] += coef
-                    nonzero = True
-            r_eff = rhs_eff[r]
-            if not nonzero:
-                ok = (
-                    (sense == "<=" and r_eff >= -1e-9)
-                    or (sense == ">=" and r_eff <= 1e-9)
-                    or (sense == "=" and abs(r_eff) <= 1e-9)
-                )
-                if ok:
-                    continue
-                lp_cache[key] = (None, None)
-                return None, None
-            if sense == "<=":
-                a_ub.append(arr)
-                b_ub.append(r_eff)
-            elif sense == ">=":
-                a_ub.append(-arr)
-                b_ub.append(-r_eff)
-            else:
-                a_eq.append(arr)
-                b_eq.append(r_eff)
-        for i in keep_vars:
-            j = pos[i]
-            if lbs[i] > 0:
-                arr = np.zeros(m)
-                arr[j] = -1.0
-                a_ub.append(arr)
-                b_ub.append(-lbs[i])
-            if math.isfinite(ubs[i]):
-                arr = np.zeros(m)
-                arr[j] = 1.0
-                a_ub.append(arr)
-                b_ub.append(ubs[i])
+        if (empty & ~ok).any():
+            lp_cache[key] = (None, None)
+            return None, None
+
+        # <= rows and negated >= rows in row order, then each kept variable's
+        # lower-bound row followed by its upper-bound row
+        ineq, eq = ~empty & (r_sense != "="), ~empty & (r_sense == "=")
+        flip = np.where(r_sense[ineq] == ">=", -1.0, 1.0)
+        lo_k, hi_k = lbs_c[keep_vars], ubs_c[keep_vars]
+        m = len(lo_k)
+        col = np.arange(m)
+        box = np.zeros((2 * m, m))
+        box[2 * col, col], box[2 * col + 1, col] = -1.0, 1.0
+        box_rhs = np.column_stack([-lo_k, hi_k]).ravel()
+        box_on = np.column_stack([lo_k > 0, np.isfinite(hi_k)]).ravel()
         c = np.zeros(m)
-        if obj_i in pos:
-            c[pos[obj_i]] = 1.0
+        if keep_vars[obj]:
+            c[np.count_nonzero(keep_vars[:obj])] = 1.0
         res = simplex_solve(
             c,
-            np.array(a_ub) if a_ub else None,
-            np.array(b_ub) if b_ub else None,
-            np.array(a_eq) if a_eq else None,
-            np.array(b_eq) if b_eq else None,
+            np.vstack([rows[ineq] * flip[:, None], box[box_on]]),
+            np.concatenate([r_eff[ineq] * flip, box_rhs[box_on]]),
+            rows[eq],
+            r_eff[eq],
         )
         if res.status != "optimal":
             result = (None, None)
         else:
             # vars in dropped rows sit at their lower bound, which satisfies them
-            xc = np.array([lbs[i] for i in cont_idx])
-            for i in forced_zero:
-                xc[cont_pos[i]] = 0.0
-            for i in keep_vars:
-                xc[cont_pos[i]] = res.x[pos[i]]
-            value = float(xc[cont_pos[obj_i]])
-            result = (value, xc)
+            xc = lbs_c.copy()
+            xc[forced_zero] = 0.0
+            xc[keep_vars] = res.x
+            result = (float(xc[obj]), xc)
         lp_cache[key] = result
         return result
 
     # branch binaries the continuous rows can see first; don't-cares last
-    seen_in_cont = {i for r in range(n_cr) for i, _ in rows[cont_rows[r]][0]}
-    order = [i for i in bin_idx if assign[i] == -1 and i in seen_in_cont]
+    seen_in_cont = nz_b[cr].any(axis=0)
+    order = np.flatnonzero((x == -1) & seen_in_cont).tolist()
     semantic_len = len(order)
-    order += [i for i in bin_idx if assign[i] == -1 and i not in seen_in_cont]
+    order += np.flatnonzero((x == -1) & ~seen_in_cont).tolist()
 
+    names_bin = [model.variables[i].name for i in bin_idx]
+    names_cont = [model.variables[i].name for i in cont_idx]
     best_val = -math.inf
     best_vars: dict[str, float] | None = None
     nodes = 0
@@ -931,83 +828,71 @@ def solve_model_exhaustive(
         nonlocal best_val, best_vars, proven
         if value > best_val + 1e-12:
             best_val = value
-            best_vars = {}
-            for i in bin_idx:
-                best_vars[model.variables[i].name] = float(assign[i])
-            for i in cont_idx:
-                best_vars[model.variables[i].name] = float(xc[cont_pos[i]])
+            best_vars = dict(zip(names_bin, x.tolist()))
+            best_vars.update(zip(names_cont, xc.tolist()))
             if best_val >= obj_ub - 1e-12:
                 proven = True  # nothing can beat the objective bound
 
-    def complete_suffix(pos: int, trails: list[list[int]]) -> bool:
-        """First feasible assignment of the remaining binaries.  They appear
-        in no continuous row, so any completion leaves the LP unchanged."""
+    def count_node() -> bool:
+        """Count a node; False once the node or time budget is spent."""
         nonlocal nodes, truncated
         nodes += 1
         if nodes > max_nodes or (nodes % 512 == 0 and time.monotonic() - t0 > time_budget_s):
             truncated = True
+        return not truncated
+
+    def complete_suffix(pos: int) -> bool:
+        """First feasible assignment of the remaining binaries.  They appear
+        in no continuous row, so any completion leaves the LP unchanged."""
+        if not count_node():
             return False
-        while pos < len(order) and assign[order[pos]] != -1:
+        while pos < len(order) and x[order[pos]] != -1:
             pos += 1
         if pos == len(order):
             return True
-        var = order[pos]
-        for val in (1, 0):
-            trail = [var]
-            assign[var] = val
-            if propagate(trail) and complete_suffix(pos + 1, trails):
-                trails.append(trail)
+        var, saved = order[pos], x.copy()
+        for val in (1.0, 0.0):
+            x[var] = val
+            if propagate() and complete_suffix(pos + 1):
                 return True
-            for i in trail:
-                assign[i] = -1
+            x[:] = saved
             if truncated:
                 break
         return False
 
     def dfs(pos: int) -> bool:
-        nonlocal nodes, truncated
-        if proven:
+        if proven or not count_node():
             return False
-        nodes += 1
-        if nodes > max_nodes or (nodes % 512 == 0 and time.monotonic() - t0 > time_budget_s):
-            truncated = True
-            return False
-        while pos < len(order) and assign[order[pos]] != -1:
+        while pos < len(order) and x[order[pos]] != -1:
             pos += 1
+        saved = x.copy()
         if pos >= semantic_len:
-            trails: list[list[int]] = []
-            if complete_suffix(pos, trails):
+            if complete_suffix(pos):
                 value, xc = solve_continuous()
                 if value is not None:
                     record(value, xc)
-            for trail in reversed(trails):
-                for i in trail:
-                    assign[i] = -1
+            x[:] = saved
             return not proven and not truncated
         var = order[pos]
         grp = one_hot_group.get(var)
-        for val in (1, 0):
-            trail = [var]
-            assign[var] = val
-            if propagate(trail):
-                prune = False
-                if (
+        for val in (1.0, 0.0):
+            x[var] = val
+            carry_on = (
+                not propagate()
+                or (
                     best_vars is not None
                     and grp is not None
-                    and all(assign[b] != -1 for b in group_members[grp])
-                ):
-                    prune = objective_upper_bound() <= best_val + 1e-9
-                if not prune and not dfs(pos + 1):
-                    for i in trail:
-                        assign[i] = -1
-                    return False
-            for i in trail:
-                assign[i] = -1
+                    and (x[group_members[grp]] != -1).all()
+                    and objective_upper_bound() <= best_val + 1e-9
+                )
+                or dfs(pos + 1)
+            )
+            x[:] = saved
+            if not carry_on:
+                return False
         return True
 
-    root_trail: list[int] = []
-    feasible_root = propagate(root_trail)
-    if feasible_root:
+    if propagate():
         dfs(0)
     if truncated:
         return ("limit", best_val if best_vars else None, best_vars)

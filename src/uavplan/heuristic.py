@@ -494,7 +494,7 @@ def insertion_solve(
     w = s.payload_weights()
     cap = s.uav.payload_capacity_kg
 
-    unserved = sorted(p.id for p in s.payloads if p.deliverable)
+    unserved = sorted(s.deliverable_ids)
     tours: list[Tour] = []
     current: Tour | None = None
 

@@ -122,8 +122,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     depots = set(s.depot_ids)
     w = s.payload_weights()
     W, C, E = s.uav.empty_weight_kg, s.uav.payload_capacity_kg, s.uav.battery_capacity_wh
-    V = s.uav.max_step_km
-    reach = s.dist_km <= V + 1e-12
+    reach = s.reach
     q = s.quality
     n = s.demand
     t_uav = s.link_uav_mb
@@ -461,7 +460,7 @@ def model_size(s: Scenario) -> dict:
     )
     servable = int(sum(1 for m in s.service_mission_ids for z in range(Z) if s.quality[:, m, z].any()))
     n_req = sum(len(s.missions[m].requires) for m in s.service_mission_ids)
-    hops = int((s.dist_km[:, ~s.is_depot_arr()] <= s.uav.max_step_km + 1e-12).sum())
+    hops = int(s.reach[:, ~s.is_depot_arr()].sum())
     tight = int((s.link_uav_mb < s.link_uav_mb.max(initial=0.0)).sum())
     tight_sink = int((s.link_sink_mb < s.link_sink_mb.max(initial=0.0)).sum())
     rows = {

@@ -72,7 +72,7 @@ class Scenario:
 
     The derived ids, masks and weights below (``depot_ids``, ``relay_index``,
     ``service_mission_ids``, ``deliverable_ids``, ``equipment_ids``,
-    ``window_need``, ``needed_ratios``, ``payload_weights()``,
+    ``window_need``, ``needed_ratios``, ``reach``, ``payload_weights()``,
     ``is_depot_arr()``) are computed once per instance,
     on first use, and the arrays are read-only.  ``dataclasses.replace``
     builds a fresh instance, which computes its own.
@@ -175,6 +175,12 @@ class Scenario:
         service[list(self.service_mission_ids)] = True
         return _read_only((self.window_need > 0) & service[:, None])
 
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """(L, L) mask of the hops one epoch can fly (distance at most
+        ``uav.max_step_km``); read-only."""
+        return _read_only(self.dist_km <= self.uav.max_step_km + 1e-12)
+
     def payload_weights(self) -> np.ndarray:
         """(P,) payload weights in kg; read-only."""
         return self._payload_weights
@@ -231,11 +237,9 @@ def _index(value, size: int, what: str) -> int:
     """value as an index into range(size); negative, out-of-range or
     fractional values are rejected instead of wrapping or truncating."""
     try:
-        i = int(value)
-    except (TypeError, ValueError, OverflowError):
+        i = _integer(value, what)
+    except OverflowError:
         raise ScenarioError(f"{what} {value!r} is not an integer") from None
-    if i != value:
-        raise ScenarioError(f"{what} {value!r} is not an integer")
     if not 0 <= i < size:
         raise ScenarioError(f"{what} {value!r} is outside [0, {size})")
     return i

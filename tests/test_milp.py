@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -17,7 +19,7 @@ from uavplan.milp import (
 )
 from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, load_scenario, make_scenario
 
-from scenarios import tiny_delivery, tiny_mixed
+from scenarios import tiny_delivery, tiny_instance, tiny_mixed
 
 
 def delivery_only_two_epochs():
@@ -488,3 +490,55 @@ def test_tiny_mixed_export_optimum_matches_exact_engine():
         status, val, _ = solve_model_exhaustive(m, time_budget_s=300)
         assert status == "optimal"
         assert val == pytest.approx(res.objective, abs=1e-6)
+
+
+def battery_starved_delivery():
+    """tiny-delivery on a 13 Wh battery: no plan reaches the target and back."""
+    s = tiny_delivery()
+    return dataclasses.replace(s, uav=dataclasses.replace(s.uav, battery_capacity_wh=13.0))
+
+
+# (status, sha256 of repr(solve_model_exhaustive(...))), pinned before the
+# oracle was rewritten around one coefficient matrix; "seed-N" is criterion 2's
+# parsed export of tiny_instance(N), the rest are built models, two of them cut
+# off at max_nodes
+ORACLE_DIGESTS = {
+    "seed-1": ("optimal", "9b0885f74bc6d9fccd47e2fd21670a3efc2d05d4f2e8a922b4c34d7aca776207"),
+    "seed-3": ("optimal", "478ce4f8440516614a8aacf0de2b55b9e4fa59be2cfa2d917f14b50276606350"),
+    "seed-4": ("optimal", "69ab862e804f1350f95f9630407a867c9c539429ba5f137277e1e7572250cc7f"),
+    "seed-6": ("optimal", "702c60947855a2dd4d16de224c4c597bee81e39c2ae2bc9dc2fc17e0d930c48c"),
+    "seed-8": ("optimal", "264cf78d63cb2b8dd27b8606a62a4969b4ef6f6cc6f80a2442ce6bca4de189a2"),
+    "seed-10": ("optimal", "637684b843c4ad39eceddc9e9494913e19c2bb6732dd926df3758b9be1251978"),
+    "seed-11": ("optimal", "805f364c01089d49f1d6366b3f9cc05a357d1c53805a547dd24059bafb37fe54"),
+    "seed-12": ("optimal", "3d6f2bcc4256b424ab1c5ccef0d12cdde8ec64765d448c98b9ae7941dc049c7f"),
+    "seed-13": ("optimal", "aeb58fa1a75fae8bab25c0b877a0c7ae1fc320705e9c04b625eb564048978535"),
+    "seed-14": ("optimal", "976cfcae00ceb8b3a458487a25bebef693acde5874dbd3c5ab97573484c53470"),
+    "seed-15": ("optimal", "aeba626de9938d769290fa1d1fca5ddf8df86bf9cb33d1130fa68f5caa1ee470"),
+    "seed-16": ("optimal", "ecfc47c0fec1289e87dede9150684295533035014cfa876acf833db2bcd5fcd6"),
+    "seed-18": ("optimal", "7e8883133561a5e551370ea43588335341c6b9b07957512a4b1f275226f1cf46"),
+    "seed-20": ("optimal", "5a601ba4a9933afe7ce406d17fcc4842fb6ebcb2d4f346698831d93494351a6a"),
+    "tiny-mixed": ("optimal", "8dfb8e9a9d307dc5b5838c96e578f53a377827bdb912d7e6696d6f777329f20a"),
+    "tiny-delivery": ("optimal", "57765898f5054d08391089cd5676ceeb955850a8131577b43367160bf7fcf956"),
+    "battery-starved": ("infeasible", "6e5ec433a24b775184175f1671b80c697b78952e56f17e6123de59742f8b37fe"),
+    "tiny-mixed/3-nodes": ("limit", "7c0e63d71fa92375f8c2d783f4d49b61ed6d10a07c6a56cc572fb695278055f5"),
+    "tiny-mixed/400-nodes": ("limit", "d88bc1ef1403fe84ce05db238f7f994af1e46e5c06f98a61506abf86253b8122"),
+}
+
+
+def _oracle_case(name):
+    """The model and keyword arguments ORACLE_DIGESTS[name] was pinned on."""
+    if name.startswith("seed-"):
+        return parse_lp(export_lp(build_milp(tiny_instance(int(name[5:]))))), {}
+    if name.startswith("tiny-mixed"):
+        nodes = name.partition("/")[2].removesuffix("-nodes")
+        return build_milp(tiny_mixed()), ({"max_nodes": int(nodes)} if nodes else {})
+    return build_milp({"tiny-delivery": tiny_delivery, "battery-starved": battery_starved_delivery}[name]()), {}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DIGESTS))
+def test_oracle_output_matches_pinned_digest(name):
+    model, kwargs = _oracle_case(name)
+    result = solve_model_exhaustive(model, **kwargs)
+    status, digest = ORACLE_DIGESTS[name]
+    assert result[0] == status
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == digest

@@ -226,6 +226,20 @@ class TestDerivedData:
         assert s2.is_depot_arr().tolist() == [False, True, False]
         assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
 
+    def test_reach_is_read_only_and_follows_max_step(self):
+        import dataclasses
+
+        s = tiny_mixed()
+        want = s.dist_km <= s.uav.max_step_km + 1e-12
+        assert np.array_equal(s.reach, want) and s.reach is s.reach
+        with pytest.raises(ValueError):
+            s.reach[0, 1] = not s.reach[0, 1]
+        step = float(np.unique(s.dist_km)[1])  # the shortest hop only
+        s2 = dataclasses.replace(s, uav=dataclasses.replace(s.uav, max_step_km=step))
+        assert np.array_equal(s2.reach, s2.dist_km <= step + 1e-12)
+        assert not np.array_equal(s2.reach, s.reach)
+        assert np.array_equal(s.reach, want)
+
     @pytest.mark.parametrize("horizon", [0, 1, 2, 4])
     def test_window_need_matches_loop(self, horizon):
         import dataclasses
