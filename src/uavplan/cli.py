@@ -42,10 +42,16 @@ EXIT_INTERNAL = 4
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a .tmp file, which is removed if the
+    replace fails (path a directory, say)."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.remove(tmp)
+        raise
 
 
 def _write_manifest(
@@ -487,7 +493,7 @@ def main(argv=None) -> int:
         ValueError,
         OverflowError,  # an infinite integer field, such as "epochs": Infinity
         KeyError,
-        FileNotFoundError,
+        OSError,  # unreadable or unwritable paths: missing, a directory, no permission
         json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -442,14 +442,26 @@ def plan_to_dict(p: Plan) -> dict:
     }
 
 
+def _is_number(value) -> bool:
+    """Python and numpy numbers; text and booleans, which int() and float()
+    would take, are not."""
+    return type(value) in (int, float) or (
+        isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
+    )
+
+
 def _index(value, size: int, what: str) -> int:
-    """value as an index into range(size); negative or out-of-range values
-    are rejected instead of wrapping."""
-    try:
-        i = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"plan {what} index {value!r} is not an integer") from None
-    if i != value or not 0 <= i < size:
+    """value as an index into range(size); text, booleans and fractions are
+    rejected, and negative or out-of-range values instead of wrapping."""
+    i = value
+    if type(value) is not int:
+        try:
+            i = int(value) if _is_number(value) else None
+        except (ValueError, OverflowError):  # nan and inf
+            i = None
+        if i is None or i != value:
+            raise ValueError(f"plan {what} index {value!r} is not an integer")
+    if not 0 <= i < size:
         raise ValueError(f"plan {what} index {value!r} is outside [0, {size})")
     return i
 
@@ -464,10 +476,15 @@ def _rows(doc: dict, key: str, width: int) -> list:
 
 
 def _finite(value, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"plan {what} value {value!r} is not a number") from None
+    """value as a finite float; text, booleans and null are rejected."""
+    x = value
+    if type(value) is not float:
+        if not _is_number(value):
+            raise ValueError(f"plan {what} value {value!r} is not a number")
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
     if not math.isfinite(x):
         raise ValueError(f"plan {what} value {value!r} is not finite")
     return x
@@ -475,17 +492,20 @@ def _finite(value, what: str) -> float:
 
 def plan_from_dict(doc: dict, s: Scenario) -> Plan:
     """Plan from its file form.  Raises ValueError on rows whose indices fall
-    outside the scenario or whose values are not finite.  Location ids out of
-    range are plan data: check_feasibility reports them as LOC-UNIQUE."""
+    outside the scenario, on text or booleans where numbers belong, and on
+    values that are not finite.  Location ids out of range are plan data:
+    check_feasibility reports them as LOC-UNIQUE."""
     D, K = s.num_uavs, s.epochs
     P, M, Z = s.num_payloads, s.num_missions, s.num_zones
     if not isinstance(doc, dict):
         raise ValueError("a plan must be a JSON object")
     p = Plan.idle(s)
+    if not all(map(_is_number, np.array(doc["locations"], dtype=object).flat)):
+        raise ValueError("plan locations are not integers: an entry is not a number")
     try:
         locs = np.array(doc["locations"], dtype=int)
         integral = np.array_equal(locs, np.array(doc["locations"], dtype=float))
-    except (TypeError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"plan locations are not integers: {exc}") from None
     if locs.shape != (D, K):
         raise ValueError(f"plan locations have shape {locs.shape}, scenario expects {(D, K)}")

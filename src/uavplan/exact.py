@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,13 +58,20 @@ class ExactResult:
 
 @dataclass(frozen=True)
 class _Config:
-    """One UAV's complete binary decisions: location and payload per epoch."""
+    """One UAV's complete binary decisions: location and payload per epoch.
+
+    quality and relay record what it can serve: quality is (K, M, Z), the
+    quality at its location for every service mission its aboard set equips,
+    zero elsewhere; relay is (K,), the epochs that carry the relay equipment.
+    Both are read-only and take no part in equality or hashing."""
 
     locs: tuple[int, ...]
     aboard: tuple[frozenset, ...]
     delivered: frozenset  # deliverable payload ids this config drops in-window
     epochs_away: int
     min_battery: float
+    quality: np.ndarray = field(compare=False, repr=False)
+    relay: np.ndarray = field(compare=False, repr=False)
 
 
 def _payload_subsets(s: Scenario, forced_on: frozenset, forbidden: frozenset) -> list[frozenset]:
@@ -153,6 +160,13 @@ def enumerate_configs(
     locs: list[int] = []
     aboard: list[frozenset] = []
     idle_set = _depot_idle_set(s, forced_on, forbidden)
+    # per aboard set: the service missions it equips, and whether it relays
+    service, relay = s.service_mission_ids, s.relay_index
+    serves = {
+        a: np.array([m in service and _equipped(s, m, a) for m in range(s.num_missions)], dtype=bool)
+        for a in [*subsets, idle_set]
+    }
+    relays = {a: relay is not None and _equipped(s, relay, a) for a in serves}
 
     def finish(min_batt: float):
         delivered = set()
@@ -163,7 +177,13 @@ def enumerate_configs(
                     delivered.add(p.id)
                     break
         away = sum(1 for l in locs if l not in depots)
-        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt))
+        quality = np.where(np.array([serves[a] for a in aboard])[:, :, None], s.quality[locs], 0.0)
+        relay_at = np.array([relays[a] for a in aboard])
+        quality.setflags(write=False)
+        relay_at.setflags(write=False)
+        out.append(
+            _Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, quality, relay_at)
+        )
 
     def rec(k: int, battery: float, active: frozenset | None, min_batt: float):
         if k == K - 1:
@@ -231,9 +251,8 @@ def _equipped(s: Scenario, mission_id: int, aboard: frozenset) -> bool:
 class _Capability:
     """What one config offers the objective bound, computed once per config.
 
-    quality is (K, M, Z): the quality at its location for every service
-    mission it is equipped for, zero elsewhere.  servers and time_need cover
-    the needed cells, the (epoch, zone) pairs with window need on some
+    quality is the config's own (K, M, Z) record.  servers and time_need
+    cover the needed cells, the (epoch, zone) pairs with window need on some
     service mission, in row-major order.  servers counts the config's epochs
     in the window ending at that epoch that can serve the zone (have a mu
     column); time_need is (cells, M), each mission's window need over the
@@ -260,18 +279,13 @@ class _Capability:
 
 
 def _capability(s: Scenario, cfg: _Config) -> _Capability:
-    equipped = np.zeros((s.epochs, s.num_missions, 1), dtype=bool)
-    for k, aboard in enumerate(cfg.aboard):
-        for m in s.service_mission_ids:
-            equipped[k, m] = _equipped(s, m, aboard)
-    quality = np.where(equipped, s.quality[list(cfg.locs)], 0.0)
-    offered = np.where(s.demand > 0, quality, 0.0)  # nonzero where it has a mu column
+    offered = np.where(s.demand > 0, cfg.quality, 0.0)  # nonzero where it has a mu column
     best = np.array([offered[max(0, k - s.horizon) : k + 1].max(axis=0) for k in range(s.epochs)])
     with np.errstate(divide="ignore", invalid="ignore"):
         time_need = np.where(s.needed_ratios, s.window_need / best, 0.0)
     servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)
     cells = s.needed_ratios.any(axis=1)
-    return _Capability(quality, servers[cells], time_need.transpose(0, 2, 1)[cells])
+    return _Capability(cfg.quality, servers[cells], time_need.transpose(0, 2, 1)[cells])
 
 
 def _objective_upper_bound(s: Scenario, prefix, last: _Capability) -> np.ndarray:
@@ -302,186 +316,120 @@ def _objective_upper_bound(s: Scenario, prefix, last: _Capability) -> np.ndarray
     return np.minimum(np.minimum(ratios.min(axis=1), budget.min(axis=1)), 1.0)
 
 
+def _number(mask: np.ndarray, start=0) -> np.ndarray:
+    """start, start + 1, ... over mask's True entries in row-major order, -1
+    elsewhere; numbered from 0, its max + 1 counts the entries."""
+    index = np.full(mask.shape, -1)
+    index[mask] = np.arange(start, start + np.count_nonzero(mask))
+    return index
+
+
+def _stack_rows(families, ncols):
+    """One dense matrix and right-hand side from row families in order, or
+    (None, None) without rows.  A family is (rhs, *entries), each entry
+    (rows, cols, values) with rows numbered within the family."""
+    rhs = np.concatenate([b for b, *_ in families])
+    if not rhs.size:
+        return None, None
+    a = np.zeros((rhs.size, ncols))
+    at = 0
+    for b, *entries in families:
+        for rows, cols, values in entries:
+            a[at + rows, cols] = values
+        at += b.size
+    return a, rhs
+
+
 def _inner_lp(s: Scenario, assignment):
-    """LP over (mu, rho, tau, sigma, sigma_bar, Gamma) for fixed trajectories.
+    """LP over (mu, rho, tau, tausink, sigma, sigma_bar, Gamma) for fixed
+    trajectories.
 
-    Returns (gamma, var_values, simplex iterations) where var_values maps
-    structured keys to their nonzero values."""
-    service = list(s.service_mission_ids)
-    if not service:
-        return 1.0, {}, 0
-    D, K, Z = len(assignment), s.epochs, s.num_zones
-    win_need = s.window_need
-    ridx = s.relay_index
-    q = s.quality
-    n = s.demand
-    rates = {m: s.missions[m].mb_per_work for m in service}
+    Each column family is a mask, numbered in row-major order: mu (D, K, M, Z)
+    where the config offers quality and the zone has demand, rho (D, K) where
+    it carries the relay equipment, tau (D, D, K) and tausink (D, K) where
+    that relay has a link, sigma (K, M, Z) on the needed ratios and sigma_bar
+    (M,) on the service missions; Gamma is last.  Returns (gamma, flows,
+    simplex iterations), flows being the optimum's mission_alloc,
+    relay_frac, transfers and sink_transfers plan arrays."""
+    D, K, M, Z = len(assignment), s.epochs, s.num_missions, s.num_zones
+    flows = (np.zeros((D, K, M, Z)), np.zeros((D, K)), np.zeros((D, D, K)), np.zeros((D, K)))
+    if not s.service_mission_ids:
+        return 1.0, flows, 0
+    locs = np.array([cfg.locs for cfg in assignment])
+    quality = np.stack([cfg.quality for cfg in assignment])
+    mu = (quality > 0) & (s.demand > 0)
+    rho = np.stack([cfg.relay for cfg in assignment])
+    link, sink_link = s.link_uav_mb[locs[:, None], locs[None]], s.link_sink_mb[locs]  # (D, D, K), (D, K)
+    tau = rho[:, None] & (link > 0) & ~np.eye(D, dtype=bool)[:, :, None]
+    sink = rho & (sink_link > 0)
+    sig = s.needed_ratios
+    serving = np.zeros(M, dtype=bool)
+    serving[list(s.service_mission_ids)] = True
+    masks = (mu, rho, tau, sink, sig, serving)
+    at = np.cumsum([0] + [np.count_nonzero(mask) for mask in masks])
+    mu_col, rho_col, tau_col, sink_col, sig_col, bar_col = map(_number, masks, at)
+    gamma = at[-1]
+    d, k, m, z = np.nonzero(mu)
+    mu_cols, mu_q = mu_col[mu], quality[mu]
+    d1, d2, k_tau = np.nonzero(tau)
+    tau_cols, sink_cols = tau_col[tau], sink_col[sink]
+    # one capacity row per tau, then per tausink, against the sender's rho
+    caps = np.concatenate([tau_cols, sink_cols])
+    senders = np.concatenate([rho_col[d1, k_tau], rho_col[sink]])
+    cap_mb = np.concatenate([link[tau], sink_link[sink]])
+    k_sig, m_sig, z_sig = np.nonzero(sig)
+    sig_cols, bars = sig_col[sig], bar_col[serving]
+    cell, j = np.arange(len(sig_cols)), np.arange(len(bars))
 
-    cols: list[tuple] = []
-    col_of: dict[tuple, int] = {}
+    budget, need, lines = _number(mu.any(axis=(2, 3)) | rho), _number(mu.any(axis=0)), np.arange(len(caps))
+    ub = [
+        # time budget per UAV-epoch
+        (np.ones(budget.max() + 1), (budget[d, k], mu_cols, 1.0), (budget[rho], rho_col[rho], 1.0)),
+        # zone needs per epoch
+        (s.demand[need >= 0], (need[k, m, z], mu_cols, mu_q)),
+        # relay link capacities
+        (np.zeros(len(caps)), (lines, caps, 1.0), (lines, senders, -cap_mb)),
+        # each sigma bounds its sigma_bar and is at most 1
+        (np.tile([0.0, 1.0], len(cell)), (2 * cell, bar_col[m_sig], 1.0), (2 * cell, sig_cols, -1.0),
+         (2 * cell + 1, sig_cols, 1.0)),
+        # each sigma_bar is at most 1 and bounds Gamma
+        (np.tile([1.0, 0.0], len(j)), (2 * j, bars, 1.0), (2 * j + 1, gamma, 1.0), (2 * j + 1, bars, -1.0)),
+    ]
+    eq = []
+    if s.relay_index is not None:  # flow conservation per UAV-epoch
+        rate = np.array([mission.mb_per_work for mission in s.missions])[:, None]  # (M, 1)
+        sending = mu & (rate != 0)
+        flow = _number(sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1) | sink)
+        data = (flow[np.nonzero(sending)[:2]], mu_col[sending], (rate * quality)[sending])
+        relayed = (flow[d2, k_tau], tau_cols, 1.0), (flow[d1, k_tau], tau_cols, -1.0)
+        eq.append((np.zeros(flow.max() + 1), data, *relayed, (flow[sink], sink_cols, -1.0)))
+    # each sigma's definition over the mu of its window, one lag at a time
+    defined = [(cell, sig_cols, s.window_need[sig])]
+    for lag in range(min(s.horizon, K - 1) + 1):
+        cells = cell[k_sig >= lag]
+        h, mc, zc = k_sig[cells] - lag, m_sig[cells], z_sig[cells]
+        cols = mu_col[:, h, mc, zc]  # (D, cells): each UAV's mu lag epochs back
+        has = cols >= 0
+        defined.append((np.broadcast_to(cells, cols.shape)[has], cols[has], -quality[:, h, mc, zc][has]))
+    eq.append((np.zeros(len(cell)), *defined))
 
-    def add_col(key) -> int:
-        col_of[key] = len(cols)
-        cols.append(key)
-        return col_of[key]
-
-    mu_cols: dict[tuple, list] = {}  # (d, k) -> that UAV-epoch's mu keys
-    for d, cfg in enumerate(assignment):
-        for k in range(K):
-            l = cfg.locs[k]
-            keys = mu_cols[d, k] = []
-            for m in service:
-                if not _equipped(s, m, cfg.aboard[k]):
-                    continue
-                for z in range(Z):
-                    if q[l, m, z] > 0 and n[k, m, z] > 0:
-                        keys.append(("mu", d, k, m, z))
-                        add_col(keys[-1])
-    if ridx is not None:
-        for d, cfg in enumerate(assignment):
-            for k in range(K):
-                if _equipped(s, ridx, cfg.aboard[k]):
-                    add_col(("rho", d, k))
-        for d1, c1 in enumerate(assignment):
-            for d2, c2 in enumerate(assignment):
-                if d1 == d2:
-                    continue
-                for k in range(K):
-                    if ("rho", d1, k) in col_of and s.link_uav_mb[c1.locs[k], c2.locs[k]] > 0:
-                        add_col(("tau", d1, d2, k))
-        for d, cfg in enumerate(assignment):
-            for k in range(K):
-                if ("rho", d, k) in col_of and s.link_sink_mb[cfg.locs[k]] > 0:
-                    add_col(("tausink", d, k))
-    for k in range(K):
-        for m in service:
-            for z in range(Z):
-                if win_need[k, m, z] > 0:
-                    add_col(("sig", k, m, z))
-    for m in service:
-        add_col(("sigbar", m))
-    gamma_col = add_col(("Gamma",))
-
-    ncols = len(cols)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-
-    def row(pairs, sense, rhs):
-        arr = np.zeros(ncols)
-        for key, coef in pairs:
-            arr[col_of[key]] += coef
-        if sense == "<=":
-            a_ub.append(arr)
-            b_ub.append(rhs)
-        else:
-            a_eq.append(arr)
-            b_eq.append(rhs)
-
-    # time budget per UAV-epoch
-    for d in range(D):
-        for k in range(K):
-            pairs = [(key, 1.0) for key in mu_cols[d, k]]
-            if ("rho", d, k) in col_of:
-                pairs.append((("rho", d, k), 1.0))
-            if pairs:
-                row(pairs, "<=", 1.0)
-    # zone needs per epoch
-    for k in range(K):
-        for m in service:
-            for z in range(Z):
-                pairs = [
-                    (("mu", d, k, m, z), q[assignment[d].locs[k], m, z])
-                    for d in range(D)
-                    if ("mu", d, k, m, z) in col_of
-                ]
-                if pairs:
-                    row(pairs, "<=", n[k, m, z])
-    # flow conservation and relay capacity
-    if ridx is not None:
-        for d in range(D):
-            for k in range(K):
-                pairs = []
-                for m in service:
-                    if rates[m] == 0:
-                        continue
-                    for z in range(Z):
-                        if ("mu", d, k, m, z) in col_of:
-                            pairs.append(
-                                (("mu", d, k, m, z), rates[m] * q[assignment[d].locs[k], m, z])
-                            )
-                for d2 in range(D):
-                    if ("tau", d2, d, k) in col_of:
-                        pairs.append((("tau", d2, d, k), 1.0))
-                    if ("tau", d, d2, k) in col_of:
-                        pairs.append((("tau", d, d2, k), -1.0))
-                if ("tausink", d, k) in col_of:
-                    pairs.append((("tausink", d, k), -1.0))
-                if pairs:
-                    row(pairs, "=", 0.0)
-        for key in cols:
-            if key[0] == "tau":
-                _, d1, d2, k = key
-                cap = s.link_uav_mb[assignment[d1].locs[k], assignment[d2].locs[k]]
-                row([(key, 1.0), (("rho", d1, k), -cap)], "<=", 0.0)
-            elif key[0] == "tausink":
-                _, d, k = key
-                cap = s.link_sink_mb[assignment[d].locs[k]]
-                row([(key, 1.0), (("rho", d, k), -cap)], "<=", 0.0)
-    # satisfaction definitions and the epigraph
-    for k in range(K):
-        lo = max(0, k - s.horizon)
-        for m in service:
-            for z in range(Z):
-                if win_need[k, m, z] <= 0:
-                    continue
-                pairs = [(("sig", k, m, z), win_need[k, m, z])]
-                for h in range(lo, k + 1):
-                    for d in range(D):
-                        if ("mu", d, h, m, z) in col_of:
-                            pairs.append((("mu", d, h, m, z), -q[assignment[d].locs[h], m, z]))
-                row(pairs, "=", 0.0)
-                row([(("sigbar", m), 1.0), (("sig", k, m, z), -1.0)], "<=", 0.0)
-                row([(("sig", k, m, z), 1.0)], "<=", 1.0)
-    for m in service:
-        row([(("sigbar", m), 1.0)], "<=", 1.0)
-        row([(("Gamma",), 1.0), (("sigbar", m), -1.0)], "<=", 0.0)
-
-    c = np.zeros(ncols)
-    c[gamma_col] = 1.0
-    res = simplex_solve(
-        c,
-        np.array(a_ub) if a_ub else None,
-        np.array(b_ub) if b_ub else None,
-        np.array(a_eq) if a_eq else None,
-        np.array(b_eq) if b_eq else None,
-    )
+    c = np.zeros(gamma + 1)
+    c[gamma] = 1.0
+    res = simplex_solve(c, *_stack_rows(ub, gamma + 1), *_stack_rows(eq, gamma + 1))
     if res.status != "optimal":  # all-zero service is always feasible
         raise RuntimeError(f"inner LP came back {res.status}")
-    values = {cols[i]: float(res.x[i]) for i in res.x.nonzero()[0]}
-    return float(res.value), values, res.iterations
+    for plan_array, mask, col in zip(flows, masks, (mu_col, rho_col, tau_col, sink_col)):
+        plan_array[mask] = res.x[col[mask]]
+    return float(res.value), flows, res.iterations
 
 
-def _assignment_plan(s: Scenario, assignment, lp_values) -> Plan:
-    D, K = len(assignment), s.epochs
-    p = Plan.idle(s)
-    p.locations = np.array([cfg.locs for cfg in assignment], dtype=int)
+def _assignment_plan(s: Scenario, assignment, flows) -> Plan:
+    """The plan of the assignment's configs and the inner LP's flows."""
+    payloads = np.zeros((len(assignment), s.epochs, s.num_payloads), dtype=bool)
     for d, cfg in enumerate(assignment):
-        for k in range(K):
-            for pid in cfg.aboard[k]:
-                p.payloads[d, k, pid] = True
-    for key, val in lp_values.items():
-        if key[0] == "mu":
-            _, d, k, m, z = key
-            p.mission_alloc[d, k, m, z] = val
-        elif key[0] == "rho":
-            _, d, k = key
-            p.relay_frac[d, k] = val
-        elif key[0] == "tau":
-            _, d1, d2, k = key
-            p.transfers[d1, d2, k] = val
-        elif key[0] == "tausink":
-            _, d, k = key
-            p.sink_transfers[d, k] = val
-    return p
+        for k, aboard in enumerate(cfg.aboard):
+            payloads[d, k, list(aboard)] = True
+    return Plan(np.array([cfg.locs for cfg in assignment], dtype=int), payloads, *flows)
 
 
 def solve_exact(
@@ -525,7 +473,7 @@ def solve_exact(
 
     t0 = time.monotonic()
     visited = lp_solves = iterations = prunes = 0
-    best = None  # (gamma, epochs_away, flat_indices, assignment, lp_values)
+    best = None  # (gamma, epochs_away, flat_indices, assignment, flows)
     truncated = False
     batch_prefix = batch_start = bounds = None
 
@@ -566,14 +514,14 @@ def solve_exact(
             if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and away >= best[1]):
                 prunes += 1
                 continue
-        gamma, values, its = _inner_lp(s, assignment)
+        gamma, flows, its = _inner_lp(s, assignment)
         lp_solves += 1
         iterations += its
         better = best is None or gamma > best[0] + 1e-12
         if not better and best is not None and gamma >= best[0] - 1e-12:
             better = (away, flat) < (best[1], best[2])
         if better:
-            best = (gamma, away, flat, list(assignment), values)
+            best = (gamma, away, flat, list(assignment), flows)
 
     counters = dict(lp_solves=lp_solves, simplex_iterations=iterations, bound_prunes=prunes)
     if best is None:

@@ -246,11 +246,13 @@ def _index(value, size: int, what: str) -> int:
 
 
 def _integer(value, what: str) -> int:
-    """value as an int; fractional and non-numeric values are rejected
-    instead of truncated.  int() raises OverflowError on an infinite value,
-    which the CLI reports as bad input too."""
+    """value as an int; fractional and non-numeric values, booleans among
+    them, are rejected instead of truncated.  int() raises OverflowError on an
+    infinite value, which the CLI reports as bad input too."""
     if type(value) is int:
         return value
+    if isinstance(value, (bool, np.bool_)):
+        raise ScenarioError(f"{what} {value!r} is not an integer")
     try:
         i = int(value)
     except (TypeError, ValueError):
@@ -261,10 +263,11 @@ def _integer(value, what: str) -> int:
 
 
 def _number(value, what: str) -> float:
-    """value as a float; text (which float() would parse) and null are rejected."""
+    """value as a float; text (which float() would parse), booleans and null
+    are rejected."""
     if type(value) is float:
         return value
-    if isinstance(value, str):
+    if isinstance(value, (str, bool, np.bool_)):
         raise ScenarioError(f"{what} {value!r} is not a number")
     try:
         return float(value)

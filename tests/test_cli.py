@@ -42,6 +42,13 @@ class TestGenerate:
         assert run("generate", "--dims", "0,0,0,0,0", "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err
 
+    def test_out_directory_exit_2_and_no_tmp_left(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert run("generate", "--preset", "sf-small", "--seed", 1, "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
 
 class TestValidate:
     def test_valid_scenario(self, sf_small_file):
@@ -51,6 +58,12 @@ class TestValidate:
         bad = tmp_path / "bad.scenario"
         bad.write_text("{ nope")
         assert run("validate", bad) == 2
+
+    @pytest.mark.parametrize("name", ["", "missing.scenario"])
+    def test_unreadable_path_exit_2(self, tmp_path, capsys, name):
+        """A directory (IsADirectoryError) or a missing file."""
+        assert run("validate", tmp_path / name) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "field, value",
@@ -119,6 +132,10 @@ class TestValidate:
             (("locations", 1, "depot"), "no", "locations[1]: depot 'no' is not true or false"),
             (("missions", 0, "name"), 5, "missions[0]: name 5 is not a string"),
             (("payloads", 0, "name"), 5, "payloads[0]: name 5 is not a string"),
+            (("uavs", "count"), True, "uavs: count True is not an integer"),
+            (("payloads", 0, "weight_kg"), True, "payloads[0]: weight_kg True is not a number"),
+            (("demand", 0, 0), True, "demand[0]: epoch True is not an integer"),
+            (("demand", 0, 3), True, "demand[0]: value True is not a number"),
         ],
     )
     def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):
@@ -294,6 +311,13 @@ class TestEvaluate:
             ("transfers", [0, 2, 1, 1.0]),
             ("transfers", [0, -2, 1, 1.0]),
             ("transfers", [0, "omega", 1, float("-inf")]),
+            ("relay", [0, 1, "0.5"]),  # float() would parse the text
+            ("relay", [0, 1, True]),
+            ("missions", [0, 1, 0, 0, True]),
+            ("payloads", [True, 0, 0]),  # int() would read it as UAV 1
+            ("payloads", ["0", 0, 0]),
+            ("transfers", [0, "1", 1, 1.0]),
+            ("relay", [0, 1, 10**400]),  # beyond the float range
         ],
     )
     def test_bad_plan_rows_exit_2(self, tmp_path, capsys, field, row):
@@ -304,7 +328,21 @@ class TestEvaluate:
         plan_file = tmp_path / "bad.json"
         plan_file.write_text(json.dumps(doc))  # NaN and Infinity as JSON extensions
         assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
-        assert capsys.readouterr().err.startswith("error: plan ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan ")
+        if isinstance(row, list) and any(isinstance(v, (str, bool)) and v != "omega" for v in row[:-1]):
+            assert "is not an integer" in err  # not "is outside [0, D)"
+
+    @pytest.mark.parametrize("location", ["0", True, None, [1], 0.5, float("nan")])
+    def test_bad_locations_exit_2(self, tmp_path, capsys, location):
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        doc = json.loads(serialize_plan(Plan.idle(load_scenario(scen.read_text()))))
+        doc["locations"][0][1] = location
+        plan_file = tmp_path / "bad-loc.json"
+        plan_file.write_text(json.dumps(doc))
+        assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
+        assert capsys.readouterr().err.startswith("error: plan locations are not integers")
 
 
 class TestCompare:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import zlib
 from unittest import mock
@@ -395,3 +396,87 @@ class TestBoundSoundness:
         first, *rest = [[_capability(s, c).quality.tobytes() for picks in combo for c in picks] for combo in combos]
         assert solved == [first] + [qualities for qualities in rest if keep(qualities)]
         assert 0 < res.bound_prunes < len(rest)
+
+
+# -- pinned bytes: the inner LPs and results of the exact engine -------------------
+
+BINDING_LINKS = dict(link_uav_entries=[(0, 2, 2.0), (1, 1, 9e4)], link_sink_entries=[(2, 6e4)])
+
+PINNED_CASES = {
+    **{
+        f"flex-fixed-{seed}-{mode}": (lambda seed=seed: flex_fixed_scenario(seed, 4), mode)
+        for seed in (1, 2, 3)
+        for mode in ("flexible", "fixed")
+    },
+    "tiny-mixed-uniform-links": (tiny_mixed, "flexible"),
+    "tiny-mixed-binding-links": (lambda: tiny_mixed(**BINDING_LINKS), "flexible"),
+}
+
+# sha256 of every (c, a_ub, b_ub, a_eq, b_eq) solve_exact hands the simplex,
+# then of the ExactResult fields and plan arrays
+PINNED_DIGESTS = {
+    "flex-fixed-1-flexible": (
+        "ca54ed3ad0dda8e4577fe464750fa62831ffb3e1238251328ffdf491e0e9b7dd",
+        "37fa1f8b316d3006d72b89a027eacb3b7d3a7110f23106243c7c01013b23f661",
+    ),
+    "flex-fixed-1-fixed": (
+        "b666108b39ceb6d70cd87daa3a68eb0f11671472279c30674f4d014aa417327b",
+        "36f3f0803327010830dd17899bf6b0a9a6b8f25f28871624500e0752bcc00b3d",
+    ),
+    "flex-fixed-2-flexible": (
+        "34ce5c35ed41a2a984747772270eede78eb1a55c33468dbcb367b28feacfd081",
+        "2851c63d15f2e6cb79774cc3251c2ccffdf5857b35234719d542455a144f2875",
+    ),
+    "flex-fixed-2-fixed": (
+        "9665c9a9bfede17a8d070bb04c35316c3b6106bd466ddc2f72e12843f613101d",
+        "1757259c24810c03f640139807e3f56815fb72161af61a4ce72b9a20ef1b120c",
+    ),
+    "flex-fixed-3-flexible": (
+        "9891c73c90dfb770481852ef574412cc86babf1c2cca202dd771284f9c3f0271",
+        "5db499a8415ffdc68ca6beed478433731c751dc8721ffa717f94f1459b175ffe",
+    ),
+    "flex-fixed-3-fixed": (
+        "98821457632c95ae1902490addf653bfa72c032c712525445420dc6cb7164ed0",
+        "64bc7c7bfe5b12ade802a1f5dad6ec1e79620243627ba52a07eddf71e135195a",
+    ),
+    "tiny-mixed-uniform-links": (
+        "1395803a41664a10301ee5bb375dfa489873fa38af1bcc6c4244a5571f73d7c5",
+        "64fab4232c18976dab928e0294a5d74cc1c098011d37fb0317ad85c5847f8460",
+    ),
+    "tiny-mixed-binding-links": (
+        "3408c2e27b465cca499d3b695b04d836c54f1d1fa2fc6645302390b013d584bf",
+        "ff83f68227b7bc9f1b98ef5aa8013fad2305e218c6baa88b79b95a100915b1e0",
+    ),
+}
+
+
+def _array_bytes(a) -> bytes:
+    if a is None:
+        return b"None"
+    a = np.asarray(a)
+    return f"{a.dtype.str}{a.shape}".encode() + a.tobytes()
+
+
+def _exact_digests(s, mode):
+    lps = hashlib.sha256()
+    solve = exact.simplex_solve
+
+    def recording_solve(*args):
+        for a in args:
+            lps.update(_array_bytes(a))
+        return solve(*args)
+
+    with mock.patch.object(exact, "simplex_solve", recording_solve):
+        res = solve_exact(s, equipment_groups=_groups(s, mode))
+    out = hashlib.sha256()
+    fields = dataclasses.astuple(dataclasses.replace(res, plan=None))
+    out.update(repr(fields).encode())
+    for f in dataclasses.fields(res.plan):
+        out.update(f.name.encode() + _array_bytes(getattr(res.plan, f.name)))
+    return lps.hexdigest(), out.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PINNED_CASES))
+def test_exact_engine_bytes_pinned(case):
+    build, mode = PINNED_CASES[case]
+    assert _exact_digests(build(), mode) == PINNED_DIGESTS[case]
