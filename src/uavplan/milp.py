@@ -22,6 +22,7 @@ asserted in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -70,31 +71,37 @@ class MilpModel:
 def _name(symbol: str, indices) -> str:
     if not indices:
         return symbol
-    return symbol + "_" + "_".join(str(i) for i in indices)
+    return symbol + "_" + "_".join(map(str, indices))
 
 
 class _Builder:
-    """Accumulates variables and linear rows; the only way terms enter a model."""
+    """Accumulates variables and linear rows; the only way terms enter a model.
+
+    Columns are looked up by (symbol, indices), so a term costs one dict
+    lookup; the name string is joined once, in add_var.  Terms arrive as
+    (column, float) pairs: build_milp reads its coefficients from Python
+    lists, never numpy scalars, so rows are stored as given."""
 
     def __init__(self):
         self.vars: list[Var] = []
-        self.index: dict[str, int] = {}
+        self.index: dict[tuple, int] = {}
         self.rows: list[Constraint] = []
 
     def add_var(self, symbol, indices=(), kind="continuous", lb=0.0, ub=math.inf) -> int:
-        name = _name(symbol, indices)
+        key = (symbol, tuple(indices))
+        name = _name(*key)
         if kind == "binary" and math.isinf(ub):
             ub = 1.0
-        if name in self.index:
+        if key in self.index:
             raise ValueError(f"duplicate variable {name}")
         if len(name) > 255:
             raise ValueError(f"variable name too long: {name}")
-        self.vars.append(Var(name, kind, float(lb), float(ub), symbol, tuple(indices)))
-        self.index[name] = len(self.vars) - 1
-        return self.index[name]
+        self.index[key] = i = len(self.vars)
+        self.vars.append(Var(name, kind, float(lb), float(ub), *key))
+        return i
 
     def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
-        clean = tuple((int(i), float(c)) for i, c in terms if c != 0.0)
+        clean = tuple([t for t in terms if t[1] != 0.0])
         if not clean:
             # emit nothing for vacuously true rows; a vacuously false one is a bug
             ok = (sense == "<=" and rhs >= 0) or (sense == ">=" and rhs <= 0) or (sense == "=" and rhs == 0)
@@ -104,7 +111,7 @@ class _Builder:
         self.rows.append(Constraint(name, clean, sense, float(rhs)))
 
     def get(self, symbol, *indices) -> int:
-        return self.index[_name(symbol, indices)]
+        return self.index[symbol, indices]
 
 
 def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
@@ -120,14 +127,17 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     service = list(s.service_mission_ids)
     ridx = s.relay_index
     depots = set(s.depot_ids)
-    w = s.payload_weights()
     W, C, E = s.uav.empty_weight_kg, s.uav.payload_capacity_kg, s.uav.battery_capacity_wh
-    reach = s.reach
-    q = s.quality
-    n = s.demand
-    t_uav = s.link_uav_mb
-    t_sink = s.link_sink_mb
     H = s.horizon
+    # coefficients come from nested lists, so every term is a Python float
+    w = s.payload_weights().tolist()
+    reach = s.reach.tolist()
+    q = s.quality.tolist()
+    n = s.demand.tolist()
+    t_uav = s.link_uav_mb.tolist()
+    t_sink = s.link_sink_mb.tolist()
+    energy = s.energy_wh_per_kg.tolist()
+    win_need = s.window_need.tolist()
 
     b = _Builder()
 
@@ -183,11 +193,10 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                 b.add_var("tausink", (d, k), "continuous")
 
     # windowed demand totals decide which satisfaction ratios exist
-    win_need = s.window_need
     for k in range(K):
         for m in service:
             for z in range(Z):
-                if win_need[k, m, z] > 0:
+                if win_need[k][m][z] > 0:
                     b.add_var("sig", (k, m, z), "continuous", 0.0, 1.0)
     for m in service:
         b.add_var("sigbar", (m,), "continuous", 0.0, 1.0)
@@ -211,7 +220,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for k in range(1, K):
             for l in range(L):
                 terms = [(b.get("lam", d, k, l), 1.0)]
-                terms += [(b.get("lam", d, k - 1, l2), -1.0) for l2 in range(L) if reach[l2, l]]
+                terms += [(b.get("lam", d, k - 1, l2), -1.0) for l2 in range(L) if reach[l2][l]]
                 b.add_row(f"travel_{d}_{k}_{l}", terms, "<=", 0.0)
     # payload capacity
     if P:
@@ -239,9 +248,9 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for k in range(1, K):
             for l1 in range(L):
                 for l2 in range(L):
-                    if l2 in depots or not reach[l1, l2]:
+                    if l2 in depots or not reach[l1][l2]:
                         continue
-                    e = s.energy_wh_per_kg[l1, l2]
+                    e = energy[l1][l2]
                     terms = [
                         (b.get("beta", d, k), 1.0),
                         (b.get("beta", d, k - 1), -1.0),
@@ -318,12 +327,12 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for m in service:
             for z in range(Z):
                 terms = [
-                    (b.get("muh", d, k, l, m, z), q[l, m, z])
+                    (b.get("muh", d, k, l, m, z), q[l][m][z])
                     for d in range(D)
                     for l in range(L)
-                    if q[l, m, z] != 0.0
+                    if q[l][m][z] != 0.0
                 ]
-                b.add_row(f"need_{k}_{m}_{z}", terms, "<=", n[k, m, z])
+                b.add_row(f"need_{k}_{m}_{z}", terms, "<=", n[k][m][z])
     # traffic flow and relay capacity
     if has_relay:
 
@@ -335,8 +344,8 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                     continue
                 for l in range(L):
                     for z in range(Z):
-                        if q[l, m, z] != 0.0:
-                            out.append((b.get("muh", d, k, l, m, z), sign * rate * q[l, m, z]))
+                        if q[l][m][z] != 0.0:
+                            out.append((b.get("muh", d, k, l, m, z), sign * rate * q[l][m][z]))
             return out
 
         for d in range(D):
@@ -359,9 +368,9 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         # link; each location (pair) below it gets a big-M row that reads
         # tau <= t * rho once the UAVs sit there, with M = max - t, the
         # smallest constant under which the max row implies it elsewhere
-        t_max = float(t_uav.max(initial=0.0))
-        ts_max = float(t_sink.max(initial=0.0))
-        tight = [(l1, l2) for l1 in range(L) for l2 in range(L) if t_uav[l1, l2] < t_max]
+        t_max = float(s.link_uav_mb.max(initial=0.0))
+        ts_max = float(s.link_sink_mb.max(initial=0.0))
+        tight = [(l1, l2) for l1 in range(L) for l2 in range(L) if t_uav[l1][l2] < t_max]
         tight_sink = [l for l in range(L) if t_sink[l] < ts_max]
         for d1 in range(D):
             for d2 in range(D):
@@ -370,10 +379,10 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                 for k in range(K):
                     tau, rho = b.get("tau", d1, d2, k), b.get("rho", d1, k)
                     for l1, l2 in tight:
-                        big_m = t_max - t_uav[l1, l2]
+                        big_m = t_max - t_uav[l1][l2]
                         terms = [
                             (tau, 1.0),
-                            (rho, -t_uav[l1, l2]),
+                            (rho, -t_uav[l1][l2]),
                             (b.get("lam", d1, k, l1), big_m),
                             (b.get("lam", d2, k, l2), big_m),
                         ]
@@ -392,14 +401,14 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         lo = max(0, k - H)
         for m in service:
             for z in range(Z):
-                if win_need[k, m, z] <= 0:
+                if win_need[k][m][z] <= 0:
                     continue
-                terms = [(b.get("sig", k, m, z), win_need[k, m, z])]
+                terms = [(b.get("sig", k, m, z), win_need[k][m][z])]
                 for h in range(lo, k + 1):
                     for d in range(D):
                         for l in range(L):
-                            if q[l, m, z] != 0.0:
-                                terms.append((b.get("muh", d, h, l, m, z), -q[l, m, z]))
+                            if q[l][m][z] != 0.0:
+                                terms.append((b.get("muh", d, h, l, m, z), -q[l][m][z]))
                 b.add_row(f"sig_{k}_{m}_{z}", terms, "=", 0.0)
                 b.add_row(
                     f"sigbar_{k}_{m}_{z}",
@@ -495,29 +504,31 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_terms(terms, variables) -> str:
-    parts = []
-    for i, coef in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {variables[i].name}")
-    if not parts:
-        raise AssertionError("empty constraint row reached the exporter")
-    first = parts[0]
-    if first.startswith("+ "):
-        first = first[2:]
-    else:
-        first = "- " + first[2:]
-    return " ".join([first] + parts[1:])
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key) on its first lookup."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        self[key] = value = self.fill(key)
+        return value
 
 
 def export_lp(m: MilpModel) -> str:
     """CPLEX-LP text with deterministic ordering and 12-significant-digit
     coefficients."""
+    names = [v.name for v in m.variables]
+    prefix = _Memo(lambda a: f"{'-' if a < 0 else '+'} {abs(a):.12g} ")  # coefficient -> signed text
     out = ["\\ uavplan model export", "Maximize", f" obj: {m.objective}", "Subject To"]
     for c in m.constraints:
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        body = _write_terms(c.terms, m.variables)
-        line = f" {c.name}: {body} {sense} {_fmt(c.rhs)}"
+        if not c.terms:
+            raise AssertionError("empty constraint row reached the exporter")
+        body = " ".join([prefix[a] + names[i] for i, a in c.terms])
+        if body[0] == "+":  # the first term carries its sign only when negative
+            body = body[2:]
+        line = f" {c.name}: {body} {c.sense} {c.rhs:.12g}"
         if len(line) > 500:  # wrap very long rows for picky readers
             words = line.split(" ")
             line_parts, cur = [], ""
@@ -558,123 +569,109 @@ def export_lp(m: MilpModel) -> str:
     return "\n".join(out) + "\n"
 
 
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)?\s*([A-Za-z][A-Za-z0-9_]*)")
+_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_VAR = r"[A-Za-z][A-Za-z0-9_]*"
+_BOUND = r"[-+]?[\d.eE+-]+"
+# a backslash starts a comment that runs to the end of its line
+_COMMENT_RE = re.compile(r"\\[^\n]*")
+# a section keyword alone on its line, read after the newline before it
+_SECTION_RE = re.compile(
+    r"\n[^\S\n]*(maximize|minimize|subject to|bounds|binary|binaries|end)[^\S\n]*(?=\n|\Z)", re.I
+)
+_OBJECTIVE_RE = re.compile(rf"\s*\w+\s*:\s*({_VAR})\s*")
+# one row: name, terms, sense and a right-hand side that ends its line
+_ROW_RE = re.compile(rf"\s*([A-Za-z0-9_]+)\s*:\s*([^<>=]*)(<=|>=|=)\s*([-+]?{_NUMBER})[^\S\n]*(?:\n|\Z)")
+_ROW_NAME_RE = re.compile(r"\s*([A-Za-z0-9_]+)\s*:")
+# one term, its sign and coefficient read as "" when absent; re.split also
+# returns what lies between terms, which must be empty
+_TERM_RE = re.compile(rf"([+-]?)\s*((?:{_NUMBER})?)\s*({_VAR})\s*")
+_BOUND_RE = re.compile(rf"\s*(?:({_BOUND})\s*<=\s*({_VAR})\s*<=\s*({_BOUND})|({_VAR})\s*(>=|=)\s*({_BOUND}))\s*")
+_HEAD_RE = re.compile(r"[A-Za-z]+")
+_INDEX_RE = re.compile(r"_(\d+)")
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Re-read an exported LP file into a structurally equal model."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].rstrip()
-        if line.strip():
-            lines.append(line)
-    section = None
+    """Re-read an exported LP file into a structurally equal model.
+
+    Variables are numbered in the order they first appear in the text.  Text
+    that cannot be read exactly (a row without sense and right-hand side, a
+    term that is not ``[sign] [coefficient] name``, terms not joined by ``+``
+    or ``-``, a repeated row name, a bound line of another form, or no End
+    line) raises ValueError."""
+    if "\\" in text:
+        text = _COMMENT_RE.sub("", text)
+    parts = _SECTION_RE.split("\n" + text)
+    ids = _Memo(lambda name: len(ids))  # variable name -> index, numbered on first appearance
+    coefficients = _Memo(lambda text: float(text + "1" if text in ("", "+", "-") else text))  # absent reads as 1
     objective = None
-    rows: list[tuple[str, str, float, str]] = []  # name, body, rhs, sense
+    constraints: list[Constraint] = []
+    row_names: set[str] = set()
     bounds: dict[str, tuple[float, float]] = {}
     binaries: set[str] = set()
-    buffer = ""
-
-    def flush_row():
-        nonlocal buffer
-        if not buffer.strip():
-            return
-        mobj = re.match(r"\s*([A-Za-z0-9_]+)\s*:\s*(.*)", buffer, re.S)
-        if not mobj:
-            raise ValueError(f"cannot parse constraint: {buffer[:80]!r}")
-        name, rest = mobj.group(1), mobj.group(2)
-        sm = re.search(r"(<=|>=|=)\s*([-+]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$", rest)
-        if not sm:
-            raise ValueError(f"constraint {name} lacks sense/rhs")
-        rows.append((name, rest[: sm.start()], float(sm.group(2)), sm.group(1)))
-        buffer = ""
-
-    for line in lines:
-        low = line.strip().lower()
-        if low == "minimize":
+    ended = False
+    for keyword, body in zip(parts[1::2], parts[2::2]):
+        keyword = keyword.lower()
+        if keyword == "minimize":
             raise ValueError("the model maximizes its objective; a Minimize section is not supported")
-        if low == "maximize":
-            section = "obj"
-            continue
-        if low == "subject to":
-            flush_row()
-            section = "rows"
-            continue
-        if low == "bounds":
-            flush_row()
-            section = "bounds"
-            continue
-        if low in ("binary", "binaries"):
-            flush_row()
-            section = "binary"
-            continue
-        if low == "end":
-            flush_row()
-            section = None
-            continue
-        if section == "obj":
-            mobj = re.match(r"\s*\w+\s*:\s*([A-Za-z][A-Za-z0-9_]*)\s*$", line)
+        if keyword == "end":
+            ended = True
+            break
+        if keyword == "maximize":
+            mobj = _OBJECTIVE_RE.fullmatch(body)
             if not mobj:
-                raise ValueError(f"objective must be a single variable, got {line!r}")
+                raise ValueError(f"objective must be a single variable, got {body.strip()!r}")
             objective = mobj.group(1)
-        elif section == "rows":
-            if re.match(r"\s*[A-Za-z0-9_]+\s*:", line) and buffer:
-                flush_row()
-            buffer += " " + line.strip()
-            if re.search(r"(<=|>=|=)\s*[-+]?\d", buffer):
-                flush_row()
-        elif section == "bounds":
-            t = line.strip()
-            mm = re.match(
-                r"([-+]?[\d.eE+-]+)\s*<=\s*([A-Za-z][A-Za-z0-9_]*)\s*<=\s*([-+]?[\d.eE+-]+)", t
-            )
-            if mm:
-                bounds[mm.group(2)] = (float(mm.group(1)), float(mm.group(3)))
-                continue
-            mm = re.match(r"([A-Za-z][A-Za-z0-9_]*)\s*=\s*([-+]?[\d.eE+-]+)", t)
-            if mm:
-                val = float(mm.group(2))
-                bounds[mm.group(1)] = (val, val)
-                continue
-            mm = re.match(r"([A-Za-z][A-Za-z0-9_]*)\s*>=\s*([-+]?[\d.eE+-]+)", t)
-            if mm:
-                bounds[mm.group(1)] = (float(mm.group(2)), math.inf)
-                continue
-            raise ValueError(f"cannot parse bound line {t!r}")
-        elif section == "binary":
-            binaries.update(line.split())
-
+            ids[objective]  # numbers it first
+        elif keyword == "subject to":
+            body = body.rstrip()
+            pos, end = 0, len(body)
+            while pos < end:
+                mrow = _ROW_RE.match(body, pos)
+                if not mrow:
+                    mname = _ROW_NAME_RE.match(body, pos)
+                    if not mname:
+                        raise ValueError(f"cannot parse constraint: {body[pos:pos + 80].strip()!r}")
+                    raise ValueError(f"constraint {mname.group(1)} does not end in a sense and right-hand side")
+                pos = mrow.end()
+                name, terms_text, sense, rhs = mrow.groups()
+                if name in row_names:
+                    raise ValueError(f"constraint {name} appears twice")
+                row_names.add(name)
+                split = _TERM_RE.split(terms_text)
+                if any(split[::4]):
+                    bad = next(gap for gap in split[::4] if gap)
+                    raise ValueError(f"constraint {name}: cannot read {bad.strip()!r} as a term")
+                if "" in split[5::4]:
+                    raise ValueError(f"constraint {name}: terms must be joined by + or -")
+                index = map(ids.__getitem__, split[3::4])
+                value = map(coefficients.__getitem__, map(operator.add, split[1::4], split[2::4]))
+                constraints.append(Constraint(name, tuple(zip(index, value)), sense, float(rhs)))
+        elif keyword == "bounds":
+            for line in body.splitlines():
+                if not line.strip():
+                    continue
+                mb = _BOUND_RE.fullmatch(line)
+                if not mb:
+                    raise ValueError(f"cannot parse bound line {line.strip()!r}")
+                lo, nm, hi, nm1, sense, val = mb.groups()
+                if nm is None:
+                    nm, lo = nm1, float(val)
+                    hi = lo if sense == "=" else math.inf
+                else:
+                    lo, hi = float(lo), float(hi)
+                ids[nm]  # numbers a name no row uses
+                bounds[nm] = (lo, hi)
+        else:  # binary
+            for nm in body.split():
+                ids[nm]  # numbers a name no row uses
+                binaries.add(nm)
     if objective is None:
         raise ValueError("no objective found")
-
-    # collect names in first-appearance order: objective, then rows
-    order: list[str] = []
-    seen = set()
-
-    def note(nm):
-        if nm not in seen:
-            seen.add(nm)
-            order.append(nm)
-
-    note(objective)
-    parsed_rows = []
-    for name, body, rhs, sense in rows:
-        terms = []
-        for sm in _TERM_RE.finditer(body):
-            sign, coef, var = sm.groups()
-            value = float(coef) if coef else 1.0
-            if sign == "-":
-                value = -value
-            note(var)
-            terms.append((var, value))
-        parsed_rows.append((name, terms, sense, rhs))
-    for nm in bounds:
-        note(nm)
-    for nm in binaries:
-        note(nm)
+    if not ended:
+        raise ValueError("no End line: the LP text is cut short")
 
     variables = []
-    for nm in order:
+    for nm in ids:
         kind = "binary" if nm in binaries else "continuous"
         if nm in bounds:
             lb, ub = bounds[nm]
@@ -682,14 +679,10 @@ def parse_lp(text: str) -> MilpModel:
             lb, ub = 0.0, 1.0
         else:
             lb, ub = 0.0, math.inf
-        head = re.match(r"([A-Za-z]+)", nm).group(1)
-        idx = tuple(int(x) for x in re.findall(r"_(\d+)", nm))
-        variables.append(Var(nm, kind, lb, ub, head, idx))
-    name_to_i = {v.name: i for i, v in enumerate(variables)}
-    constraints = [
-        Constraint(name, tuple((name_to_i[v], c) for v, c in terms), sense, rhs)
-        for name, terms, sense, rhs in parsed_rows
-    ]
+        head = _HEAD_RE.match(nm)
+        if not head:
+            raise ValueError(f"variable name {nm!r} does not start with a letter")
+        variables.append(Var(nm, kind, lb, ub, head.group(), tuple(map(int, _INDEX_RE.findall(nm)))))
     return MilpModel(variables=variables, constraints=constraints, objective=objective)
 
 

@@ -275,6 +275,18 @@ def _number(value, what: str) -> float:
         raise ScenarioError(f"{what} {value!r} is not a number") from None
 
 
+_SHAPES = {list: "a list", dict: "an object"}
+
+
+def _shaped(value, kind: type, what: str):
+    """value when it is a JSON array (kind list) or object (kind dict); any
+    other value, null among them, is rejected before anything iterates it."""
+    if type(value) is not kind:
+        got = _SHAPES.get(type(value)) or repr(value)
+        raise ScenarioError(f"{what}: expected {_SHAPES[kind]}, got {got}")
+    return value
+
+
 def _text(value, what: str) -> str:
     """value as a name; numbers, null and lists are rejected."""
     if not isinstance(value, str):
@@ -584,7 +596,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return container[key]
 
     locations = []
-    for i, ld in enumerate(need(doc, "locations", "$")):
+    for i, ld in enumerate(_shaped(need(doc, "locations", "$"), list, "locations")):
+        ld = _shaped(ld, dict, f"locations[{i}]")
         if not isinstance(ld.get("depot", False), bool):  # bool() would call "no" a depot
             raise ScenarioError(f"locations[{i}]: depot {ld['depot']!r} is not true or false")
         locations.append(
@@ -595,10 +608,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 is_depot=ld.get("depot", False),
             )
         )
+    if not locations:
+        raise ScenarioError("locations: at least one location required")
 
     payloads = []
     pname_to_id: dict[str, int] = {}
-    for i, pd in enumerate(doc.get("payloads", [])):
+    for i, pd in enumerate(_shaped(doc.get("payloads", []), list, "payloads")):
+        pd = _shaped(pd, dict, f"payloads[{i}]")
         name = _text(pd.get("name", f"payload-{i}"), f"payloads[{i}]: name")
         deliver_to = pd.get("deliver_to")
         if deliver_to is not None:
@@ -621,9 +637,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         pname_to_id[name] = i
 
     missions = []
-    for i, md in enumerate(doc.get("missions", [])):
+    for i, md in enumerate(_shaped(doc.get("missions", []), list, "missions")):
+        md = _shaped(md, dict, f"missions[{i}]")
         req = []
-        for r in md.get("requires", []):
+        for r in _shaped(md.get("requires", []), list, f"missions[{i}]: requires"):
             if isinstance(r, str):
                 if r not in pname_to_id:
                     raise ScenarioError(f"missions[{i}]: requires unknown payload {r!r}")
@@ -641,20 +658,22 @@ def scenario_from_dict(doc: dict) -> Scenario:
     mission_names = {m.name for m in missions}
 
     zones = []
-    for i, zd in enumerate(doc.get("zones", [])):
+    for i, zd in enumerate(_shaped(doc.get("zones", []), list, "zones")):
+        zd = _shaped(zd, dict, f"zones[{i}]")
         served: dict[int, dict[str, float]] = {}
-        for entry in zd.get("served_from", []):
-            where = f"zones[{i}].served_from"
+        where = f"zones[{i}].served_from"
+        for entry in _shaped(zd.get("served_from", []), list, where):
+            entry = _shaped(entry, dict, where)
             loc = _integer(need(entry, "location", where), f"{where}: location id")
             what = f"{where}: quality"
-            qmap = {str(k): _number(v, what) for k, v in need(entry, "quality", where).items()}
+            qmap = {str(k): _number(v, what) for k, v in _shaped(need(entry, "quality", where), dict, what).items()}
             for mname in qmap:
                 if mname not in mission_names:
                     raise ScenarioError(f"zones[{i}]: quality names unknown mission {mname!r}")
             served[loc] = qmap
         zones.append(Zone(id=i, served_from=served))
 
-    ud = need(doc, "uavs", "$")
+    ud = _shaped(need(doc, "uavs", "$"), dict, "uavs")
     uav = UavSpec(
         empty_weight_kg=_number(need(ud, "empty_weight_kg", "uavs"), "uavs: empty_weight_kg"),
         payload_capacity_kg=_number(need(ud, "payload_capacity_kg", "uavs"), "uavs: payload_capacity_kg"),
@@ -663,9 +682,9 @@ def scenario_from_dict(doc: dict) -> Scenario:
         count=_integer(need(ud, "count", "uavs"), "uavs: count"),
     )
 
-    energy = doc.get("energy", {})
-    links = doc.get("links", {})
-    demand_rows = doc.get("demand", [])
+    energy = _shaped(doc.get("energy", {}), dict, "energy")
+    links = _shaped(doc.get("links", {}), dict, "links")
+    demand_rows = _shaped(doc.get("demand", []), list, "demand")
     for j, row in enumerate(demand_rows):
         if type(row) is not list or len(row) != 4:
             raise ScenarioError(f"demand[{j}]: expected [epoch, mission, zone, value]")
@@ -673,7 +692,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if type(value) is not float and type(value) is not int:  # the usual case builds no message
             _number(value, f"demand[{j}]: value")
     for key, width, shape in (("uav", 3, "[location, location, mb]"), ("sink", 2, "[location, mb]")):
-        for j, row in enumerate(links.get(key, [])):
+        for j, row in enumerate(_shaped(links.get(key, []), list, f"links.{key}")):
             if not isinstance(row, list) or len(row) != width:
                 raise ScenarioError(f"links.{key}[{j}]: expected {shape}")
             _number(row[-1], f"links.{key}[{j}]: mb")

@@ -136,6 +136,20 @@ class TestValidate:
             (("payloads", 0, "weight_kg"), True, "payloads[0]: weight_kg True is not a number"),
             (("demand", 0, 0), True, "demand[0]: epoch True is not an integer"),
             (("demand", 0, 3), True, "demand[0]: value True is not a number"),
+            # wrong JSON shapes: each was a traceback (exit 1) or silently misread
+            (("locations",), [], "locations: at least one location required"),  # was an IndexError
+            (("locations", 0), None, "locations[0]: expected an object, got None"),
+            (("zones",), 5, "zones: expected a list, got 5"),
+            (("zones", 0, "served_from", 0), 0, "zones[0].served_from: expected an object, got 0"),
+            (("zones", 0, "served_from"), {}, "zones[0].served_from: expected a list, got an object"),  # read as empty
+            (("zones", 0, "served_from", 0, "quality"), [], "zones[0].served_from: quality: expected an object"),
+            (("missions", 0, "requires"), "radio", "missions[0]: requires: expected a list, got 'radio'"),
+            (("uavs",), None, "uavs: expected an object, got None"),
+            (("links",), [], "links: expected an object, got a list"),
+            (("links", "sink"), {}, "links.sink: expected a list, got an object"),  # read as empty
+            (("energy",), 2.0, "energy: expected an object, got 2.0"),
+            (("payloads", 0), 7, "payloads[0]: expected an object, got 7"),
+            (("demand",), {}, "demand: expected a list, got an object"),  # read as empty
         ],
     )
     def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):

@@ -18,6 +18,7 @@ from uavplan.milp import (
     solution_to_text,
 )
 from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, load_scenario, make_scenario
+from uavplan.synth import generate_preset
 
 from scenarios import tiny_delivery, tiny_instance, tiny_mixed
 
@@ -149,6 +150,60 @@ class TestExport:
         text = export_lp(build_milp(tiny_delivery())).replace("Maximize", "Minimize", 1)
         with pytest.raises(ValueError, match="Minimize"):
             parse_lp(text)
+
+    def test_reads_hand_written_text(self):
+        """Comments, lower-case sections, terms without a coefficient or a
+        space after the sign, a wrapped row and a right-hand side on the next
+        line."""
+        text = (
+            "\\ written by hand\n"
+            "maximize\n obj: g\n"
+            "subject to\n"
+            " r1: x - y + 2.5e1 z\n   -g <= 4 \\ trailing comment\n"
+            " r2: -x >=\n   -1\n"
+            "bounds\n 0 <= g <= 1\n y >= -2\n"
+            "binaries\n x\n"
+            "end\n"
+        )
+        m = parse_lp(text)
+        assert {v.name: (m.name_to_idx[v.name], v.kind, v.lb, v.ub) for v in m.variables} == {
+            "g": (0, "continuous", 0.0, 1.0),
+            "x": (1, "binary", 0.0, 1.0),
+            "y": (2, "continuous", -2.0, float("inf")),
+            "z": (3, "continuous", 0.0, float("inf")),
+        }
+        r1, r2 = m.constraints
+        assert (r1.name, r1.terms, r1.sense, r1.rhs) == ("r1", ((1, 1.0), (2, -1.0), (3, 25.0), (0, -1.0)), "<=", 4.0)
+        assert (r2.name, r2.terms, r2.sense, r2.rhs) == ("r2", ((1, -1.0),), ">=", -1.0)
+
+    @pytest.mark.parametrize(
+        "row, edited, message",
+        [
+            # all but text-after-rhs were read silently before: as 1 * lam_0_0_0,
+            # with the term skipped, as a second row of the same name, as a sum
+            # and as beta_0_0 = 200
+            (" loc_unique_0_0: 1 lam_0_0_0", " loc_unique_0_0: 3 * lam_0_0_0", "loc_unique_0_0: cannot read '3 \\*'"),
+            (" loc_unique_0_0: 1 lam_0_0_0", " loc_unique_0_0: 1.2.3 lam_0_0_0", "loc_unique_0_0: cannot read '1\\.'"),
+            (" loc_unique_0_1:", " loc_unique_0_0:", "constraint loc_unique_0_0 appears twice"),
+            (" loc_unique_0_0: 1 lam_0_0_0 +", " loc_unique_0_0: 1 lam_0_0_0", "loc_unique_0_0: terms must be joined"),
+            (" lam_0_0_1 = 1\n", " lam_0_0_1 = 1 x\n", "loc_unique_0_0 does not end in a sense"),
+            (" beta_0_0 = 200", " beta_0_0 = 200 junk", "bound line 'beta_0_0 = 200 junk'"),
+        ],
+        ids=["multiplication", "malformed-number", "duplicate-row", "missing-operator", "text-after-rhs", "bound-junk"],
+    )
+    def test_unreadable_text_refused(self, tiny_delivery_lp_text, row, edited, message):
+        assert row in tiny_delivery_lp_text
+        with pytest.raises(ValueError, match=message):
+            parse_lp(tiny_delivery_lp_text.replace(row, edited, 1))
+
+    def test_truncated_text_refused(self, tiny_delivery_lp_text):
+        """Cut inside the last row, the text used to parse as 20 of 21 rows."""
+        last = tiny_delivery_lp_text.index(" deliv_0: ")
+        with pytest.raises(ValueError, match="constraint deliv_0 does not end in a sense"):
+            parse_lp(tiny_delivery_lp_text[: last + len(" deliv_0: 1 delta")])
+        # cut after a whole row, only the missing End line shows it
+        with pytest.raises(ValueError, match="no End line"):
+            parse_lp(tiny_delivery_lp_text[: tiny_delivery_lp_text.index("Bounds")])
 
 
 def enumerate_micro_assignments(s, scaled=False):
@@ -542,3 +597,60 @@ def test_oracle_output_matches_pinned_digest(name):
     status, digest = ORACLE_DIGESTS[name]
     assert result[0] == status
     assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
+
+
+# sha256 of the LP text, of repr(build_milp(s).constraints) and of repr of the
+# parsed model's variables and constraints, pinned before build_milp, export_lp
+# and parse_lp were rewritten around precomputed names and compiled patterns
+TEXT_PATH_DIGESTS = {
+    "sf-small-1": (
+        "55ff546279b4cc7f64a868b8e14af532850354d12cdae489594099e015902d00",
+        "a194798781186e48b6c656624282978c1027d8c75a713564ba5fe3eeeeb105ee",
+        "ea415b8b21e6117d864d04138b1d7d2d8bbb8699fd728bc753d17cc657d816f2",
+        "0667892ce1dcbf0851e96747f06bd9eb570c6e7d5eebe21997e66929bf15430d",
+    ),
+    "sf-small-2": (
+        "b08ac1055eae9abcef03b2468e9fa457c3eec42fb4a4cad07ff5db3540a9f7a2",
+        "12886c8cb8edb488430ca1d99c85aea5ee8403248c903bce7374bb97ab64bd68",
+        "83761d863364d7ebc258277e162d656e94ba4321b9a4add3386009f58eb0eb79",
+        "ac21491b62bb1279a3811e17698147eeedb279c0c2d93b353e169b890306631a",
+    ),
+    "tiny-mixed": (
+        "7e2c7fc486493a024a9ac418290366a965fdac0a51ba7baa9b12a017a7aa9f8f",
+        "52f2cb84265e94829e7c0af6717b70588e03252dcbc3743cf9794e9ee8ef417d",
+        "90c7f2fbc6490e2c64eba7e6459ad82e37f269bf3ce66caad3bb58d7882ecfad",
+        "78132bfc3150cdf4843fb90b156c2208e259ab6219cd974df95eff53a91c07f6",
+    ),
+    "tiny-mixed/binding": (
+        "351e06eb053a6b8b469c2c56299f4ead230276b5918bbeb84c755447d90eef65",
+        "46a7994f1b3dbb31af37c7b5b508f6a9fc8b874f05031285225aca34bf8a53e7",
+        "90c7f2fbc6490e2c64eba7e6459ad82e37f269bf3ce66caad3bb58d7882ecfad",
+        "31776b232ff1a0748754f622a5df8ff179de8156c0cae9b2d3f7269ee4014a55",
+    ),
+    "tiny-delivery": (
+        "a2952dfb63fb77de1ed01db011c1e97b958b3d395c13e73d224565a8a8396cbf",
+        "2cc8b11a75c8a8db6fe2d8156d61ea23f4a3bb089f48de646444b20925d6161c",
+        "0846fabfd59357dfc5c3a28121087b001a2bb2b9641593f919a6e90e7c55ca04",
+        "3025fbcfd12b1f92e8ee3f32c4935ad91177cd0bfb48f3bf2989be868cd54076",
+    ),
+}
+
+TEXT_PATH_CASES = {
+    "sf-small-1": lambda: generate_preset("sf-small", 1),
+    "sf-small-2": lambda: generate_preset("sf-small", 2),
+    "tiny-mixed": tiny_mixed,
+    "tiny-mixed/binding": lambda: tiny_mixed(**BINDING_LINKS),
+    "tiny-delivery": tiny_delivery,
+}
+
+
+@pytest.mark.parametrize("name", list(TEXT_PATH_DIGESTS))
+def test_text_path_matches_pinned_digests(name):
+    m = build_milp(TEXT_PATH_CASES[name]())
+    text = export_lp(m)
+    parsed = parse_lp(text)
+    got = tuple(
+        hashlib.sha256(part.encode()).hexdigest()
+        for part in (text, repr(m.constraints), repr(parsed.variables), repr(parsed.constraints))
+    )
+    assert got == TEXT_PATH_DIGESTS[name]
