@@ -1,11 +1,12 @@
 """Desk-scale exact optimizer.
 
-solve_exact enumerates all feasible trajectory/payload assignments per UAV
-(depth-first with battery, delivery-cover and objective-bound pruning), and
-for each complete assignment solves the remaining continuous problem
-(allocations, relay effort, transfers, satisfaction) with the bundled simplex.
-UAVs are interchangeable, so assignments are enumerated as multisets per
-equipment group.
+solve_exact enumerates every feasible trajectory/payload schedule (config) per
+UAV with battery pruning, then searches the assignments of configs to UAVs
+depth-first with delivery-cover and objective-bound pruning, and for each
+complete assignment solves the remaining continuous problem (allocations,
+relay effort, transfers, satisfaction) with the bundled simplex.  UAVs within
+an equipment group are interchangeable, so config indices never decrease
+within a group: the search visits each multiset once, in lexicographic order.
 
 solve_model_exhaustive is an independent path to the same optimum: it takes a
 built (or re-parsed) MILP, branches over its binary variables with bound
@@ -15,7 +16,6 @@ the same simplex.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -25,7 +25,7 @@ import numpy as np
 
 from .evaluator import Plan
 from .milp import MilpModel
-from .scenario import Scenario, windowed_sum
+from .scenario import Scenario, validate, windowed_sum
 from .simplex import simplex_solve
 
 
@@ -63,7 +63,14 @@ class _Config:
     quality and relay record what it can serve: quality is (K, M, Z), the
     quality at its location for every service mission its aboard set equips,
     zero elsewhere; relay is (K,), the epochs that carry the relay equipment.
-    Both are read-only and take no part in equality or hashing."""
+    servers and time_need are what it offers the objective bound over the
+    needed cells, the (epoch, zone) pairs with window need on some service
+    mission, in row-major order.  servers counts its epochs in the window
+    ending at that epoch that can serve the zone (have a mu column);
+    time_need is (cells, M), each mission's window need over the best quality
+    it offers the mission in that window: inf where it offers none, zero
+    where nothing is needed.  All four are read-only and take no part in
+    equality or hashing."""
 
     locs: tuple[int, ...]
     aboard: tuple[frozenset, ...]
@@ -72,6 +79,8 @@ class _Config:
     min_battery: float
     quality: np.ndarray = field(compare=False, repr=False)
     relay: np.ndarray = field(compare=False, repr=False)
+    servers: np.ndarray = field(compare=False, repr=False)
+    time_need: np.ndarray = field(compare=False, repr=False)
 
 
 def _payload_subsets(s: Scenario, forced_on: frozenset, forbidden: frozenset) -> list[frozenset]:
@@ -167,6 +176,7 @@ def enumerate_configs(
         for a in [*subsets, idle_set]
     }
     relays = {a: relay is not None and _equipped(s, relay, a) for a in serves}
+    cells = s.needed_ratios.any(axis=1)
 
     def finish(min_batt: float):
         delivered = set()
@@ -179,11 +189,15 @@ def enumerate_configs(
         away = sum(1 for l in locs if l not in depots)
         quality = np.where(np.array([serves[a] for a in aboard])[:, :, None], s.quality[locs], 0.0)
         relay_at = np.array([relays[a] for a in aboard])
-        quality.setflags(write=False)
-        relay_at.setflags(write=False)
-        out.append(
-            _Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, quality, relay_at)
-        )
+        offered = np.where(s.demand > 0, quality, 0.0)  # nonzero where it has a mu column
+        best = np.array([offered[max(0, k - s.horizon) : k + 1].max(axis=0) for k in range(K)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            time_need = np.where(s.needed_ratios, s.window_need / best, 0.0).transpose(0, 2, 1)[cells]
+        servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)[cells]
+        arrays = (quality, relay_at, servers, time_need)
+        for arr in arrays:
+            arr.setflags(write=False)
+        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, *arrays))
 
     def rec(k: int, battery: float, active: frozenset | None, min_batt: float):
         if k == K - 1:
@@ -249,48 +263,41 @@ def _equipped(s: Scenario, mission_id: int, aboard: frozenset) -> bool:
 
 @dataclass(frozen=True)
 class _Capability:
-    """What one config offers the objective bound, computed once per config.
-
-    quality is the config's own (K, M, Z) record.  servers and time_need
-    cover the needed cells, the (epoch, zone) pairs with window need on some
-    service mission, in row-major order.  servers counts the config's epochs
-    in the window ending at that epoch that can serve the zone (have a mu
-    column); time_need is (cells, M), each mission's window need over the
-    best quality the config offers it in that window: inf where it offers
-    none, zero where nothing is needed.  A stacked record holds several
-    configs' arrays along a leading config axis."""
+    """What configs offer the objective bound together: their quality and
+    servers summed, in assignment order, and their time_need as an
+    elementwise minimum (the smallest need over one config's quality is the
+    need over the best), in the forms _Config gives them.  A record either
+    sums a prefix of an assignment or stacks candidates along a leading
+    axis; adding a config or a stacked record to a prefix broadcasts."""
 
     quality: np.ndarray
     servers: np.ndarray
     time_need: np.ndarray
 
     @classmethod
-    def stack(cls, caps) -> _Capability:
-        """One stacked record of the configs' records, in order."""
+    def stack(cls, cfgs) -> _Capability:
+        """One stacked record of the configs, in order."""
         return cls(
-            np.stack([c.quality for c in caps]),
-            np.stack([c.servers for c in caps]),
-            np.stack([c.time_need for c in caps]),
+            np.stack([c.quality for c in cfgs]),
+            np.stack([c.servers for c in cfgs]),
+            np.stack([c.time_need for c in cfgs]),
         )
+
+    def __add__(self, other) -> _Capability:
+        quality, servers = self.quality + other.quality, self.servers + other.servers
+        return _Capability(quality, servers, np.minimum(self.time_need, other.time_need))
 
     def __getitem__(self, index) -> _Capability:
         """The configs at index of a stacked record."""
         return _Capability(self.quality[index], self.servers[index], self.time_need[index])
 
 
-def _capability(s: Scenario, cfg: _Config) -> _Capability:
-    offered = np.where(s.demand > 0, cfg.quality, 0.0)  # nonzero where it has a mu column
-    best = np.array([offered[max(0, k - s.horizon) : k + 1].max(axis=0) for k in range(s.epochs)])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        time_need = np.where(s.needed_ratios, s.window_need / best, 0.0)
-    servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)
-    cells = s.needed_ratios.any(axis=1)
-    return _Capability(cfg.quality, servers[cells], time_need.transpose(0, 2, 1)[cells])
+_NO_CONFIGS = _Capability(0.0, 0.0, np.inf)  # the record of an empty prefix
 
 
-def _objective_upper_bound(s: Scenario, prefix, last: _Capability) -> np.ndarray:
-    """Bounds on gamma, ignoring traffic, for the assignments prefix + [c]
-    with c each config of the stacked record last, one entry per config.
+def _objective_upper_bound(s: Scenario, offer: _Capability) -> np.ndarray:
+    """Bounds on gamma, ignoring traffic, one per complete assignment of the
+    stacked record offer.
 
     Each bound is the smaller of two terms per window.  Demand cap: per-epoch
     capable service, capped by demand, summed over the satisfaction window.
@@ -298,21 +305,14 @@ def _objective_upper_bound(s: Scenario, prefix, last: _Capability) -> np.ndarray
     relay, so for the window ending at k and zone z,
     gamma <= A / sum_m(N_m / Q_m), with N_m the window need, Q_m the best
     quality any UAV-epoch in the window offers for m, and A the UAV-epochs
-    there that can serve z.
-
-    prefix holds the _Capability records of the other configs, in assignment
-    order; the last config is summed last."""
-    if not s.service_mission_ids:
-        return np.ones(len(last.quality))
-    cap = np.minimum(sum(c.quality for c in prefix) + last.quality, s.demand)
+    there that can serve z."""
+    cap = np.minimum(offer.quality, s.demand)
     need = s.needed_ratios
     window_cap = windowed_sum(cap.swapaxes(0, 1), s.horizon).swapaxes(0, 1)
     ratios = window_cap[:, need] / s.window_need[need]
     if not ratios.shape[1]:
-        return np.ones(len(last.quality))
-    # the smallest need over one config's quality is the need over the best
-    time_need = functools.reduce(np.minimum, [c.time_need for c in prefix], last.time_need).sum(axis=2)
-    budget = (sum(c.servers for c in prefix) + last.servers) / time_need
+        return np.ones(len(offer.quality))
+    budget = offer.servers / offer.time_need.sum(axis=2)
     return np.minimum(np.minimum(ratios.min(axis=1), budget.min(axis=1)), 1.0)
 
 
@@ -447,6 +447,9 @@ def solve_exact(
     plan maximizes the minimum mission satisfaction, breaking ties toward
     fewer epochs away from a depot, then lexicographically.
     """
+    issues = validate(s)
+    if issues:
+        raise ValueError("scenario failed validation: " + "; ".join(map(str, issues)))
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     if D * K * L > limits.size_guard:
         raise GuardError(
@@ -457,76 +460,71 @@ def solve_exact(
     if sum(g[0] for g in equipment_groups) != D:
         raise ValueError("equipment group counts must sum to the fleet size")
 
-    deliverables = frozenset(s.deliverable_ids)
-    group_configs = []
-    group_caps = []  # the configs' _Capability records stacked, per group with configs
+    slots = []  # per UAV slot: its group's configs (one list per group) and their stacked record
     for count, on, off in equipment_groups:
         cfgs = enumerate_configs(
             s, frozenset(on), frozenset(off), depot_return=depot_return, prune_battery=prune_battery
         )
         if not prune_battery:
             cfgs = [c for c in cfgs if c.min_battery >= -1e-9]
-        group_configs.append((count, cfgs))
-        group_caps.append(_Capability.stack([_capability(s, c) for c in cfgs]) if cfgs else None)
         if count > 0 and not cfgs:
             return ExactResult(None, None, True, 0, False)
+        if count > 0:
+            slots += [(cfgs, _Capability.stack(cfgs))] * count
 
     t0 = time.monotonic()
     visited = lp_solves = iterations = prunes = 0
-    best = None  # (gamma, epochs_away, flat_indices, assignment, flows)
+    best = None  # (gamma, epochs_away, assignment, flows)
     truncated = False
-    batch_prefix = batch_start = bounds = None
 
-    iterators = [
-        itertools.combinations_with_replacement(range(len(cfgs)), count)
-        for count, cfgs in group_configs
-    ]
-    for combo in itertools.product(*iterators):
-        visited += 1
-        if visited > limits.max_assignments:
-            truncated = True
-            break
-        if visited % 256 == 0 and time.monotonic() - t0 > limits.time_budget_s:
-            truncated = True
-            break
-        assignment = []
-        flat = []
-        for gi, picks in enumerate(combo):
-            for ci in picks:
-                assignment.append(group_configs[gi][1][ci])
-                flat.append((gi, ci))
-        if deliverables:  # hard feasibility: every delivery needs a carrier
-            covered = frozenset().union(*(c.delivered for c in assignment))
-            if not deliverables <= covered:
+    def search(slot: int, lo: int, prefix: _Capability, missing: frozenset, away: int, picks: tuple) -> bool:
+        """Visit the slot's configs from index lo on, after the picks so far;
+        False once a limit stops the search."""
+        nonlocal visited, lp_solves, iterations, prunes, best, truncated
+        cfgs, stacked = slots[slot]
+        bounds = start = None
+        for ci in range(lo, len(cfgs)):
+            c = cfgs[ci]
+            if slot + 1 < D:
+                if not search(slot + 1, ci if slots[slot + 1][0] is cfgs else 0, prefix + c,
+                              missing - c.delivered, away + c.epochs_away, (*picks, c)):
+                    return False
                 continue
-        away = sum(c.epochs_away for c in assignment)
-        if best is not None and prune_bound:
-            last_g, last_c = flat[-1]
-            if flat[:-1] != batch_prefix:
-                # the last pick varies fastest and only upward: bound its
-                # remaining choices at once
-                batch_prefix, batch_start = flat[:-1], last_c
-                prefix = [group_caps[g][c] for g, c in batch_prefix]
-                bounds = _objective_upper_bound(s, prefix, group_caps[last_g][last_c:])
-            ub = bounds[last_c - batch_start]
-            # below the incumbent, or level with it and unable to win the
-            # tie-break
-            if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and away >= best[1]):
-                prunes += 1
+            visited += 1
+            if visited > limits.max_assignments or (
+                visited % 256 == 0 and time.monotonic() - t0 > limits.time_budget_s
+            ):
+                truncated = True
+                return False
+            if not missing <= c.delivered:  # hard feasibility: every delivery needs a carrier
                 continue
-        gamma, flows, its = _inner_lp(s, assignment)
-        lp_solves += 1
-        iterations += its
-        better = best is None or gamma > best[0] + 1e-12
-        if not better and best is not None and gamma >= best[0] - 1e-12:
-            better = (away, flat) < (best[1], best[2])
-        if better:
-            best = (gamma, away, flat, list(assignment), flows)
+            total = away + c.epochs_away
+            if best is not None and prune_bound:
+                if bounds is None:
+                    # the last pick varies fastest and only upward: bound its
+                    # remaining choices at once
+                    bounds, start = _objective_upper_bound(s, prefix + stacked[ci:]), ci
+                ub = bounds[ci - start]
+                # below the incumbent, or level with it and unable to win the
+                # tie-break
+                if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and total >= best[1]):
+                    prunes += 1
+                    continue
+            assignment = [*picks, c]
+            gamma, flows, its = _inner_lp(s, assignment)
+            lp_solves += 1
+            iterations += its
+            # a later assignment is lexicographically larger, so it wins a
+            # tie only with fewer epochs away
+            if best is None or gamma > best[0] + 1e-12 or (gamma >= best[0] - 1e-12 and total < best[1]):
+                best = (gamma, total, assignment, flows)
+        return True
 
+    search(0, 0, _NO_CONFIGS, frozenset(s.deliverable_ids), 0, ())
     counters = dict(lp_solves=lp_solves, simplex_iterations=iterations, bound_prunes=prunes)
     if best is None:
         return ExactResult(None, None, not truncated, visited, False, **counters)
-    plan = _assignment_plan(s, best[3], best[4])
+    plan = _assignment_plan(s, best[2], best[3])
     return ExactResult(plan, best[0], not truncated, visited, True, **counters)
 
 

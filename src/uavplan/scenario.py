@@ -277,6 +277,11 @@ def _number(value, what: str) -> float:
 
 _SHAPES = {list: "a list", dict: "an object"}
 
+# cap on the cells of the demand tensor (epochs x missions x zones) and of a
+# plan's arrays together (uavs x epochs x (missions x zones + uavs + payloads
+# + 3)); the loader refuses a larger scenario before allocating anything
+MAX_TENSOR_CELLS = 10**8
+
 
 def _shaped(value, kind: type, what: str):
     """value when it is a JSON array (kind list) or object (kind dict); any
@@ -697,13 +702,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 raise ScenarioError(f"links.{key}[{j}]: expected {shape}")
             _number(row[-1], f"links.{key}[{j}]: mb")
 
+    epochs = _integer(need(doc, "epochs", "$"), "epochs")
+    if epochs < 0:  # numpy would refuse the demand tensor with a bare "negative dimensions"
+        raise ScenarioError("epochs: at least one epoch required")
+    zone_cells = len(missions) * len(zones)
+    for what, cells in (
+        ("the demand tensor (epochs x missions x zones)", epochs * zone_cells),
+        ("a plan (uavs x epochs x (missions x zones + uavs + payloads + 3))",
+         uav.count * epochs * (zone_cells + uav.count + len(payloads) + 3)),
+    ):
+        if cells > MAX_TENSOR_CELLS:
+            raise ScenarioError(f"scenario too large: {what} would exceed {MAX_TENSOR_CELLS} cells")
     s = make_scenario(
         locations=locations,
         zones=zones,
         uav=uav,
         payloads=payloads,
         missions=missions,
-        epochs=_integer(need(doc, "epochs", "$"), "epochs"),
+        epochs=epochs,
         horizon=_integer(need(doc, "horizon", "$"), "horizon"),
         demand_entries=demand_rows,
         link_uav_entries=links.get("uav", []),

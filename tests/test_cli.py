@@ -59,6 +59,57 @@ class TestValidate:
         bad.write_text("{ nope")
         assert run("validate", bad) == 2
 
+    @pytest.mark.parametrize(
+        "text, issues",
+        [
+            (None, ["horizon: horizon must lie in [0, epochs]"]),  # an issue validate finds
+            ("{ nope", ["parse error at line 1, column 3: Expecting property name enclosed in double quotes"]),
+        ],
+    )
+    def test_invalid_scenario_reported_as_json(self, tmp_path, capsys, text, issues):
+        if text is None:
+            doc = json.loads((DATA / "tiny-mixed.scenario").read_text())
+            doc["horizon"] = 999
+            text = json.dumps(doc)
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text)
+        assert run("validate", bad, "--json") == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"valid": False, "issues": issues}
+        assert out.err == ""
+        assert run("validate", bad) == 2
+        assert capsys.readouterr().err.splitlines() == issues
+
+    @pytest.mark.parametrize(
+        "path, value, prefix",
+        [
+            (("epochs",), 10**9, "scenario too large: the demand tensor (epochs x missions x zones)"),
+            (("epochs",), 1e308, "scenario too large: the demand tensor"),
+            (("uavs", "count"), 10**4, "scenario too large: a plan (uavs x epochs x"),
+            (("uavs", "count"), 1e308, "scenario too large: a plan"),
+            (("epochs",), -1, "epochs: at least one epoch required"),  # was numpy's "negative dimensions"
+        ],
+    )
+    def test_oversized_scenario_refused_before_allocation(self, tmp_path, capsys, monkeypatch, path, value, prefix):
+        """The size check runs before make_scenario allocates the demand
+        tensor; a stand-in that fails instead of allocating proves it."""
+        import uavplan.scenario
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("make_scenario reached")
+
+        monkeypatch.setattr(uavplan.scenario, "make_scenario", no_allocation)
+        doc = json.loads((DATA / "tiny-mixed.scenario").read_text())
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(json.dumps(doc))
+        assert run("validate", bad) == 2
+        assert capsys.readouterr().err.startswith(prefix)
+
     @pytest.mark.parametrize("name", ["", "missing.scenario"])
     def test_unreadable_path_exit_2(self, tmp_path, capsys, name):
         """A directory (IsADirectoryError) or a missing file."""
@@ -437,6 +488,21 @@ class TestCompare:
             assert run("solve", "--scenario", count_file, *args, "--out", plan_file) == 0
             assert got == json.loads(plan_file.with_name(plan_file.name + ".manifest.json").read_text())["stats"]
         assert "lp_solves" in stats[0] and "phi1_calls" in stats[2]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_fleet_without_uavs_exit_2_in_both_engines(self, tmp_path, capsys, count):
+        """Each engine refuses the scenario as validate does; the exact
+        engine failed before with numpy errors ("need at least one array to
+        stack", "r must be non-negative")."""
+        scen = tmp_path / "ff.scenario"
+        scen.write_text(serialize_scenario(flex_fixed_scenario(1, 2)))
+        for runs in ("exact:flexible", "exact:fixed", "heuristic"):
+            out = tmp_path / "cmp.csv"
+            assert run("compare", "--scenario", scen, f"--uav-counts={count}", "--runs", runs, "--out", out) == 2
+            assert capsys.readouterr().err == (
+                "error: scenario failed validation: uavs[count]: must be strictly positive\n"
+            )
+            assert not out.exists()
 
     def test_guard_refusal_exit_3_removes_stale_out(self, tmp_path):
         scen = tmp_path / "t.scenario"

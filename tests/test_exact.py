@@ -13,8 +13,8 @@ from uavplan.evaluator import check_feasibility, satisfaction
 from uavplan.exact import (
     EnumerationLimits,
     GuardError,
+    _NO_CONFIGS,
     _Capability,
-    _capability,
     _objective_upper_bound,
     enumerate_configs,
     solve_exact,
@@ -227,9 +227,10 @@ def _groups(s, mode):
 
 def _batched_bound(s, picks, stack):
     """The bound on the drawn (pool, index) picks, read from one batch over
-    every config of the last pick's pool (stacked in stack)."""
-    prefix = [_capability(s, pool[i]) for pool, i in picks[:-1]]
-    return float(_objective_upper_bound(s, prefix, stack)[picks[-1][1]])
+    every config of the last pick's pool (stacked in stack) after the
+    running record of the other picks."""
+    prefix = sum((pool[i] for pool, i in picks[:-1]), _NO_CONFIGS)
+    return float(_objective_upper_bound(s, prefix + stack)[picks[-1][1]])
 
 
 class TestHotPathEquivalence:
@@ -238,7 +239,7 @@ class TestHotPathEquivalence:
     def test_bound_matches_loop_reference(self, seed, mode):
         s = flex_fixed_scenario(seed, 4)
         pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
-        stack = _Capability.stack([_capability(s, c) for c in pools[-1][1]])
+        stack = _Capability.stack(pools[-1][1])
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
@@ -253,7 +254,7 @@ class TestHotPathEquivalence:
     def test_bound_matches_loop_reference_multi_zone(self, seed):
         s = generate_synthetic(seed, Dims(3, 4, 2, 2, 5))
         cfgs = enumerate_configs(s)
-        stack = _Capability.stack([_capability(s, c) for c in cfgs])
+        stack = _Capability.stack(cfgs)
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
@@ -316,13 +317,13 @@ class TestCounters:
 def _bounds_and_gammas(s, groups):
     """(bound, inner-LP gamma) for every covering assignment, each solved
     once by an unpruned search."""
-    pairs, caps = [], {}
+    pairs = []
     inner_lp = exact._inner_lp
 
     def recording_lp(s_, assignment):
         out = inner_lp(s_, assignment)
-        records = [caps.setdefault(c, _capability(s, c)) for c in assignment]
-        ub = _objective_upper_bound(s, records[:-1], _Capability.stack(records[-1:]))[0]
+        offer = sum(assignment[:-1], _NO_CONFIGS) + _Capability.stack(assignment[-1:])
+        ub = _objective_upper_bound(s, offer)[0]
         pairs.append((float(ub), out[0]))
         return out
 
@@ -365,22 +366,23 @@ class TestBoundSoundness:
     @pytest.mark.parametrize("mode", ["flexible", "fixed"])
     def test_search_reads_each_assignments_own_bound(self, mode):
         """solve_exact bounds the last pick's choices in one batch per prefix;
-        a stand-in bound that prunes a pseudo-random half of the assignments
-        shows that each one is judged by its own entry."""
+        a stand-in bound that prunes a pseudo-random half of the assignments,
+        by the bytes of each one's record, shows that each one is judged by
+        its own entry."""
         s = flex_fixed_scenario(1, 3)
 
-        def keep(qualities) -> bool:
-            return zlib.crc32(b"".join(qualities)) % 2 == 1
+        def keep(offer, i) -> bool:
+            arrays = (offer.quality, offer.servers, offer.time_need)
+            return zlib.crc32(b"".join(a[i].tobytes() for a in arrays)) % 2 == 1
 
-        def stand_in(s_, prefix, last):
-            head = [c.quality.tobytes() for c in prefix]
-            return np.array([1.0 if keep(head + [q.tobytes()]) else 0.0 for q in last.quality])
+        def stand_in(s_, offer):
+            return np.array([1.0 if keep(offer, i) else 0.0 for i in range(len(offer.quality))])
 
         solved = []
         inner_lp = exact._inner_lp
 
         def recording_lp(s_, assignment):
-            solved.append([_capability(s, c).quality.tobytes() for c in assignment])
+            solved.append(list(assignment))
             return inner_lp(s_, assignment)
 
         with mock.patch.object(exact, "_objective_upper_bound", stand_in), mock.patch.object(
@@ -393,8 +395,9 @@ class TestBoundSoundness:
         combos = itertools.product(
             *(itertools.combinations_with_replacement(pool, count) for count, pool in pools)
         )
-        first, *rest = [[_capability(s, c).quality.tobytes() for picks in combo for c in picks] for combo in combos]
-        assert solved == [first] + [qualities for qualities in rest if keep(qualities)]
+        first, *rest = [[c for picks in combo for c in picks] for combo in combos]
+        records = (sum(cfgs[:-1], _NO_CONFIGS) + _Capability.stack(cfgs[-1:]) for cfgs in rest)
+        assert solved == [first] + [cfgs for cfgs, offer in zip(rest, records) if keep(offer, 0)]
         assert 0 < res.bound_prunes < len(rest)
 
 
@@ -468,15 +471,50 @@ def _exact_digests(s, mode):
 
     with mock.patch.object(exact, "simplex_solve", recording_solve):
         res = solve_exact(s, equipment_groups=_groups(s, mode))
+    return lps.hexdigest(), _result_digest(res)
+
+
+def _result_digest(res) -> str:
+    """sha256 of the ExactResult fields, then of the plan arrays if any."""
     out = hashlib.sha256()
     fields = dataclasses.astuple(dataclasses.replace(res, plan=None))
     out.update(repr(fields).encode())
-    for f in dataclasses.fields(res.plan):
-        out.update(f.name.encode() + _array_bytes(getattr(res.plan, f.name)))
-    return lps.hexdigest(), out.hexdigest()
+    if res.plan is not None:
+        for f in dataclasses.fields(res.plan):
+            out.update(f.name.encode() + _array_bytes(getattr(res.plan, f.name)))
+    return out.hexdigest()
 
 
 @pytest.mark.parametrize("case", list(PINNED_CASES))
 def test_exact_engine_bytes_pinned(case):
     build, mode = PINNED_CASES[case]
     assert _exact_digests(build(), mode) == PINNED_DIGESTS[case]
+
+
+TRUNCATED_CASES = {
+    "tiny-mixed": (tiny_mixed, "flexible"),
+    "flex-fixed-1-3-flexible": (lambda: flex_fixed_scenario(1, 3), "flexible"),
+    "flex-fixed-1-3-fixed": (lambda: flex_fixed_scenario(1, 3), "fixed"),
+}
+
+# _result_digest of runs cut off after max_assignments assignments, computed
+# when the search still walked itertools.product; at 100 the fixed-mode run
+# (64 assignments) completes
+TRUNCATED_DIGESTS = {
+    ("tiny-mixed", 1): "c584ea106ada93abc6feb8cfe59846ae4b4cf7b4e4af4c1e2c942a4ca42c66e2",
+    ("tiny-mixed", 5): "cb4d7eb725377d2258aae75affcc53bf106229bab9777dfe777aec328d41f3e3",
+    ("tiny-mixed", 37): "c87e34e9213d2184a4c968a3be0a30437d8c86d0c02d1c7f364b9c066d4be56f",
+    ("tiny-mixed", 200): "699fbf3a8496f77174362b4d322efe103f6eab8b994d03bfacfd11a1579eae39",
+    ("flex-fixed-1-3-flexible", 100): "2048344b8991165ae926b1bfdf71df905195b1725bd6c358b8039bbeb728cd0f",
+    ("flex-fixed-1-3-fixed", 7): "01911087f4218fe378f32e59eedc9ae6030c3d1c0d2f5ece0af1d7e7422ec710",
+    ("flex-fixed-1-3-fixed", 30): "38affbdff517a99973752119b5955c8fed5b37645ab9c430cfbf6d443c2db038",
+    ("flex-fixed-1-3-fixed", 100): "5ab8b5b82c1b63a612460febac172beb75d4a75898689f44fd435614accd2e30",
+}
+
+
+@pytest.mark.parametrize("case, cutoff", list(TRUNCATED_DIGESTS))
+def test_truncated_runs_pinned(case, cutoff):
+    build, mode = TRUNCATED_CASES[case]
+    s = build()
+    res = solve_exact(s, EnumerationLimits(max_assignments=cutoff), equipment_groups=_groups(s, mode))
+    assert _result_digest(res) == TRUNCATED_DIGESTS[case, cutoff]
