@@ -30,7 +30,7 @@ from .exact import EnumerationLimits, GuardError, solve_exact
 from .heuristic import PRESETS as HEURISTIC_PRESETS
 from .heuristic import HeuristicConfig, InsertionError, insertion_solve
 from .milp import build_milp, export_lp, import_solution, parse_solution
-from .scenario import Scenario, ScenarioError, load_scenario, serialize_scenario
+from .scenario import Scenario, ScenarioError, check_tensor_cells, load_scenario, serialize_scenario
 from .simplex import SizeCapError
 from .synth import PRESETS as SCENARIO_PRESETS
 from .synth import Dims, GenerationError, generate_preset, generate_synthetic
@@ -76,6 +76,7 @@ def _read_scenario(path: str) -> Scenario:
 
 
 def _with_uav_count(s: Scenario, count: int) -> Scenario:
+    check_tensor_cells(count, s.epochs, s.num_missions, s.num_zones, s.num_payloads)
     return dataclasses.replace(s, uav=dataclasses.replace(s.uav, count=count))
 
 
@@ -386,10 +387,10 @@ def cmd_compare(args) -> int:
     lines = [",".join(header)]
     row_stats = []
     try:
+        fleets = [_with_uav_count(s, count) for count in counts]  # refuses an oversized count before any run
         for ri, (engine, equipment, preset) in enumerate(runs):
             cfg = HEURISTIC_PRESETS[preset]() if preset else HeuristicConfig()
-            for count in counts:
-                sc = _with_uav_count(s, count)
+            for count, sc in zip(counts, fleets):
                 plan, _, _, stats = _checked_solve(sc, engine, equipment, cfg, limits)
                 row_stats.append(stats)
                 metrics = plan_metrics(sc, plan)
@@ -488,7 +489,6 @@ def main(argv=None) -> int:
         GenerationError,
         InsertionError,
         ValueError,
-        OverflowError,  # an infinite integer field, such as "epochs": Infinity
         KeyError,
         OSError,  # unreadable or unwritable paths: missing, a directory, no permission
         json.JSONDecodeError,

@@ -2,7 +2,8 @@
 
 solve_exact enumerates every feasible trajectory/payload schedule (config) per
 UAV with battery pruning, then searches the assignments of configs to UAVs
-depth-first with delivery-cover and objective-bound pruning, and for each
+depth-first with delivery-cover and objective-bound pruning (of whole
+subtrees, by the most any later pick can add), and for each remaining
 complete assignment solves the remaining continuous problem (allocations,
 relay effort, transfers, satisfaction) with the bundled simplex.  UAVs within
 an equipment group are interchangeable, so config indices never decrease
@@ -53,7 +54,7 @@ class ExactResult:
     feasible: bool
     lp_solves: int = 0  # inner LPs solved
     simplex_iterations: int = 0  # SimplexResult.iterations summed over the inner LPs
-    bound_prunes: int = 0  # assignments the objective bound discarded
+    bound_prunes: int = 0  # covering assignments the objective bound discarded, alone or with a subtree
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,15 @@ class _Config:
     quality and relay record what it can serve: quality is (K, M, Z), the
     quality at its location for every service mission its aboard set equips,
     zero elsewhere; relay is (K,), the epochs that carry the relay equipment.
-    servers and time_need are what it offers the objective bound over the
-    needed cells, the (epoch, zone) pairs with window need on some service
-    mission, in row-major order.  servers counts its epochs in the window
-    ending at that epoch that can serve the zone (have a mu column);
-    time_need is (cells, M), each mission's window need over the best quality
-    it offers the mission in that window: inf where it offers none, zero
-    where nothing is needed.  All four are read-only and take no part in
+    bound is what it offers the objective bound, from its usable quality:
+    quality less, when the scenario has a relay mission, every mission that
+    generates data at epochs without the relay equipment (the inner LP's flow
+    rows hold that work at zero).  Over the needed cells, the (epoch, zone)
+    pairs with window need on some service mission, in row-major order, its
+    servers count the epochs in the window ending at that epoch that can use
+    the zone, and its time_need (cells, M) is each mission's window need over
+    the best usable quality in that window: inf where there is none, zero
+    where nothing is needed.  All arrays are read-only and take no part in
     equality or hashing."""
 
     locs: tuple[int, ...]
@@ -79,8 +82,7 @@ class _Config:
     min_battery: float
     quality: np.ndarray = field(compare=False, repr=False)
     relay: np.ndarray = field(compare=False, repr=False)
-    servers: np.ndarray = field(compare=False, repr=False)
-    time_need: np.ndarray = field(compare=False, repr=False)
+    bound: _Capability = field(compare=False, repr=False)
 
 
 def _payload_subsets(s: Scenario, forced_on: frozenset, forbidden: frozenset) -> list[frozenset]:
@@ -176,6 +178,8 @@ def enumerate_configs(
         for a in [*subsets, idle_set]
     }
     relays = {a: relay is not None and _equipped(s, relay, a) for a in serves}
+    # (M, 1): missions whose data must leave by relay (no flow rows without a relay mission)
+    sends = np.array([relay is not None and m.mb_per_work > 0 for m in s.missions], dtype=bool)[:, None]
     cells = s.needed_ratios.any(axis=1)
 
     def finish(min_batt: float):
@@ -189,15 +193,18 @@ def enumerate_configs(
         away = sum(1 for l in locs if l not in depots)
         quality = np.where(np.array([serves[a] for a in aboard])[:, :, None], s.quality[locs], 0.0)
         relay_at = np.array([relays[a] for a in aboard])
-        offered = np.where(s.demand > 0, quality, 0.0)  # nonzero where it has a mu column
+        usable = np.where(sends & ~relay_at[:, None, None], 0.0, quality)
+        offered = np.where(s.demand > 0, usable, 0.0)  # nonzero where it has a usable mu column
         best = np.array([offered[max(0, k - s.horizon) : k + 1].max(axis=0) for k in range(K)])
         with np.errstate(divide="ignore", invalid="ignore"):
             time_need = np.where(s.needed_ratios, s.window_need / best, 0.0).transpose(0, 2, 1)[cells]
         servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)[cells]
-        arrays = (quality, relay_at, servers, time_need)
+        arrays = (quality, relay_at, usable, servers, time_need)
         for arr in arrays:
             arr.setflags(write=False)
-        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, *arrays))
+        bound = _Capability(usable, servers, time_need)
+        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, quality, relay_at,
+                           bound))
 
     def rec(k: int, battery: float, active: frozenset | None, min_batt: float):
         if k == K - 1:
@@ -263,25 +270,36 @@ def _equipped(s: Scenario, mission_id: int, aboard: frozenset) -> bool:
 
 @dataclass(frozen=True)
 class _Capability:
-    """What configs offer the objective bound together: their quality and
-    servers summed, in assignment order, and their time_need as an
+    """What configs offer the objective bound together: their usable quality
+    and servers summed, in assignment order, and their time_need as an
     elementwise minimum (the smallest need over one config's quality is the
-    need over the best), in the forms _Config gives them.  A record either
-    sums a prefix of an assignment or stacks candidates along a leading
-    axis; adding a config or a stacked record to a prefix broadcasts."""
+    need over the best), in the forms _Config.bound gives them.  A record
+    either sums a prefix of an assignment or stacks candidates along a
+    leading axis; adding a record or a stacked record to a prefix
+    broadcasts."""
 
     quality: np.ndarray
     servers: np.ndarray
     time_need: np.ndarray
 
     @classmethod
-    def stack(cls, cfgs) -> _Capability:
-        """One stacked record of the configs, in order."""
+    def stack(cls, records) -> _Capability:
+        """One stacked record of the records, in order."""
         return cls(
-            np.stack([c.quality for c in cfgs]),
-            np.stack([c.servers for c in cfgs]),
-            np.stack([c.time_need for c in cfgs]),
+            np.stack([r.quality for r in records]),
+            np.stack([r.servers for r in records]),
+            np.stack([r.time_need for r in records]),
         )
+
+    def best_from(self) -> _Capability:
+        """Entry i of a stacked record: the most any entry from i on offers,
+        as the running max of quality and servers and the running min of
+        time_need, taken from the end."""
+        def running(op, a):
+            return op.accumulate(a[::-1])[::-1]
+
+        return _Capability(running(np.maximum, self.quality), running(np.maximum, self.servers),
+                           running(np.minimum, self.time_need))
 
     def __add__(self, other) -> _Capability:
         quality, servers = self.quality + other.quality, self.servers + other.servers
@@ -460,7 +478,7 @@ def solve_exact(
     if sum(g[0] for g in equipment_groups) != D:
         raise ValueError("equipment group counts must sum to the fleet size")
 
-    slots = []  # per UAV slot: its group's configs (one list per group) and their stacked record
+    groups = []  # per equipment group with UAVs: its configs, their stacked record, its best_from, its count
     for count, on, off in equipment_groups:
         cfgs = enumerate_configs(
             s, frozenset(on), frozenset(off), depot_return=depot_return, prune_battery=prune_battery
@@ -470,46 +488,83 @@ def solve_exact(
         if count > 0 and not cfgs:
             return ExactResult(None, None, True, 0, False)
         if count > 0:
-            slots += [(cfgs, _Capability.stack(cfgs))] * count
+            stacked = _Capability.stack([c.bound for c in cfgs])
+            groups.append((cfgs, stacked, stacked.best_from(), count))
+    # per UAV slot: its group, the slots left in that group after it, and the later groups
+    slots = [(g, left, groups[i + 1 :]) for i, g in enumerate(groups) for left in reversed(range(g[-1]))]
 
     t0 = time.monotonic()
-    visited = lp_solves = iterations = prunes = 0
+    reached = visited = lp_solves = iterations = prunes = 0
     best = None  # (gamma, epochs_away, assignment, flows)
     truncated = False
+
+    def subtree_size(slot: int, ci: int, missing: frozenset) -> tuple[int, int]:
+        """The leaves under the slot's pick ci, and how many of them carry
+        the missing deliveries, by inclusion-exclusion over the deliveries
+        that no later pick makes."""
+        (cfgs, *_), left, later = slots[slot]
+        pools = [(cfgs[ci:], left)] + [(pool, count) for pool, _, _, count in later]
+        sizes = []
+        for r in range(len(missing) + 1):
+            for absent in itertools.combinations(sorted(missing), r):
+                n = 1
+                for pool, picks in pools:  # multisets of picks from the pool's configs that make none
+                    free = sum(1 for c in pool if c.delivered.isdisjoint(absent))
+                    n *= math.comb(free + picks - 1, picks) if picks else 1
+                sizes.append((-1) ** r * n)
+        return sizes[0], sum(sizes)
 
     def search(slot: int, lo: int, prefix: _Capability, missing: frozenset, away: int, picks: tuple) -> bool:
         """Visit the slot's configs from index lo on, after the picks so far;
         False once a limit stops the search."""
-        nonlocal visited, lp_solves, iterations, prunes, best, truncated
-        cfgs, stacked = slots[slot]
+        nonlocal reached, visited, lp_solves, iterations, prunes, best, truncated
+        (cfgs, stacked, best_from, _), left, later = slots[slot]
+        last = slot + 1 == D
+        # configs run from most to fewest epochs away, so each group's last
+        # config has the fewest any later pick can add
+        fewest = left * cfgs[-1].epochs_away + sum(n * pool[-1].epochs_away for pool, _, _, n in later)
         bounds = start = None
         for ci in range(lo, len(cfgs)):
             c = cfgs[ci]
-            if slot + 1 < D:
-                if not search(slot + 1, ci if slots[slot + 1][0] is cfgs else 0, prefix + c,
-                              missing - c.delivered, away + c.epochs_away, (*picks, c)):
-                    return False
-                continue
-            visited += 1
-            if visited > limits.max_assignments or (
-                visited % 256 == 0 and time.monotonic() - t0 > limits.time_budget_s
-            ):
-                truncated = True
-                return False
-            if not missing <= c.delivered:  # hard feasibility: every delivery needs a carrier
-                continue
             total = away + c.epochs_away
+            if last:
+                reached += 1
+                visited += 1
+                if reached > limits.max_assignments or (
+                    reached % 256 == 0 and time.monotonic() - t0 > limits.time_budget_s
+                ):
+                    truncated = True
+                    return False
+                if not missing <= c.delivered:  # hard feasibility: every delivery needs a carrier
+                    continue
             if best is not None and prune_bound:
                 if bounds is None:
-                    # the last pick varies fastest and only upward: bound its
-                    # remaining choices at once
-                    bounds, start = _objective_upper_bound(s, prefix + stacked[ci:]), ci
+                    # bound every choice left at once: each adds, slot by slot,
+                    # the best record any config a later slot may pick offers,
+                    # so no leaf below it sums more quality or servers
+                    offer = prefix + stacked[ci:]
+                    for _ in range(left):
+                        offer = offer + best_from[ci:]
+                    for _, _, later_best, count in later:
+                        for _ in range(count):
+                            offer = offer + later_best[0]
+                    bounds, start = _objective_upper_bound(s, offer), ci
                 ub = bounds[ci - start]
                 # below the incumbent, or level with it and unable to win the
-                # tie-break
-                if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and total >= best[1]):
-                    prunes += 1
+                # tie-break anywhere below
+                if ub < best[0] - 1e-12 or (ub <= best[0] + 1e-12 and total + fewest >= best[1]):
+                    if last:
+                        prunes += 1
+                    else:
+                        leaves, covering = subtree_size(slot, ci, missing - c.delivered)
+                        visited += leaves
+                        prunes += covering
                     continue
+            if not last:
+                if not search(slot + 1, ci if left else 0, prefix + c.bound, missing - c.delivered, total,
+                              (*picks, c)):
+                    return False
+                continue
             assignment = [*picks, c]
             gamma, flows, its = _inner_lp(s, assignment)
             lp_solves += 1

@@ -236,26 +236,22 @@ def max_range(spec: UavSpec, e_per_km_kg: float) -> float:
 def _index(value, size: int, what: str) -> int:
     """value as an index into range(size); negative, out-of-range or
     fractional values are rejected instead of wrapping or truncating."""
-    try:
-        i = _integer(value, what)
-    except OverflowError:
-        raise ScenarioError(f"{what} {value!r} is not an integer") from None
+    i = _integer(value, what)
     if not 0 <= i < size:
         raise ScenarioError(f"{what} {value!r} is outside [0, {size})")
     return i
 
 
 def _integer(value, what: str) -> int:
-    """value as an int; fractional and non-numeric values, booleans among
-    them, are rejected instead of truncated.  int() raises OverflowError on an
-    infinite value, which the CLI reports as bad input too."""
+    """value as an int; fractional, infinite and non-numeric values, booleans
+    among them, are rejected instead of truncated."""
     if type(value) is int:
         return value
     if isinstance(value, (bool, np.bool_)):
         raise ScenarioError(f"{what} {value!r} is not an integer")
     try:
         i = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an infinite value
         raise ScenarioError(f"{what} {value!r} is not an integer") from None
     if i != value:
         raise ScenarioError(f"{what} {value!r} is not an integer")
@@ -273,6 +269,8 @@ def _number(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{what} {value!r} is not a number") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ScenarioError(f"{what}: {value} is too large") from None
 
 
 _SHAPES = {list: "a list", dict: "an object"}
@@ -281,6 +279,19 @@ _SHAPES = {list: "a list", dict: "an object"}
 # plan's arrays together (uavs x epochs x (missions x zones + uavs + payloads
 # + 3)); the loader refuses a larger scenario before allocating anything
 MAX_TENSOR_CELLS = 10**8
+
+
+def check_tensor_cells(uavs: int, epochs: int, missions: int, zones: int, payloads: int) -> None:
+    """Raise ScenarioError if a scenario of these sizes would exceed
+    MAX_TENSOR_CELLS; the loader calls it before allocating anything, and so
+    must anything that changes a loaded scenario's sizes."""
+    for what, cells in (
+        ("the demand tensor (epochs x missions x zones)", epochs * missions * zones),
+        ("a plan (uavs x epochs x (missions x zones + uavs + payloads + 3))",
+         uavs * epochs * (missions * zones + uavs + payloads + 3)),
+    ):
+        if cells > MAX_TENSOR_CELLS:
+            raise ScenarioError(f"scenario too large: {what} would exceed {MAX_TENSOR_CELLS} cells")
 
 
 def _shaped(value, kind: type, what: str):
@@ -354,6 +365,8 @@ def make_scenario(
             if not (type(k) is type(m) is type(z) is int and k >= 0 and m >= 0 and z >= 0):
                 raise IndexError
             demand[k, m, z] = float(val)
+        except OverflowError:  # an integer beyond the float range
+            raise ScenarioError(f"demand[{j}]: value {val} is too large") from None
         except IndexError:
             # reject the row, or normalize numpy and integral-float ids
             if isinstance(m, str):
@@ -705,14 +718,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     epochs = _integer(need(doc, "epochs", "$"), "epochs")
     if epochs < 0:  # numpy would refuse the demand tensor with a bare "negative dimensions"
         raise ScenarioError("epochs: at least one epoch required")
-    zone_cells = len(missions) * len(zones)
-    for what, cells in (
-        ("the demand tensor (epochs x missions x zones)", epochs * zone_cells),
-        ("a plan (uavs x epochs x (missions x zones + uavs + payloads + 3))",
-         uav.count * epochs * (zone_cells + uav.count + len(payloads) + 3)),
-    ):
-        if cells > MAX_TENSOR_CELLS:
-            raise ScenarioError(f"scenario too large: {what} would exceed {MAX_TENSOR_CELLS} cells")
+    check_tensor_cells(uav.count, epochs, len(missions), len(zones), len(payloads))
     s = make_scenario(
         locations=locations,
         zones=zones,

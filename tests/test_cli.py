@@ -64,6 +64,9 @@ class TestValidate:
         [
             (None, ["horizon: horizon must lie in [0, epochs]"]),  # an issue validate finds
             ("{ nope", ["parse error at line 1, column 3: Expecting property name enclosed in double quotes"]),
+            # int()'s OverflowError escaped as "error: cannot convert float infinity to integer"
+            (json.dumps({**json.loads((DATA / "tiny-mixed.scenario").read_text()), "epochs": float("inf")}),
+             ["epochs inf is not an integer"]),
         ],
     )
     def test_invalid_scenario_reported_as_json(self, tmp_path, capsys, text, issues):
@@ -166,7 +169,7 @@ class TestValidate:
             (("payloads", 0, "weight_kg"), float("nan"), "payloads[0]: weight must be finite"),
             (("energy", "per_km_kg"), float("inf"), "energy[per_km_kg]: must be finite"),
             (("epoch_minutes",), float("nan"), "epoch_minutes: must be finite"),
-            (("epochs",), float("inf"), "error: "),
+            (("epochs",), float("inf"), "epochs inf is not an integer"),  # was int()'s OverflowError
             (("epochs",), 4.5, "epochs 4.5 is not an integer"),  # would truncate to 4
             (("horizon",), 1.5, "horizon 1.5 is not an integer"),
             (("uavs", "count"), 2.5, "uavs: count 2.5 is not an integer"),
@@ -201,6 +204,10 @@ class TestValidate:
             (("energy",), 2.0, "energy: expected an object, got 2.0"),
             (("payloads", 0), 7, "payloads[0]: expected an object, got 7"),
             (("demand",), {}, "demand: expected a list, got an object"),  # read as empty
+            # integers beyond the float range: float()'s OverflowError reached main
+            (("locations", 1, "x"), 10**400, "locations[1]: x: 1000"),
+            (("payloads", 0, "weight_kg"), 10**400, "payloads[0]: weight_kg: 1000"),
+            (("demand", 0, 3), 10**400, "demand[0]: value 1000"),
         ],
     )
     def test_bad_rows_and_values_exit_2(self, tmp_path, capsys, path, value, prefix):
@@ -501,6 +508,29 @@ class TestCompare:
             assert run("compare", "--scenario", scen, f"--uav-counts={count}", "--runs", runs, "--out", out) == 2
             assert capsys.readouterr().err == (
                 "error: scenario failed validation: uavs[count]: must be strictly positive\n"
+            )
+            assert not out.exists()
+
+    def test_oversized_fleet_refused_before_allocation(self, tmp_path, capsys, monkeypatch):
+        """--uav-counts meets the loader's size cap; it bypassed it before.
+        A stand-in engine that fails instead of allocating proves the check
+        comes first."""
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("an engine was reached")
+
+        monkeypatch.setattr("uavplan.cli._checked_solve", no_allocation)
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        out = tmp_path / "cmp.csv"
+        out.write_text("stale\n")
+        for runs in ("exact", "heuristic"):
+            assert run(
+                "compare", "--scenario", scen, "--uav-counts", f"2,{10**9}", "--runs", runs, "--out", out
+            ) == 2
+            assert capsys.readouterr().err == (
+                "error: scenario too large: a plan (uavs x epochs x (missions x zones + uavs + payloads + 3)) "
+                "would exceed 100000000 cells\n"
             )
             assert not out.exists()
 

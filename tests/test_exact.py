@@ -169,7 +169,8 @@ def _loop_window_need(s):
 
 def _loop_bound(s, assignment, win_need):
     """The objective bound as first written: per-config, per-epoch loops,
-    plus the time-budget term per window and zone."""
+    plus the time-budget term per window and zone, crediting only work whose
+    data can leave the UAV."""
     service = s.service_mission_ids
     if not service:
         return 1.0
@@ -178,11 +179,19 @@ def _loop_bound(s, assignment, win_need):
     def equipped(cfg, k, m):
         return all(p in cfg.aboard[k] for p in s.missions[m].requires)
 
+    def usable(cfg, k, m):
+        """Equipped, and the data its work makes can leave the UAV: the
+        inner LP's flow rows hold such work at zero without the relay
+        equipment aboard."""
+        if not equipped(cfg, k, m):
+            return False
+        return s.relay_index is None or s.missions[m].mb_per_work <= 0 or equipped(cfg, k, s.relay_index)
+
     cap = np.zeros((K, M, Z))
     for cfg in assignment:
         for k in range(K):
             for m in service:
-                if equipped(cfg, k, m):
+                if usable(cfg, k, m):
                     cap[k, m, :] += s.quality[cfg.locs[k], m, :]
     cap = np.minimum(cap, s.demand)
     cs = np.concatenate([np.zeros((1, M, Z)), np.cumsum(cap, axis=0)])
@@ -201,7 +210,7 @@ def _loop_bound(s, assignment, win_need):
 
             def serves(cfg, h, m):
                 q = s.quality[cfg.locs[h], m, z]
-                return equipped(cfg, h, m) and q > 0 and s.demand[h, m, z] > 0
+                return usable(cfg, h, m) and q > 0 and s.demand[h, m, z] > 0
 
             servers = sum(
                 1 for cfg in assignment for h in window if any(serves(cfg, h, m) for m in service)
@@ -225,11 +234,40 @@ def _groups(s, mode):
     return [(s.num_uavs, frozenset(), frozenset())]
 
 
+def _walk(s, mode, visit):
+    """The assignment search in loop form: visit(picks, c, record) for every
+    choice c after the picks, depth first, descending where it returns True.
+    record sums the records of the picks and c, then adds, slot by slot, the
+    best record any config a later slot may still pick offers: the
+    elementwise max of quality and servers and min of time_need over those
+    configs."""
+    slots = [pool for count, on, off in _groups(s, mode) for pool in [enumerate_configs(s, on, off)] * count]
+
+    def best_of(cfgs):
+        records = [c.bound for c in cfgs]
+        return _Capability(
+            np.max([r.quality for r in records], axis=0),
+            np.max([r.servers for r in records], axis=0),
+            np.min([r.time_need for r in records], axis=0),
+        )
+
+    def walk(slot, lo, picks):
+        pool = slots[slot]
+        for ci in range(lo, len(pool)):
+            record = sum((c.bound for c in (*picks, pool[ci])), _NO_CONFIGS)
+            for later in slots[slot + 1 :]:
+                record = record + best_of(later[ci:] if later is pool else later)
+            if visit(picks, pool[ci], _Capability.stack([record])) and slot + 1 < len(slots):
+                walk(slot + 1, ci if slots[slot + 1] is pool else 0, (*picks, pool[ci]))
+
+    walk(0, 0, ())
+
+
 def _batched_bound(s, picks, stack):
     """The bound on the drawn (pool, index) picks, read from one batch over
     every config of the last pick's pool (stacked in stack) after the
     running record of the other picks."""
-    prefix = sum((pool[i] for pool, i in picks[:-1]), _NO_CONFIGS)
+    prefix = sum((pool[i].bound for pool, i in picks[:-1]), _NO_CONFIGS)
     return float(_objective_upper_bound(s, prefix + stack)[picks[-1][1]])
 
 
@@ -239,7 +277,7 @@ class TestHotPathEquivalence:
     def test_bound_matches_loop_reference(self, seed, mode):
         s = flex_fixed_scenario(seed, 4)
         pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
-        stack = _Capability.stack(pools[-1][1])
+        stack = _Capability.stack([c.bound for c in pools[-1][1]])
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
@@ -254,7 +292,7 @@ class TestHotPathEquivalence:
     def test_bound_matches_loop_reference_multi_zone(self, seed):
         s = generate_synthetic(seed, Dims(3, 4, 2, 2, 5))
         cfgs = enumerate_configs(s)
-        stack = _Capability.stack(cfgs)
+        stack = _Capability.stack([c.bound for c in cfgs])
         win_need = _loop_window_need(s)
         rng = np.random.default_rng(seed)
         seen = set()
@@ -274,7 +312,7 @@ class TestCounters:
     @pytest.mark.parametrize(
         "build, mode",
         [(tiny_mixed, "flexible"), (lambda: flex_fixed_scenario(1, 3), "flexible"),
-         (lambda: flex_fixed_scenario(1, 3), "fixed")],
+         (lambda: flex_fixed_scenario(1, 3), "fixed"), (lambda: tiny_instance(8), "flexible")],
     )
     def test_counters_account_for_every_covering_assignment(self, build, mode):
         s = build()
@@ -298,20 +336,34 @@ class TestCounters:
         assert res.proven_optimal
         assert res.lp_solves == len(lp_calls) > 0
         assert res.simplex_iterations == sum(iterations) > 0
-        # every visited assignment that carries all deliveries reaches either
-        # the bound or an LP
+        # every assignment counts as visited, those under a pruned subtree
+        # too, and every one that carries all deliveries is either discarded
+        # by the bound (alone or with its subtree) or solved
         pools = [(count, enumerate_configs(s, on, off)) for count, on, off in groups]
-        combos = itertools.product(
+        combos = list(itertools.product(
             *(itertools.combinations_with_replacement(pool, count) for count, pool in pools)
-        )
+        ))
         wanted = set(s.deliverable_ids)
         covering = sum(
             1 for combo in combos if wanted <= set().union(*(c.delivered for picks in combo for c in picks))
         )
+        assert res.assignments_visited == len(combos)
         assert res.bound_prunes + res.lp_solves == covering
         unpruned = solve_exact(s, equipment_groups=groups, prune_bound=False)
-        assert (unpruned.bound_prunes, unpruned.lp_solves) == (0, covering)
+        assert (unpruned.assignments_visited, unpruned.bound_prunes, unpruned.lp_solves) == (
+            len(combos), 0, covering)
         assert unpruned.objective == res.objective
+
+    def test_pruned_subtrees_do_not_count_against_the_limit(self):
+        """max_assignments caps the assignments the search reaches one by
+        one (103 of 1820 here); a run that prunes the rest to the end is
+        complete."""
+        s = flex_fixed_scenario(1, 4)
+        full = solve_exact(s)
+        capped = solve_exact(s, EnumerationLimits(max_assignments=200))
+        assert capped.proven_optimal and capped.assignments_visited == full.assignments_visited == 1820
+        assert _result_digest(capped) == _result_digest(full)
+        assert not solve_exact(s, EnumerationLimits(max_assignments=5)).proven_optimal
 
 
 def _bounds_and_gammas(s, groups):
@@ -322,7 +374,7 @@ def _bounds_and_gammas(s, groups):
 
     def recording_lp(s_, assignment):
         out = inner_lp(s_, assignment)
-        offer = sum(assignment[:-1], _NO_CONFIGS) + _Capability.stack(assignment[-1:])
+        offer = _Capability.stack([sum((c.bound for c in assignment), _NO_CONFIGS)])
         ub = _objective_upper_bound(s, offer)[0]
         pairs.append((float(ub), out[0]))
         return out
@@ -365,10 +417,10 @@ class TestBoundSoundness:
 
     @pytest.mark.parametrize("mode", ["flexible", "fixed"])
     def test_search_reads_each_assignments_own_bound(self, mode):
-        """solve_exact bounds the last pick's choices in one batch per prefix;
-        a stand-in bound that prunes a pseudo-random half of the assignments,
-        by the bytes of each one's record, shows that each one is judged by
-        its own entry."""
+        """solve_exact bounds a node's remaining choices in one batch; a
+        stand-in bound that prunes a pseudo-random half of the records, by
+        their bytes, shows that each choice, a whole subtree or one
+        assignment, is judged by its own entry."""
         s = flex_fixed_scenario(1, 3)
 
         def keep(offer, i) -> bool:
@@ -390,15 +442,100 @@ class TestBoundSoundness:
         ):
             res = solve_exact(s, equipment_groups=_groups(s, mode))
         assert 0.0 < res.objective < 1.0  # so 0.0 always prunes and 1.0 never does
-        # every assignment in search order; the first meets no incumbent
-        pools = [(count, enumerate_configs(s, on, off)) for count, on, off in _groups(s, mode)]
-        combos = itertools.product(
-            *(itertools.combinations_with_replacement(pool, count) for count, pool in pools)
-        )
-        first, *rest = [[c for picks in combo for c in picks] for combo in combos]
-        records = (sum(cfgs[:-1], _NO_CONFIGS) + _Capability.stack(cfgs[-1:]) for cfgs in rest)
-        assert solved == [first] + [cfgs for cfgs, offer in zip(rest, records) if keep(offer, 0)]
-        assert 0 < res.bound_prunes < len(rest)
+        # the same search in loop form; nothing is pruned before the first LP
+        want, subtrees = [], []
+
+        def visit(picks, c, record):
+            leaf = len(picks) + 1 == s.num_uavs
+            if want and not keep(record, 0):
+                if not leaf:
+                    subtrees.append(picks)
+                return False
+            if leaf:
+                want.append([*picks, c])
+            return True
+
+        _walk(s, mode, visit)
+        assert solved == want
+        assert subtrees and 0 < res.bound_prunes
+
+
+class TestSubtreeBound:
+    CASES = [
+        pytest.param(lambda: flex_fixed_scenario(1, 3), "flexible", id="flex-fixed-3-flexible"),
+        pytest.param(lambda: flex_fixed_scenario(1, 3), "fixed", id="flex-fixed-3-fixed"),
+        pytest.param(tiny_mixed, "flexible", id="tiny-mixed-uniform-links"),
+        pytest.param(lambda: tiny_mixed(**BINDING_LINKS), "flexible", id="tiny-mixed-binding-links"),
+    ]
+
+    @pytest.mark.parametrize("build, mode", CASES)
+    def test_subtree_bound_covers_every_leaf_below(self, build, mode):
+        """Every choice's bound is at least the bound of each complete
+        assignment below it, and every batch solve_exact bounds is the tail
+        of one node's choices."""
+        s = build()
+        nodes, children = [], {}  # (depth, bound) in depth-first order; bounds per parent
+
+        def visit(picks, c, record):
+            ub = float(_objective_upper_bound(s, record)[0])
+            nodes.append((len(picks) + 1, ub))
+            children.setdefault(tuple(map(id, picks)), []).append(ub)
+            return True
+
+        _walk(s, mode, visit)
+        for i, (depth, ub) in enumerate(nodes):
+            below = itertools.takewhile(lambda node: node[0] > depth, nodes[i + 1 :])
+            assert all(leaf <= ub + 1e-12 for d, leaf in below if d == s.num_uavs)
+        tails = {tuple(v[i:]) for v in children.values() for i in range(len(v))}
+        batches = []
+        bound = exact._objective_upper_bound
+
+        def recording_bound(s_, offer):
+            out = bound(s_, offer)
+            batches.append(tuple(out.tolist()))
+            return out
+
+        with mock.patch.object(exact, "_objective_upper_bound", recording_bound):
+            solve_exact(s, equipment_groups=_groups(s, mode))
+        assert batches and all(batch in tails for batch in batches)
+
+    @pytest.mark.parametrize(
+        "build, mode",
+        CASES[:3]
+        + [
+            pytest.param(
+                *CASES[3].values,
+                id=CASES[3].id,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="without pruning, two of its inner LPs come back optimal from simplex_solve "
+                    "at a point 0.499 over an inequality row (gamma 1.166), and that plan wins",
+                ),
+            )
+        ],
+    )
+    def test_bound_pruning_changes_no_plan(self, build, mode):
+        s = build()
+        pruned = solve_exact(s, equipment_groups=_groups(s, mode))
+        unpruned = solve_exact(s, equipment_groups=_groups(s, mode), prune_bound=False)
+        assert repr(pruned.objective) == repr(unpruned.objective)
+        assert _plan_digest(pruned) == _plan_digest(unpruned)
+        assert unpruned.lp_solves > pruned.lp_solves
+
+
+def test_flexible_matches_fixed_with_fewer_uavs():
+    """The paper's claim at the optimum: flexible equipment never does worse
+    than fixed, and matches it with fewer UAVs (4 against 5, 6 against 8)."""
+    flexible, fixed = {}, {}
+    for uavs in range(2, 9):
+        s = flex_fixed_scenario(1, uavs)
+        flexible[uavs] = solve_exact(s).objective
+        fixed[uavs] = solve_exact(s, equipment_groups=_groups(s, "fixed")).objective
+        assert flexible[uavs] >= fixed[uavs] - 1e-9
+    assert flexible[4] == pytest.approx(fixed[5], abs=1e-9)
+    assert flexible[4] == pytest.approx(0.47946, abs=1e-5)
+    assert flexible[6] == pytest.approx(fixed[8], abs=1e-9)
+    assert flexible[6] == pytest.approx(0.71919, abs=1e-5)
 
 
 # -- pinned bytes: the inner LPs and results of the exact engine -------------------
@@ -415,38 +552,50 @@ PINNED_CASES = {
     "tiny-mixed-binding-links": (lambda: tiny_mixed(**BINDING_LINKS), "flexible"),
 }
 
-# sha256 of every (c, a_ub, b_ub, a_eq, b_eq) solve_exact hands the simplex,
-# then of the ExactResult fields and plan arrays
+# sha256 of the objective and plan arrays, computed before the bound credited
+# only data that can leave the UAV and pruned whole subtrees, and unchanged
+# by them; then of every (c, a_ub, b_ub, a_eq, b_eq) solve_exact hands the
+# simplex, and of the ExactResult fields and plan arrays, re-pinned then:
+# the tighter bound skips LPs (a subsequence of those solved before), so
+# lp_solves, simplex_iterations and bound_prunes changed
 PINNED_DIGESTS = {
     "flex-fixed-1-flexible": (
-        "ca54ed3ad0dda8e4577fe464750fa62831ffb3e1238251328ffdf491e0e9b7dd",
-        "37fa1f8b316d3006d72b89a027eacb3b7d3a7110f23106243c7c01013b23f661",
+        "e6f5ff24e3a12d85d9c8d291c720611c9c8a584ccfc1c92112145b679c69cb70",
+        "5020c768eda3f773fc364812a55c63eb08da7207abe617217136f97d37d8aff0",
+        "110b9a6cf5ae445c9e9e0e8f11eebba6d240b87f6f87d99e8fa2d5d5b74d3aa0",
     ),
     "flex-fixed-1-fixed": (
-        "b666108b39ceb6d70cd87daa3a68eb0f11671472279c30674f4d014aa417327b",
-        "36f3f0803327010830dd17899bf6b0a9a6b8f25f28871624500e0752bcc00b3d",
+        "8e82594863132dc976ed1e904fc2173c8817f6d8edebcccb544dd591e31cbf5f",
+        "5581d5b0e5589716750a0598387e74a12e2b2a787f093899db0b509a600f1c13",
+        "d05e3f8fa8a172d64ccaf6e83c6788cb49d3a6b15099d03c9cb4224f5e61131f",
     ),
     "flex-fixed-2-flexible": (
-        "34ce5c35ed41a2a984747772270eede78eb1a55c33468dbcb367b28feacfd081",
-        "2851c63d15f2e6cb79774cc3251c2ccffdf5857b35234719d542455a144f2875",
+        "130f2f5f6a3663a184028b0e617c5b16e9d144f720eaf01d345689b9785358ad",
+        "4f73eec7faadaa7492a0f8b8207bc0b43ffa4f20e1681d427540cb6e78e7f8bf",
+        "33b88f1a130d0ec96153f21373901d0a780f9a46a5eeeeee7630a8ebe5e2956a",
     ),
     "flex-fixed-2-fixed": (
-        "9665c9a9bfede17a8d070bb04c35316c3b6106bd466ddc2f72e12843f613101d",
-        "1757259c24810c03f640139807e3f56815fb72161af61a4ce72b9a20ef1b120c",
+        "0ae53ccc4c6c398e9797dd3384804b8609bdbe8333f90f307eca27b25873708f",
+        "ffabab7ce8eb82259a02f71effaf9daf805501781e0392ff9ec861ad2edab5dd",
+        "9daa39cd7e8c52b6bacfc2141336b1f9a687dcc454f90313d8f804937f537c6b",
     ),
     "flex-fixed-3-flexible": (
-        "9891c73c90dfb770481852ef574412cc86babf1c2cca202dd771284f9c3f0271",
-        "5db499a8415ffdc68ca6beed478433731c751dc8721ffa717f94f1459b175ffe",
+        "9b9a0129131f0b363d25f00d449841db9690c6ebe87c9eeb653bda72c84eb54d",
+        "902ba9f5ce5e41c1ec57abf25b437420b2e0416296ec09d5ad7e99d855188df7",
+        "dc28b8e1f50c2450913ff9fb6bd91ef867495fe7b7b662108e45dceee8e5ce5d",
     ),
     "flex-fixed-3-fixed": (
-        "98821457632c95ae1902490addf653bfa72c032c712525445420dc6cb7164ed0",
-        "64bc7c7bfe5b12ade802a1f5dad6ec1e79620243627ba52a07eddf71e135195a",
+        "cdf69906379f8f2414bdb760e2c351394f15435ab99eb1cfa0d1d309c21d82cc",
+        "7cbcd92061b727c457ca57d6de94844b2d52d183dba68f27978a54e38d6d3625",
+        "7fbac5bc0ed4143c3390ca969827d185320bbe056bc65a884a2b128c8803ed2d",
     ),
     "tiny-mixed-uniform-links": (
+        "fac353aa1801ae2e73412aa7741254772129c57d500035bb4f37cea8fb458772",
         "1395803a41664a10301ee5bb375dfa489873fa38af1bcc6c4244a5571f73d7c5",
         "64fab4232c18976dab928e0294a5d74cc1c098011d37fb0317ad85c5847f8460",
     ),
     "tiny-mixed-binding-links": (
+        "82aa3b718ff3fa7811bb419e7a243b2a207975d65979ca44cc2bbf6fa0be0209",
         "3408c2e27b465cca499d3b695b04d836c54f1d1fa2fc6645302390b013d584bf",
         "ff83f68227b7bc9f1b98ef5aa8013fad2305e218c6baa88b79b95a100915b1e0",
     ),
@@ -471,7 +620,16 @@ def _exact_digests(s, mode):
 
     with mock.patch.object(exact, "simplex_solve", recording_solve):
         res = solve_exact(s, equipment_groups=_groups(s, mode))
-    return lps.hexdigest(), _result_digest(res)
+    return _plan_digest(res), lps.hexdigest(), _result_digest(res)
+
+
+def _plan_digest(res) -> str:
+    """sha256 of the objective, then of the plan arrays if any."""
+    out = hashlib.sha256(repr(res.objective).encode())
+    if res.plan is not None:
+        for f in dataclasses.fields(res.plan):
+            out.update(f.name.encode() + _array_bytes(getattr(res.plan, f.name)))
+    return out.hexdigest()
 
 
 def _result_digest(res) -> str:
@@ -497,18 +655,25 @@ TRUNCATED_CASES = {
     "flex-fixed-1-3-fixed": (lambda: flex_fixed_scenario(1, 3), "fixed"),
 }
 
-# _result_digest of runs cut off after max_assignments assignments, computed
-# when the search still walked itertools.product; at 100 the fixed-mode run
-# (64 assignments) completes
+# _result_digest of runs cut off after max_assignments assignments reached
+# one by one; the tiny-mixed ones are unchanged since the search walked
+# itertools.product.  The flex-fixed ones were re-pinned when the bound came
+# to credit only data that can leave the UAV and to prune whole subtrees:
+# the cut at 7 keeps its plan but solves 2 LPs instead of 6, and the runs cut
+# at 30 (fixed) and 100 (flexible) now complete; the cuts at 40 (flexible,
+# after pruned subtrees) and 10 (fixed, inside a multi-group run) were
+# added to keep truncated runs of both modes pinned
 TRUNCATED_DIGESTS = {
     ("tiny-mixed", 1): "c584ea106ada93abc6feb8cfe59846ae4b4cf7b4e4af4c1e2c942a4ca42c66e2",
     ("tiny-mixed", 5): "cb4d7eb725377d2258aae75affcc53bf106229bab9777dfe777aec328d41f3e3",
     ("tiny-mixed", 37): "c87e34e9213d2184a4c968a3be0a30437d8c86d0c02d1c7f364b9c066d4be56f",
     ("tiny-mixed", 200): "699fbf3a8496f77174362b4d322efe103f6eab8b994d03bfacfd11a1579eae39",
-    ("flex-fixed-1-3-flexible", 100): "2048344b8991165ae926b1bfdf71df905195b1725bd6c358b8039bbeb728cd0f",
-    ("flex-fixed-1-3-fixed", 7): "01911087f4218fe378f32e59eedc9ae6030c3d1c0d2f5ece0af1d7e7422ec710",
-    ("flex-fixed-1-3-fixed", 30): "38affbdff517a99973752119b5955c8fed5b37645ab9c430cfbf6d443c2db038",
-    ("flex-fixed-1-3-fixed", 100): "5ab8b5b82c1b63a612460febac172beb75d4a75898689f44fd435614accd2e30",
+    ("flex-fixed-1-3-flexible", 40): "12961bb1f85094e143b687ca84bcb7270ae1bbec65e9338d4d88d3e5d403c251",
+    ("flex-fixed-1-3-flexible", 100): "0d493939ad3ae2db9ebca16168d791706cebb2a4c7aba714cc6026a29283b9de",
+    ("flex-fixed-1-3-fixed", 7): "016320dc04aa9ec30e4a5608f594238d0dd90f2ee3afe5d54694dc957c480663",
+    ("flex-fixed-1-3-fixed", 10): "89b76da27d7f5970980be789ebb4711b8076abf5d472f21fe431b037e19123f6",
+    ("flex-fixed-1-3-fixed", 30): "1670b78cb540e9c04b8108822f4d65c22c91aa1186911c237a3aaee1b0a9f22b",
+    ("flex-fixed-1-3-fixed", 100): "1670b78cb540e9c04b8108822f4d65c22c91aa1186911c237a3aaee1b0a9f22b",
 }
 
 
