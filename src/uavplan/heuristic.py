@@ -11,7 +11,8 @@ monitoring value via the (alpha1, alpha2) weights.
 
 Route service weights depend on residual demand and are refreshed after every
 committed insertion, so demand already claimed by earlier tours is not counted
-twice.
+twice; route scores are cached between refreshes.  Each route carries a
+per-hop step record (depot flag, Wh per kg) for the battery pass.
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ class Route:
     seq: tuple[int, ...]  # per-epoch location hops, seq[0] .. seq[-1]
     anchors: tuple[int, ...]  # intermediate anchor locations (at most two)
     length_km: float
+    # per hop: (lands on a depot, Wh per kg of gross weight), Python bool/float
+    steps: tuple[tuple[bool, float], ...] = field(default=(), repr=False, compare=False)
     hops: int = field(init=False, repr=False, compare=False)  # len(seq) - 1
 
     def __post_init__(self):
         object.__setattr__(self, "hops", len(self.seq) - 1)
+        if len(self.steps) != self.hops:
+            raise ValueError(f"route {self.seq} needs one step record per hop, got {len(self.steps)}")
 
 
 @dataclass
@@ -95,7 +100,9 @@ class RouteGraph:
 
 def _route_from_seq(s: Scenario, seq: tuple[int, ...], anchors: tuple[int, ...]) -> Route:
     length = sum(s.dist_km[seq[j], seq[j + 1]] for j in range(len(seq) - 1))
-    return Route(seq=seq, anchors=anchors, length_km=float(length))
+    src, dst = list(seq[:-1]), list(seq[1:])
+    steps = tuple(zip(s.is_depot_arr()[dst].tolist(), s.energy_wh_per_kg[src, dst].tolist()))
+    return Route(seq=seq, anchors=anchors, length_km=float(length), steps=steps)
 
 
 def build_route_graph(s: Scenario) -> RouteGraph:
@@ -272,15 +279,22 @@ def _latest_services(s: Scenario, stops: list[Stop], hops: list[int]) -> list[in
 
 
 def _simulate(
-    s: Scenario, equip_w: float, stops: list[Stop], legs: list[Route], depart: int | None = None
+    s: Scenario,
+    equip_w: float,
+    stops: list[Stop],
+    legs: list[Route],
+    depart: int | None = None,
+    pack_w: float | None = None,
 ) -> _Schedule | None:
     """Feasible schedule for the tour, or None.  With depart=None the latest
     window-feasible departure is used; otherwise the given epoch.  Early
     arrivals wait on site; payload weight rides for the whole tour (failed
-    drops must be able to come home)."""
-    pack_w = _pack_weight(s, equip_w, stops)
+    drops must be able to come home).  A caller that already has the stops'
+    _pack_weight passes it as pack_w."""
     if pack_w is None:
-        return None
+        pack_w = _pack_weight(s, equip_w, stops)
+        if pack_w is None:
+            return None
     latest = _latest_services(s, stops, [leg.hops for leg in legs])
     if latest is None:
         return None
@@ -291,49 +305,53 @@ def _simulate(
         return None
 
     # forward pass: waits absorb early arrivals
-    arrivals, services = [], []
+    waits, services = [], []
     t = depart
     for i in range(m):
         arr = t + legs[i].hops
         svc = max(arr, s.payloads[stops[i].payload].window[0])
         if svc > latest[i]:
             return None
-        arrivals.append(arr)
+        waits.append(svc - arr)
         services.append(svc)
         t = svc
     ret = t + legs[m].hops
     if ret > s.epochs - 1:
         return None
 
-    # battery along the realized epoch walk, resetting at depot waypoints
-    is_depot = s.is_depot_arr()
+    # battery along the realized epoch walk, resetting at depot waypoints;
+    # each step's Wh is its per-kg record times the gross weight
     gross = s.uav.empty_weight_kg + equip_w + pack_w
     E = s.uav.battery_capacity_wh
     battery = E
     lowest = E
     energy = 0.0
+    drained = False  # any step charged: energy_wh is then an np.float64
     loc = legs[0].seq[0] if legs else s.depot_ids[0]
-    for i in range(m + 1):
-        for j in range(legs[i].hops):
-            nxt = legs[i].seq[j + 1]
-            if is_depot[nxt]:
+    for i, leg in enumerate(legs):
+        for to_depot, wh in leg.steps:
+            if to_depot:
                 battery = E
             else:
-                step = s.energy_wh_per_kg[legs[i].seq[j], nxt] * gross
+                step = wh * gross
                 battery -= step
                 energy += step
-                lowest = min(lowest, battery)
-            loc = nxt
-        if i < m:
-            for _ in range(services[i] - arrivals[i]):
-                if not is_depot[loc]:
-                    step = s.energy_wh_per_kg[loc, loc] * gross
-                    battery -= step
-                    energy += step
-                    lowest = min(lowest, battery)
+                drained = True
+                if battery < lowest:
+                    lowest = battery
+        if leg.steps:
+            loc = leg.seq[-1]
+        if i < m and waits[i] and loc not in s.depot_ids:
+            step = s.hover_wh_per_kg[loc] * gross
+            for _ in range(waits[i]):
+                battery -= step
+                energy += step
+                if battery < lowest:
+                    lowest = battery
+            drained = True
     if lowest < -1e-9:
         return None
-    return _Schedule(depart, services, ret, energy)
+    return _Schedule(depart, services, ret, np.float64(energy) if drained else energy)
 
 
 # -- insertion machinery -----------------------------------------------------------
@@ -357,9 +375,16 @@ class _SolveContext:
         self.residual = s.demand.copy()  # after the committed tours and the open one
         self._refresh_values()
 
-    def simulate(self, equip_w: float, stops: list[Stop], legs: list[Route], depart: int | None = None):
+    def simulate(
+        self,
+        equip_w: float,
+        stops: list[Stop],
+        legs: list[Route],
+        depart: int | None = None,
+        pack_w: float | None = None,
+    ):
         """_simulate, counted in self.stats."""
-        sched = _simulate(self.s, equip_w, stops, legs, depart)
+        sched = _simulate(self.s, equip_w, stops, legs, depart, pack_w)
         self.stats["simulate_calls"] += 1
         self.stats["simulate_feasible"] += sched is not None
         return sched
@@ -367,6 +392,8 @@ class _SolveContext:
     def _refresh_values(self):
         mean = self.residual.mean(axis=0) if self.s.epochs else self.residual.sum(axis=0)
         self.loc_value = self.weights.location_value(mean)
+        self._legs: dict[tuple[int, int], list[tuple[float, Route]]] = {}
+        self._dedicated: dict[int, float] = {}
 
     def weighted_score(self, time: float, r: Route) -> float:
         """(1 - a1 - a2) * time - a1 * coverage - a2 * monitoring along r."""
@@ -382,9 +409,27 @@ class _SolveContext:
         return self.weighted_score(r.hops, r)
 
     def leg_candidates(self, a: int, b: int) -> list[tuple[float, Route]]:
-        cands = [(self.route_score(r), r) for r in self.graph.between(a, b)]
-        cands.sort(key=lambda t: (t[0], t[1].length_km, t[1].seq))
+        """(score, route) for every a -> b route, best first.  Scores read
+        only loc_value and cfg, so each pair is scored once per
+        _refresh_values; callers must not change the list."""
+        cands = self._legs.get((a, b))
+        if cands is None:
+            cands = [(self.route_score(r), r) for r in self.graph.between(a, b)]
+            cands.sort(key=lambda t: (t[0], t[1].length_km, t[1].seq))
+            self._legs[a, b] = cands
         return cands
+
+    def dedicated_score(self, b: int) -> float:
+        """Largest weighted score over the depot -> b routes, each timed at
+        the pair's shortest hops; once per _refresh_values, like
+        leg_candidates."""
+        got = self._dedicated.get(b)
+        if got is None:
+            depot = self.graph.depot
+            psi_short = self.graph.shortest_hops(depot, b)
+            got = max(self.weighted_score(psi_short, r) for r in self.graph.between(depot, b))
+            self._dedicated[b] = got
+        return got
 
 
 def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
@@ -404,7 +449,8 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
     fewest = ctx.graph.fewest_hops
     hops = [leg.hops for leg in tour.legs]
     hops[position - 1 : position] = [fewest[prev_node, target], fewest[target, next_node]]
-    if _pack_weight(s, ctx.equip_w, new_stops) is None or _latest_services(s, new_stops, hops) is None:
+    pack_w = _pack_weight(s, ctx.equip_w, new_stops)
+    if pack_w is None or _latest_services(s, new_stops, hops) is None:
         ctx.stats["precheck_rejected"] += 1
         return None
 
@@ -425,7 +471,7 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
                 break
             legs = tour.legs[:]
             legs[position - 1 : position] = [g, g2]
-            if ctx.simulate(ctx.equip_w, new_stops, legs) is not None:
+            if ctx.simulate(ctx.equip_w, new_stops, legs, pack_w=pack_w) is not None:
                 if best is None or cost < best[0] - 1e-12:
                     best = (cost, g, g2)
                 break  # later second-leg routes only cost more
@@ -435,10 +481,8 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
 def phi2(ctx: _SolveContext, tour: Tour, position: int, phi1_cost: float) -> float:
     """Savings of inserting here versus opening a dedicated tour: weighted
     value of the depot leg to the insertion successor minus the detour cost."""
-    depot = ctx.graph.depot
-    succ = tour.node_list(depot)[position]
-    psi_short = ctx.graph.shortest_hops(depot, succ)
-    return max(ctx.weighted_score(psi_short, r) for r in ctx.graph.between(depot, succ)) - phi1_cost
+    succ = tour.node_list(ctx.graph.depot)[position]
+    return ctx.dedicated_score(succ) - phi1_cost
 
 
 def _seed_tour(ctx: _SolveContext, payload_id: int) -> Tour:
@@ -611,19 +655,18 @@ def _uav_equipment(s: Scenario, uav_equipment, u: int) -> frozenset:
 def _epoch_walk(s: Scenario, tour: Tour, depart: int, services: list[int]):
     """(epoch, location) for every non-depot epoch of the tour flown from
     depart with the given service epochs."""
-    is_depot = s.is_depot_arr()
     out = []
     t = depart
     for i, leg in enumerate(tour.legs):
-        for j in range(leg.hops):
+        for nxt, (to_depot, _) in zip(leg.seq[1:], leg.steps):
             t += 1
-            if not is_depot[leg.seq[j + 1]]:
-                out.append((t, leg.seq[j + 1]))
+            if not to_depot:
+                out.append((t, nxt))
         if i < len(tour.stops):
             loc = tour.stops[i].location
             while t < services[i]:
                 t += 1
-                if not is_depot[loc]:
+                if loc not in s.depot_ids:
                     out.append((t, loc))
     return out
 
@@ -634,28 +677,30 @@ def _allocate_service(s: Scenario, l: int, k: int, aboard: frozenset, resid, col
     ridx = s.relay_index
     can_relay = ridx is not None and all(p in aboard for p in s.missions[ridx].requires)
     t_sink = float(s.link_sink_mb[l])
+    serving = s.serving_zones[l]
     budget = 1.0
     gen = 0.0
     pairs = []
     for m in s.service_mission_ids:
-        if not all(p in aboard for p in s.missions[m].requires):
+        if not serving[m] or not all(p in aboard for p in s.missions[m].requires):
             continue
         rate = s.missions[m].mb_per_work
         if rate > 0 and (not can_relay or t_sink <= 0):
             continue  # data with nowhere to go forbids the work entirely
-        q_lm, r_km = s.quality[l, m], resid[k, m]
-        for z in np.nonzero((q_lm > 0) & (r_km > 1e-12))[0].tolist():
-            q = q_lm[z]
-            pairs.append((q * r_km[z], m, z, q, rate))
-    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-    for _, m, z, q, rate in pairs:
+        r_km = resid[k, m].tolist()
+        for z, q in serving[m]:
+            r = r_km[z]
+            if r > 1e-12:
+                pairs.append((-(q * r), m, z, q, rate, r))
+    pairs.sort()  # most valuable first, ties by (mission, zone), which are unique
+    for _, m, z, q, rate, r in pairs:
         if budget <= 1e-12:
             break
         per_mu = 1.0 + (q * rate / t_sink if rate > 0 else 0.0)
-        alloc = min(budget / per_mu, resid[k, m, z] / q)
+        alloc = min(budget / per_mu, r / q)  # r is still resid[k, m, z]: each pair is spent once
         if alloc <= 1e-12:
             continue
-        resid[k, m, z] -= alloc * q
+        resid[k, m, z] = r - alloc * q
         budget -= alloc * per_mu
         gen += alloc * q * rate
         if collect is not None:

@@ -72,9 +72,10 @@ class Scenario:
 
     The derived ids, masks and weights below (``depot_ids``, ``relay_index``,
     ``service_mission_ids``, ``deliverable_ids``, ``equipment_ids``,
-    ``window_need``, ``needed_ratios``, ``reach``, ``payload_weights()``,
-    ``is_depot_arr()``) are computed once per instance,
-    on first use, and the arrays are read-only.  ``dataclasses.replace``
+    ``window_need``, ``needed_ratios``, ``reach``, ``hover_wh_per_kg``,
+    ``serving_zones``, ``payload_weights()``, ``is_depot_arr()``) are
+    computed once per instance, on first use; the arrays are read-only and
+    the records are tuples of Python numbers.  ``dataclasses.replace``
     builds a fresh instance, which computes its own.
     """
 
@@ -180,6 +181,23 @@ class Scenario:
         """(L, L) mask of the hops one epoch can fly (distance at most
         ``uav.max_step_km``); read-only."""
         return _read_only(self.dist_km <= self.uav.max_step_km + 1e-12)
+
+    @cached_property
+    def hover_wh_per_kg(self) -> tuple[float, ...]:
+        """(L,) Wh per kg of one epoch on site at each location (the
+        diagonal of ``energy_wh_per_kg``), as Python floats."""
+        return tuple(np.diagonal(self.energy_wh_per_kg).tolist())
+
+    @cached_property
+    def serving_zones(self) -> tuple[tuple[tuple[tuple[int, float], ...], ...], ...]:
+        """serving_zones[l][m]: the (zone, quality) pairs with quality > 0
+        for mission m at location l, zones ascending, as Python numbers."""
+        L, M, _ = self.quality.shape
+        rows: list[list[list]] = [[[] for _ in range(M)] for _ in range(L)]
+        idx = np.nonzero(self.quality > 0)  # in index order, so zones ascend
+        for l, m, z, q in zip(*(i.tolist() for i in idx), self.quality[idx].tolist()):
+            rows[l][m].append((z, q))
+        return tuple(tuple(map(tuple, per_mission)) for per_mission in rows)
 
     def payload_weights(self) -> np.ndarray:
         """(P,) payload weights in kg; read-only."""

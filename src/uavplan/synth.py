@@ -28,12 +28,15 @@ import numpy as np
 
 from .paths import all_pairs_shortest, mst_max_edge, reconstruct
 from .scenario import (
+    MAX_TENSOR_CELLS,
     Location,
     Mission,
     PayloadItem,
     Scenario,
+    ScenarioError,
     UavSpec,
     Zone,
+    check_tensor_cells,
     make_scenario,
     validate,
 )
@@ -104,9 +107,11 @@ def generate_synthetic(
     if horizon is None:
         horizon = max(1, d.epochs // 2)
 
-    rng = np.random.default_rng(seed)
     include_missions = d.zones > 0
     n_equipment = (2 if include_monitoring else 1) if include_missions else 0
+    n_missions = n_equipment + 1 if include_missions else 0  # one per equipment, plus relay
+    _check_sizes(d, n_missions, n_payloads=n_equipment + d.deliveries)
+    rng = np.random.default_rng(seed)
     equip_w = n_equipment * EQUIPMENT_WEIGHT_KG
     heaviest_pack = max(pack_weights) if d.deliveries else 0.0
     if equip_w + heaviest_pack > PAYLOAD_CAPACITY_KG:
@@ -243,6 +248,22 @@ def generate_synthetic(
     if issues:  # generator bug if this ever fires
         raise GenerationError("generated scenario failed validation: " + "; ".join(map(str, issues)))
     return s
+
+
+def _check_sizes(d: Dims, n_missions: int, n_payloads: int) -> None:
+    """Refuse, before anything is drawn or allocated, dims whose scenario the
+    loader would refuse (check_tensor_cells) or whose (L, L) matrices or
+    (L, M, Z) quality tensor exceed MAX_TENSOR_CELLS."""
+    try:
+        check_tensor_cells(d.uavs, d.epochs, n_missions, d.zones, n_payloads)
+    except ScenarioError as exc:
+        raise GenerationError(str(exc)) from None
+    for what, cells in (
+        ("the distance matrices (locations x locations)", d.locations * d.locations),
+        ("the quality tensor (locations x missions x zones)", d.locations * n_missions * d.zones),
+    ):
+        if cells > MAX_TENSOR_CELLS:
+            raise GenerationError(f"scenario too large: {what} would exceed {MAX_TENSOR_CELLS} cells")
 
 
 def generate_preset(name: str, seed: int, uavs: int | None = None) -> Scenario:

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import pathlib
+import resource
 
 import pytest
 
@@ -16,6 +18,24 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 def run(*args) -> int:
     return main([str(a) for a in args])
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra_bytes=512 * 2**20):
+    """Cap this process's address space at its current size plus extra_bytes
+    while the block runs, so a size check that fails ends in MemoryError
+    instead of allocating gigabytes."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/status") as fh:
+        vm_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+    cap = vm_kb * 1024 + extra_bytes
+    if soft != resource.RLIM_INFINITY:
+        cap = min(cap, soft)  # never loosen a limit already set
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.fixture
@@ -41,6 +61,25 @@ class TestGenerate:
     def test_bad_dims_exit_2(self, tmp_path, capsys):
         assert run("generate", "--dims", "0,0,0,0,0", "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims, what",
+        [
+            ("100000000000000000000,50,8,20,20", "the distance matrices (locations x locations)"),
+            ("10001,1,1,1,2", "the distance matrices (locations x locations)"),
+            ("40,1000000,1,0,1", "the quality tensor (locations x missions x zones)"),
+            ("40,50,100000000000000000000,20,20", "a plan (uavs x epochs x"),
+            ("40,50,8,100000000000000000000,20", "a plan (uavs x epochs x"),
+            ("40,100000000000000000000,8,20,20", "the demand tensor (epochs x missions x zones)"),
+        ],
+    )
+    def test_oversized_dims_exit_2_before_drawing(self, tmp_path, capsys, dims, what):
+        out = tmp_path / "big.scenario"
+        with address_space_headroom():
+            assert run("generate", "--dims", dims, "--seed", 1, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario too large: {what}") and "100000000 cells" in err
+        assert not out.exists()
 
     def test_out_directory_exit_2_and_no_tmp_left(self, tmp_path, capsys):
         out = tmp_path / "taken"

@@ -13,6 +13,9 @@ from uavplan.heuristic import (
     Stop,
     _allocate_service,
     _epoch_walk,
+    _latest_services,
+    _pack_weight,
+    _Schedule,
     _simulate,
     _SolveContext,
     arc_service_weights,
@@ -460,6 +463,82 @@ def _allocate_service_loop(s, l, k, aboard, resid, collect):
     return gen
 
 
+def _simulate_numpy_reference(s, equip_w, stops, legs, depart=None):
+    """Reference for _simulate: its battery pass as it read the scenario's
+    numpy arrays on every hop, before the per-route step records."""
+    pack_w = _pack_weight(s, equip_w, stops)
+    if pack_w is None:
+        return None
+    latest = _latest_services(s, stops, [leg.hops for leg in legs])
+    if latest is None:
+        return None
+    m = len(stops)
+    if depart is None:
+        depart = latest[0] - legs[0].hops if m else 0
+    elif depart < 0 or (m and depart > latest[0] - legs[0].hops):
+        return None
+
+    # forward pass: waits absorb early arrivals
+    arrivals, services = [], []
+    t = depart
+    for i in range(m):
+        arr = t + legs[i].hops
+        svc = max(arr, s.payloads[stops[i].payload].window[0])
+        if svc > latest[i]:
+            return None
+        arrivals.append(arr)
+        services.append(svc)
+        t = svc
+    ret = t + legs[m].hops
+    if ret > s.epochs - 1:
+        return None
+
+    # battery along the realized epoch walk, resetting at depot waypoints
+    is_depot = s.is_depot_arr()
+    gross = s.uav.empty_weight_kg + equip_w + pack_w
+    E = s.uav.battery_capacity_wh
+    battery = E
+    lowest = E
+    energy = 0.0
+    loc = legs[0].seq[0] if legs else s.depot_ids[0]
+    for i in range(m + 1):
+        for j in range(legs[i].hops):
+            nxt = legs[i].seq[j + 1]
+            if is_depot[nxt]:
+                battery = E
+            else:
+                step = s.energy_wh_per_kg[legs[i].seq[j], nxt] * gross
+                battery -= step
+                energy += step
+                lowest = min(lowest, battery)
+            loc = nxt
+        if i < m:
+            for _ in range(services[i] - arrivals[i]):
+                if not is_depot[loc]:
+                    step = s.energy_wh_per_kg[loc, loc] * gross
+                    battery -= step
+                    energy += step
+                    lowest = min(lowest, battery)
+    if lowest < -1e-9:
+        return None
+    return _Schedule(depart, services, ret, energy)
+
+
+def _schedule_bits(sched):
+    """Every _Schedule field with its type; floats as their exact bits."""
+    if sched is None:
+        return None
+    fields = (sched.depart, *sched.services, sched.return_epoch, sched.energy_wh)
+    return [(type(v), float(v).hex() if isinstance(v, float) else v) for v in fields]
+
+
+def _fresh_leg_candidates(ctx, a, b):
+    """leg_candidates scored from ctx.loc_value now, bypassing its cache."""
+    cands = [(ctx.route_score(r), r) for r in ctx.graph.between(a, b)]
+    cands.sort(key=lambda t: (t[0], t[1].length_km, t[1].seq))
+    return cands
+
+
 def _full_replay_residual(ctx, tours):
     """Reference for _project_residual: replay every tour from full demand."""
     s = ctx.s
@@ -647,6 +726,77 @@ class TestHotPathEquivalence:
             except InsertionError:
                 pass  # fleet refusals come after every insertion was checked
         assert checks >= 3 * len(s.deliverable_ids)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_simulate_matches_numpy_battery_pass(self, seed, monkeypatch):
+        """Every _simulate call of a solve, default and fixed equipment, gives
+        the reference's schedule bit for bit and type for type; every route's
+        step records are the scenario's depot mask and per-kg Wh."""
+        s = generate_preset("sf-large", seed)
+        graph = build_route_graph(s)
+        for (a, b), routes in graph.routes.items():
+            for r in routes:
+                hops = list(zip(r.seq[:-1], r.seq[1:]))
+                want = [(bool(s.is_depot_arr()[y]), float(s.energy_wh_per_kg[x, y])) for x, y in hops]
+                assert [(type(d), type(wh)) for d, wh in r.steps] == [(bool, float)] * r.hops
+                assert list(r.steps) == want, (a, b, r.seq)
+        assert s.hover_wh_per_kg == tuple(float(s.energy_wh_per_kg[l, l]) for l in range(s.num_locations))
+
+        real = heuristic._simulate
+        calls = {"all": 0, "feasible": 0, "pack_w": 0}
+
+        def checked(s_, equip_w, stops, legs, depart=None, pack_w=None):
+            got = real(s_, equip_w, stops, legs, depart, pack_w)
+            want = _simulate_numpy_reference(s_, equip_w, stops, legs, depart)
+            assert _schedule_bits(got) == _schedule_bits(want), (seed, [st.payload for st in stops], depart)
+            calls["all"] += 1
+            calls["feasible"] += got is not None
+            calls["pack_w"] += pack_w is not None
+            return got
+
+        monkeypatch.setattr(heuristic, "_simulate", checked)
+        for equipment in (None, _fixed_equipment(s)[1]):
+            for name, cfg in PRESETS.items():
+                stats: dict = {}
+                try:
+                    insertion_solve(s, cfg(), uav_equipment=equipment, stats=stats)
+                except InsertionError:
+                    pass  # fleet refusals come after every simulation was checked
+                assert stats["simulate_calls"] > 0
+        assert 0 < calls["feasible"] < calls["all"] and 0 < calls["pack_w"] < calls["all"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_leg_scores_fresh_after_every_projection(self, seed, monkeypatch):
+        """leg_candidates and dedicated_score, read right after each residual
+        projection, equal a fresh scoring from the new values, for every
+        route-graph pair, though every pair was cached from the old values
+        just before."""
+        s = generate_preset("sf-large", seed)
+        project = heuristic._project_residual
+        moved = 0  # projections that changed some pair's scores
+
+        def checked(ctx, current):
+            nonlocal moved
+            pairs = sorted(ctx.graph.routes)
+            before = {(a, b): ctx.leg_candidates(a, b) for a, b in pairs}
+            for b in ctx.graph.nodes:
+                ctx.dedicated_score(b)
+            project(ctx, current)
+            fresh = {(a, b): _fresh_leg_candidates(ctx, a, b) for a, b in pairs}
+            assert {pair: ctx.leg_candidates(*pair) for pair in pairs} == fresh
+            depot = ctx.graph.depot
+            for b in ctx.graph.nodes:
+                hops = ctx.graph.shortest_hops(depot, b)
+                assert ctx.dedicated_score(b) == max(ctx.weighted_score(hops, r) for r in ctx.graph.between(depot, b))
+            moved += before != fresh
+
+        monkeypatch.setattr(heuristic, "_project_residual", checked)
+        for name, cfg in PRESETS.items():
+            try:
+                insertion_solve(s, cfg())
+            except InsertionError:
+                pass
+        assert moved > 0
 
     def test_vectorized_allocation_matches_loop(self):
         """Random residuals over a densely wired instance; quality and

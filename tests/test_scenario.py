@@ -240,6 +240,26 @@ class TestDerivedData:
         assert not np.array_equal(s2.reach, s.reach)
         assert np.array_equal(s.reach, want)
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_location_records_match_loop(self, seed):
+        """hover_wh_per_kg and serving_zones hold the arrays' exact values as
+        Python numbers; a replaced quality tensor gets its own records."""
+        import dataclasses
+
+        s = generate_preset("sf-large", seed)
+        L, M, Z = s.quality.shape
+        assert s.hover_wh_per_kg == tuple(float(s.energy_wh_per_kg[l, l]) for l in range(L))
+        want = tuple(
+            tuple(tuple((z, float(s.quality[l, m, z])) for z in range(Z) if s.quality[l, m, z] > 0) for m in range(M))
+            for l in range(L)
+        )
+        assert s.serving_zones == want and s.serving_zones is s.serving_zones
+        assert all(type(z) is int and type(q) is float for per_l in s.serving_zones for row in per_l for z, q in row)
+        quality = s.quality.copy()
+        quality[1] = 0.0
+        s2 = dataclasses.replace(s, quality=quality)
+        assert s2.serving_zones[1] == ((),) * M and s2.serving_zones[2:] == want[2:]
+
     @pytest.mark.parametrize("horizon", [0, 1, 2, 4])
     def test_window_need_matches_loop(self, horizon):
         import dataclasses
