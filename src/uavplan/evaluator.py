@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Scenario, windowed_sum
+from .scenario import Scenario, ScenarioError, _index, _number, windowed_sum
 
 # Canonical constraint tags, in report order.
 TAGS = (
@@ -157,55 +157,54 @@ def _check_dims(s: Scenario, p: Plan) -> None:
         raise ValueError("relay effort belongs in relay_frac, not mission_alloc")
 
 
-def _sanitized_locations(s: Scenario, p: Plan):
-    """Replace out-of-range location ids with the last valid one so the other
-    checks stay meaningful; the offending entries are reported separately."""
-    D, K, L = s.num_uavs, s.epochs, s.num_locations
-    lam = p.locations.astype(int).copy()
-    bad = (lam < 0) | (lam >= L)
-    if bad.any():
-        depot = s.depot_ids[0] if s.depot_ids else 0
-        for d in range(D):
-            prev = depot
-            for k in range(K):
-                if bad[d, k]:
-                    lam[d, k] = prev
-                else:
-                    prev = lam[d, k]
-    return lam, bad
-
-
 def _located_work(s: Scenario, p: Plan):
-    """Sanitized locations, their out-of-range mask, and the (D, K, M, Z) work
-    each UAV performs: its mission allocation times the quality where it is."""
-    lam, bad = _sanitized_locations(s, p)
+    """Locations with each out-of-range id replaced by the last valid one
+    before it (the first depot if none), so the other checks stay meaningful;
+    the out-of-range mask, whose entries are reported separately; and the
+    (D, K, M, Z) work each UAV performs: its allocation times the quality."""
+    lam = p.locations.astype(int)
+    bad = (lam < 0) | (lam >= s.num_locations)
+    if bad.any():
+        last = np.maximum.accumulate(np.where(bad, -1, np.arange(lam.shape[1])), axis=1)
+        depot = s.depot_ids[0] if s.depot_ids else 0
+        lam = np.where(last >= 0, np.take_along_axis(lam, np.maximum(last, 0), axis=1), depot)
     return lam, bad, p.mission_alloc * s.quality[lam]
 
 
-def _hops(s: Scenario, lam: np.ndarray, payloads: np.ndarray):
-    """Per epoch k >= 1: the (D,) energy of each UAV's hop (or hover) into k
-    at its gross weight, and whether it lands at a depot."""
+def _battery(s: Scenario, lam: np.ndarray, payloads: np.ndarray):
+    """The battery recurrence over in-range locations lam: charge per UAV and
+    epoch, full at epoch 0, reset at every depot visit, otherwise decremented
+    by the hop (or hover) energy at gross weight; and the Wh each UAV used,
+    battery swaps excluded."""
+    if np.any((lam < 0) | (lam >= s.num_locations)):
+        raise ValueError("plan contains out-of-range location ids")
     w = s.payload_weights()
     is_depot = s.is_depot_arr()
+    cap = s.uav.battery_capacity_wh
+    beta = np.empty(lam.shape)
+    beta[:, 0] = cap
+    used = np.zeros(lam.shape[0])
     for k in range(1, lam.shape[1]):
-        load = payloads[:, k, :] @ w
-        step = s.energy_wh_per_kg[lam[:, k - 1], lam[:, k]] * (s.uav.empty_weight_kg + load)
-        yield k, step, is_depot[lam[:, k]]
+        step = s.energy_wh_per_kg[lam[:, k - 1], lam[:, k]] * (s.uav.empty_weight_kg + payloads[:, k, :] @ w)
+        at_depot = is_depot[lam[:, k]]
+        beta[:, k] = np.where(at_depot, cap, beta[:, k - 1] - step)
+        used += np.where(at_depot, 0.0, step)
+    return beta, used
 
 
 def battery_trace(s: Scenario, p: Plan) -> np.ndarray:
     """Charge level per UAV and epoch: full at epoch 0, reset at every depot
     visit, otherwise decremented by hop (or hover) energy times gross weight."""
-    lam = p.locations.astype(int)
-    L = s.num_locations
-    if np.any((lam < 0) | (lam >= L)):
-        raise ValueError("plan contains out-of-range location ids")
-    cap = s.uav.battery_capacity_wh
-    beta = np.empty(lam.shape)
-    beta[:, 0] = cap
-    for k, step, at_depot in _hops(s, lam, p.payloads):
-        beta[:, k] = np.where(at_depot, cap, beta[:, k - 1] - step)
-    return beta
+    return _battery(s, p.locations.astype(int), p.payloads)[0]
+
+
+def _flag(out: list, tag: str, mask: np.ndarray, magnitude, index=lambda *cell: cell) -> None:
+    """One violation per true cell of mask, in row-major order.  magnitude is
+    an array of mask's shape or one number; index maps a cell's position to
+    the reported indices."""
+    if mask.any():  # argwhere costs more than the scan on a clean plan
+        mags = np.broadcast_to(np.asarray(magnitude, dtype=float), mask.shape)[mask].tolist()
+        out.extend(Violation(tag, index(*cell), mag) for cell, mag in zip(np.argwhere(mask).tolist(), mags))
 
 
 def check_feasibility(
@@ -213,85 +212,63 @@ def check_feasibility(
 ) -> ViolationReport:
     """Check every operational constraint; one entry per violated (tag, index)."""
     _check_dims(s, p)
-    D, K, L = s.num_uavs, s.epochs, s.num_locations
     out: list[Violation] = []
     lam, bad_loc, work = _located_work(s, p)
     is_depot = s.is_depot_arr()
-    w = s.payload_weights()
-    cap_kg = s.uav.payload_capacity_kg
     vmax = s.uav.max_step_km
 
     # FINITE: NaN fails every tolerance comparison below, so without this
     # check a NaN plan would pass them all
     for name in ("mission_alloc", "relay_frac", "transfers", "sink_transfers"):
         arr = getattr(p, name)
-        for idx in np.argwhere(~np.isfinite(arr)):
-            out.append(Violation("FINITE", (name, *map(int, idx)), float(arr[tuple(idx)])))
+        _flag(out, "FINITE", ~np.isfinite(arr), arr, lambda *cell: (name, *cell))
 
-    for d, k in np.argwhere(bad_loc):
-        out.append(Violation("LOC-UNIQUE", (int(d), int(k)), float(p.locations[d, k])))
+    _flag(out, "LOC-UNIQUE", bad_loc, p.locations)
 
-    # TRAVEL: consecutive locations must be one-epoch reachable
-    for d in range(D):
-        for k in range(1, K):
-            if bad_loc[d, k] or bad_loc[d, k - 1]:
-                continue
-            v = s.dist_km[lam[d, k - 1], lam[d, k]]
-            if v > vmax + tol:
-                out.append(Violation("TRAVEL", (d, k), float(v - vmax)))
+    # TRAVEL: consecutive in-range locations must be one-epoch reachable
+    hop = s.dist_km[lam[:, :-1], lam[:, 1:]]
+    far = (hop > vmax + tol) & ~bad_loc[:, 1:] & ~bad_loc[:, :-1]
+    _flag(out, "TRAVEL", far, hop - vmax, lambda d, k: (d, k + 1))
 
-    # CAPACITY
-    load = p.payloads @ w  # (D, K)
-    for d, k in np.argwhere(load > cap_kg + tol):
-        out.append(Violation("CAPACITY", (int(d), int(k)), float(load[d, k] - cap_kg)))
+    load, cap_kg = p.payloads @ s.payload_weights(), s.uav.payload_capacity_kg  # (D, K)
+    _flag(out, "CAPACITY", load > cap_kg + tol, load - cap_kg)
 
     # PAYLOAD-LOCK: payload only changes while at a depot
-    if s.num_payloads:
-        changed = p.payloads[:, 1:, :] != p.payloads[:, :-1, :]
-        away = ~is_depot[lam[:, 1:]]
-        for d, km1, pp in np.argwhere(changed & away[:, :, None]):
-            out.append(Violation("PAYLOAD-LOCK", (int(d), int(km1) + 1, int(pp)), 1.0))
+    changed = p.payloads[:, 1:, :] != p.payloads[:, :-1, :]
+    away = ~is_depot[lam[:, 1:]]
+    _flag(out, "PAYLOAD-LOCK", changed & away[:, :, None], 1.0, lambda d, k, pp: (d, k + 1, pp))
 
-    # BATTERY
-    beta = battery_trace(s, Plan(lam, p.payloads, p.mission_alloc, p.relay_frac, p.transfers, p.sink_transfers))
-    for d, k in np.argwhere(beta < -tol):
-        out.append(Violation("BATTERY", (int(d), int(k)), float(-beta[d, k])))
+    beta = _battery(s, lam, p.payloads)[0]
+    _flag(out, "BATTERY", beta < -tol, -beta)
 
-    # DELIVERY
+    # DELIVERY: each deliverable payload aboard at its target within its window
+    missed = np.zeros(s.num_payloads, dtype=bool)
     for pl in s.payloads:
-        if not pl.deliverable:
-            continue
-        a, b = pl.window
-        hit = (lam[:, a : b + 1] == pl.target) & p.payloads[:, a : b + 1, pl.id] & ~bad_loc[:, a : b + 1]
-        if not hit.any():
-            out.append(Violation("DELIVERY", (pl.id,), 1.0))
+        if pl.deliverable:
+            win = slice(pl.window[0], pl.window[1] + 1)
+            missed[pl.id] = not ((lam[:, win] == pl.target) & p.payloads[:, win, pl.id] & ~bad_loc[:, win]).any()
+    _flag(out, "DELIVERY", missed, 1.0)
 
-    # EQUIP: missions demand their payloads aboard
+    # EQUIP: missions demand their payloads aboard, one entry per missing payload
     mu = p.mission_alloc
     for m in s.missions:
         if m.name == "relay":
             continue
+        alloc = mu[:, :, m.id, :]
         for pid in m.requires:
-            missing = ~p.payloads[:, :, pid]
-            active = mu[:, :, m.id, :] > tol
-            for d, k, z in np.argwhere(active & missing[:, :, None]):
-                out.append(Violation("EQUIP", (int(d), int(k), m.id, int(z)), float(mu[d, k, m.id, z])))
-    relay = None if s.relay_index is None else s.missions[s.relay_index]
-    if relay is not None:
-        for pid in relay.requires:
-            for d, k in np.argwhere((p.relay_frac > tol) & ~p.payloads[:, :, pid]):
-                out.append(Violation("EQUIP", (int(d), int(k), relay.id), float(p.relay_frac[d, k])))
+            _flag(out, "EQUIP", (alloc > tol) & ~p.payloads[:, :, pid, None], alloc, lambda d, k, z: (d, k, m.id, z))
+    relaying = p.relay_frac > tol
+    if s.relay_index is None:
+        _flag(out, "EQUIP", relaying, p.relay_frac, lambda d, k: (d, k, -1))
     else:
-        for d, k in np.argwhere(p.relay_frac > tol):
-            out.append(Violation("EQUIP", (int(d), int(k), -1), float(p.relay_frac[d, k])))
+        relay = s.missions[s.relay_index]
+        for pid in relay.requires:
+            _flag(out, "EQUIP", relaying & ~p.payloads[:, :, pid], p.relay_frac, lambda d, k: (d, k, relay.id))
 
-    # Service delivered per (k, m, z): mu weighted by quality at the UAV location
-    serv = work.sum(axis=0)  # (K, M, Z)
-
-    # NEED: service may not exceed demand in any single epoch
-    excess = serv - s.demand
-    for k, m, z in np.argwhere(excess > tol):
-        out.append(Violation("NEED", (int(k), int(m), int(z)), float(excess[k, m, z])))
+    # NEED: service (mu weighted by quality at the UAV location) may not
+    # exceed demand in any single epoch
+    excess = work.sum(axis=0) - s.demand  # (K, M, Z)
+    _flag(out, "NEED", excess > tol, excess)
 
     # Traffic: generated = sum over service missions of mu * q * data-per-work
     s_rate = np.array([m.mb_per_work for m in s.missions])
@@ -300,44 +277,34 @@ def check_feasibility(
     # FLOW per UAV, SINK per epoch
     inflow = p.transfers.sum(axis=0)  # (D, K): into d
     outflow = p.transfers.sum(axis=1)  # (D, K): out of d
-    imb = inflow + gen - outflow - p.sink_transfers
-    for d, k in np.argwhere(np.abs(imb) > tol):
-        out.append(Violation("FLOW", (int(d), int(k)), float(abs(imb[d, k]))))
-    sink_imb = gen.sum(axis=0) - p.sink_transfers.sum(axis=0)
-    for (k,) in np.argwhere(np.abs(sink_imb) > tol):
-        out.append(Violation("SINK", (int(k),), float(abs(sink_imb[k]))))
+    imb = np.abs(inflow + gen - outflow - p.sink_transfers)
+    _flag(out, "FLOW", imb > tol, imb)
+    sink_imb = np.abs(gen.sum(axis=0) - p.sink_transfers.sum(axis=0))
+    _flag(out, "SINK", sink_imb > tol, sink_imb)
 
-    # RELAY-CAP: transfers bounded by link capacity times relay effort
-    for d1, d2, k in np.argwhere(p.transfers < -tol):
-        out.append(Violation("RELAY-CAP", (int(d1), int(d2), int(k)), float(-p.transfers[d1, d2, k])))
-    for d, k in np.argwhere(p.sink_transfers < -tol):
-        out.append(Violation("RELAY-CAP", (int(d), OMEGA, int(k)), float(-p.sink_transfers[d, k])))
+    # RELAY-CAP: transfers bounded by link capacity times relay effort; a
+    # self-transfer cancels in the flow balance, so its capacity is not checked
+    to_sink = lambda d, k: (d, OMEGA, k)
+    _flag(out, "RELAY-CAP", p.transfers < -tol, -p.transfers)
+    _flag(out, "RELAY-CAP", p.sink_transfers < -tol, -p.sink_transfers, to_sink)
     t_cap = s.link_uav_mb[lam[:, None, :], lam[None, :, :]]  # (D, D, K)
     over = p.transfers - t_cap * p.relay_frac[:, None, :]
-    for d1, d2, k in np.argwhere(over > tol):
-        if d1 == d2:
-            continue  # self-transfer cancels in the flow balance
-        out.append(Violation("RELAY-CAP", (int(d1), int(d2), int(k)), float(over[d1, d2, k])))
-    sink_cap = s.link_sink_mb[lam] * p.relay_frac
-    s_over = p.sink_transfers - sink_cap
-    for d, k in np.argwhere(s_over > tol):
-        out.append(Violation("RELAY-CAP", (int(d), OMEGA, int(k)), float(s_over[d, k])))
+    _flag(out, "RELAY-CAP", (over > tol) & ~np.eye(s.num_uavs, dtype=bool)[:, :, None], over)
+    s_over = p.sink_transfers - s.link_sink_mb[lam] * p.relay_frac
+    _flag(out, "RELAY-CAP", s_over > tol, s_over, to_sink)
 
     # BUDGET: epoch time shared between missions and relaying, plus unit bounds
     budget = mu.sum(axis=(2, 3)) + p.relay_frac
-    for d, k in np.argwhere(budget > 1 + tol):
-        out.append(Violation("BUDGET", (int(d), int(k)), float(budget[d, k] - 1)))
-    for d, k, m, z in np.argwhere((mu < -tol) | (mu > 1 + tol)):
-        out.append(Violation("BUDGET", (int(d), int(k), int(m), int(z)), float(mu[d, k, m, z])))
-    for d, k in np.argwhere((p.relay_frac < -tol) | (p.relay_frac > 1 + tol)):
-        out.append(Violation("BUDGET", (int(d), int(k)), float(p.relay_frac[d, k])))
+    _flag(out, "BUDGET", budget > 1 + tol, budget - 1)
+    _flag(out, "BUDGET", (mu < -tol) | (mu > 1 + tol), mu)
+    _flag(out, "BUDGET", (p.relay_frac < -tol) | (p.relay_frac > 1 + tol), p.relay_frac)
 
-    # DEPOT-RETURN: start at a depot, and end at one when required
-    for d in range(D):
-        if not bad_loc[d, 0] and not is_depot[lam[d, 0]]:
-            out.append(Violation("DEPOT-RETURN", (d, 0), 1.0))
-        if depot_return and not bad_loc[d, K - 1] and not is_depot[lam[d, K - 1]]:
-            out.append(Violation("DEPOT-RETURN", (d, K - 1), 1.0))
+    # DEPOT-RETURN: start at a depot, and end at one when required; with one
+    # epoch both checks report (d, 0)
+    ends = [0, s.epochs - 1]
+    off = ~bad_loc[:, ends] & ~is_depot[lam[:, ends]]
+    off[:, 1] &= depot_return
+    _flag(out, "DEPOT-RETURN", off, 1.0, lambda d, j: (d, ends[j]))
 
     out.sort(key=lambda v: v.sort_key())
     return ViolationReport(out)
@@ -371,11 +338,7 @@ def _satisfaction(s: Scenario, serv: np.ndarray) -> SatisfactionReport:
 
 def energy_used(s: Scenario, p: Plan) -> np.ndarray:
     """Wh consumed per UAV over the horizon (battery swaps excluded)."""
-    lam = p.locations.astype(int)
-    used = np.zeros(lam.shape[0])
-    for _, step, at_depot in _hops(s, lam, p.payloads):
-        used += np.where(at_depot, 0.0, step)
-    return used
+    return _battery(s, p.locations.astype(int), p.payloads)[1]
 
 
 def plan_metrics(s: Scenario, p: Plan) -> dict:
@@ -398,7 +361,7 @@ def plan_metrics(s: Scenario, p: Plan) -> dict:
             mean_equip = float((p.payloads[:, :, e_mask] @ w[e_mask])[away].mean()) if e_mask.any() else 0.0
             d_mask = np.array([pl.deliverable for pl in s.payloads])
             mean_deliv = float((p.payloads[:, :, d_mask] @ w[d_mask])[away].mean()) if d_mask.any() else 0.0
-    energy = float(energy_used(s, replace(p, locations=lam)).sum())
+    energy = float(_battery(s, lam, p.payloads)[1].sum())
     served_fraction = {}
     for mid in s.service_mission_ids:
         total_need = float(s.demand[:, mid, :].sum())
@@ -442,89 +405,64 @@ def plan_to_dict(p: Plan) -> dict:
     }
 
 
-def _is_number(value) -> bool:
-    """Python and numpy numbers; text and booleans, which int() and float()
-    would take, are not."""
-    return type(value) in (int, float) or (
-        isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
-    )
-
-
-def _index(value, size: int, what: str) -> int:
-    """value as an index into range(size); text, booleans and fractions are
-    rejected, and negative or out-of-range values instead of wrapping."""
-    i = value
-    if type(value) is not int:
-        try:
-            i = int(value) if _is_number(value) else None
-        except (ValueError, OverflowError):  # nan and inf
-            i = None
-        if i is None or i != value:
-            raise ValueError(f"plan {what} index {value!r} is not an integer")
-    if not 0 <= i < size:
-        raise ValueError(f"plan {what} index {value!r} is outside [0, {size})")
-    return i
-
-
 def _rows(doc: dict, key: str, width: int) -> list:
     rows = doc.get(key, [])
     if not isinstance(rows, (list, tuple)) or not all(
         isinstance(r, (list, tuple)) and len(r) == width for r in rows
     ):
-        raise ValueError(f"plan {key} must be a list of {width}-entry rows")
+        raise ScenarioError(f"plan {key} must be a list of {width}-entry rows")
     return rows
 
 
 def _finite(value, what: str) -> float:
     """value as a finite float; text, booleans and null are rejected."""
-    x = value
-    if type(value) is not float:
-        if not _is_number(value):
-            raise ValueError(f"plan {what} value {value!r} is not a number")
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
+    x = _number(value, what)
     if not math.isfinite(x):
-        raise ValueError(f"plan {what} value {value!r} is not finite")
+        raise ScenarioError(f"{what} {value!r} is not finite")
     return x
 
 
 def plan_from_dict(doc: dict, s: Scenario) -> Plan:
-    """Plan from its file form.  Raises ValueError on rows whose indices fall
-    outside the scenario, on text or booleans where numbers belong, and on
-    values that are not finite.  Location ids out of range are plan data:
+    """Plan from its file form.  Raises ScenarioError on rows whose indices
+    fall outside the scenario, on text or booleans where numbers belong, and
+    on values that are not finite.  Location ids out of range are plan data:
     check_feasibility reports them as LOC-UNIQUE."""
     D, K = s.num_uavs, s.epochs
     P, M, Z = s.num_payloads, s.num_missions, s.num_zones
     if not isinstance(doc, dict):
-        raise ValueError("a plan must be a JSON object")
+        raise ScenarioError("a plan must be a JSON object")
     p = Plan.idle(s)
-    if not all(map(_is_number, np.array(doc["locations"], dtype=object).flat)):
-        raise ValueError("plan locations are not integers: an entry is not a number")
+    try:
+        for value in np.array(doc["locations"], dtype=object).flat:
+            if type(value) is not int:  # numpy refuses an int beyond its range below
+                _number(value, "plan locations")
+    except ScenarioError:
+        raise ScenarioError("plan locations are not integers: an entry is not a number") from None
     try:
         locs = np.array(doc["locations"], dtype=int)
         integral = np.array_equal(locs, np.array(doc["locations"], dtype=float))
     except (ValueError, OverflowError) as exc:
-        raise ValueError(f"plan locations are not integers: {exc}") from None
+        raise ScenarioError(f"plan locations are not integers: {exc}") from None
     if locs.shape != (D, K):
-        raise ValueError(f"plan locations have shape {locs.shape}, scenario expects {(D, K)}")
+        raise ScenarioError(f"plan locations have shape {locs.shape}, scenario expects {(D, K)}")
     if not integral:
-        raise ValueError("plan locations are not integers")
+        raise ScenarioError("plan locations are not integers")
     p.locations = locs
+    uav, epoch = "plan uav index", "plan epoch index"
     for d, k, pp in _rows(doc, "payloads", 3):
-        p.payloads[_index(d, D, "uav"), _index(k, K, "epoch"), _index(pp, P, "payload")] = True
+        p.payloads[_index(d, D, uav), _index(k, K, epoch), _index(pp, P, "plan payload index")] = True
     for d, k, m, z, frac in _rows(doc, "missions", 5):
-        idx = (_index(d, D, "uav"), _index(k, K, "epoch"), _index(m, M, "mission"), _index(z, Z, "zone"))
-        p.mission_alloc[idx] = _finite(frac, "mission")
+        idx = (_index(d, D, uav), _index(k, K, epoch),
+               _index(m, M, "plan mission index"), _index(z, Z, "plan zone index"))
+        p.mission_alloc[idx] = _finite(frac, "plan mission value")
     for d, k, frac in _rows(doc, "relay", 3):
-        p.relay_frac[_index(d, D, "uav"), _index(k, K, "epoch")] = _finite(frac, "relay")
+        p.relay_frac[_index(d, D, uav), _index(k, K, epoch)] = _finite(frac, "plan relay value")
     for d1, d2, k, mb in _rows(doc, "transfers", 4):
-        d1, k, mb = _index(d1, D, "uav"), _index(k, K, "epoch"), _finite(mb, "transfer")
+        d1, k, mb = _index(d1, D, uav), _index(k, K, epoch), _finite(mb, "plan transfer value")
         if d2 == "omega" or d2 == OMEGA:
             p.sink_transfers[d1, k] = mb
         else:
-            p.transfers[d1, _index(d2, D, "uav"), k] = mb
+            p.transfers[d1, _index(d2, D, uav), k] = mb
     return p
 
 

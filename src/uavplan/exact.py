@@ -26,7 +26,7 @@ import numpy as np
 
 from .evaluator import Plan
 from .milp import MilpModel
-from .scenario import Scenario, validate, windowed_sum
+from .scenario import Scenario, require_valid, windowed_sum
 from .simplex import simplex_solve
 
 
@@ -465,9 +465,7 @@ def solve_exact(
     plan maximizes the minimum mission satisfaction, breaking ties toward
     fewer epochs away from a depot, then lexicographically.
     """
-    issues = validate(s)
-    if issues:
-        raise ValueError("scenario failed validation: " + "; ".join(map(str, issues)))
+    require_valid(s)
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     if D * K * L > limits.size_guard:
         raise GuardError(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluator import Plan
 from .paths import all_pairs_shortest, reconstruct
-from .scenario import Scenario, validate
+from .scenario import Scenario, require_valid
 
 
 class RouteGraphError(ValueError):
@@ -530,9 +530,7 @@ def insertion_solve(
     by default every UAV flies with the full mission equipment.  A stats dict,
     if given, receives the STAT_KEYS counters of the run.
     """
-    issues = validate(s)
-    if issues:
-        raise ValueError("scenario failed validation: " + "; ".join(map(str, issues)))
+    require_valid(s)
     graph = build_route_graph(s)
     ctx = _SolveContext(s, graph, cfg, stats)
     w = s.payload_weights()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluator import Plan
-from .scenario import Scenario
+from .scenario import Scenario, require_valid
 
 BINARY_ROUND_TOL = 1e-4
 
@@ -116,11 +116,7 @@ class _Builder:
 
 def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     """Emit the linearized model for a validated scenario; maximize Gamma."""
-    from .scenario import validate
-
-    issues = validate(s)
-    if issues:
-        raise ValueError("scenario failed validation: " + "; ".join(map(str, issues)))
+    require_valid(s)
 
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     P, Z = s.num_payloads, s.num_zones
@@ -738,58 +734,40 @@ def parse_solution(text: str) -> dict[str, float]:
 def import_solution(m: MilpModel, sol: dict[str, float]) -> Plan:
     """Rebuild a Plan from solver output on a built model.
 
-    Binaries must all be present and within 1e-4 of 0/1; missing continuous
-    values default to zero.
+    Every lam and om value must be present and within 1e-4 of 0 or 1, and
+    each UAV-epoch needs exactly one location; missing mu, rho, tau and
+    tausink values read as 0, and other variables (delta, beta, ...) are
+    ignored.
     """
     meta = m.meta
     if not meta:
         raise ValueError("model carries no scenario metadata; rebuild it with build_milp")
     D, K, L = meta["uavs"], meta["epochs"], meta["locations"]
     P, Z = meta["payloads"], meta["zones"]
-    service = meta["service_missions"]
     M = len(meta["missions"])
-
-    def rounded_binary(name: str) -> int:
-        if name not in sol:
-            raise KeyError(f"missing variable: {name}")
-        val = sol[name]
-        if min(abs(val), abs(val - 1.0)) > BINARY_ROUND_TOL:
-            raise ValueError(f"binary {name} = {val!r} is farther than {BINARY_ROUND_TOL} from 0/1")
-        return int(round(val))
-
-    locations = np.zeros((D, K), dtype=int)
-    for d in range(D):
-        for k in range(K):
-            ones = [l for l in range(L) if rounded_binary(_name("lam", (d, k, l)))]
-            if len(ones) != 1:
-                raise ValueError(f"UAV {d} epoch {k}: expected exactly one location, got {ones}")
-            locations[d, k] = ones[0]
-    payloads = np.zeros((D, K, P), dtype=bool)
-    for d in range(D):
-        for k in range(K):
-            for p in range(P):
-                payloads[d, k, p] = bool(rounded_binary(_name("om", (d, k, p))))
-    mission_alloc = np.zeros((D, K, M, Z))
-    for d in range(D):
-        for k in range(K):
-            for mm in service:
-                for z in range(Z):
-                    mission_alloc[d, k, mm, z] = sol.get(_name("mu", (d, k, mm, z)), 0.0)
-    relay_frac = np.zeros((D, K))
-    transfers = np.zeros((D, D, K))
-    sink_transfers = np.zeros((D, K))
-    if meta["relay_index"] is not None:
-        for d in range(D):
-            for k in range(K):
-                relay_frac[d, k] = sol.get(_name("rho", (d, k)), 0.0)
-                sink_transfers[d, k] = sol.get(_name("tausink", (d, k)), 0.0)
-        for d1 in range(D):
-            for d2 in range(D):
-                if d1 == d2:
-                    continue
-                for k in range(K):
-                    transfers[d1, d2, k] = sol.get(_name("tau", (d1, d2, k)), 0.0)
-    return Plan(locations, payloads, mission_alloc, relay_frac, transfers, sink_transfers)
+    lam = np.zeros((D, K, L), dtype=int)
+    plan = Plan(
+        np.zeros((D, K), dtype=int), np.zeros((D, K, P), dtype=bool), np.zeros((D, K, M, Z)),
+        np.zeros((D, K)), np.zeros((D, D, K)), np.zeros((D, K)),
+    )
+    binaries = {"lam": lam, "om": plan.payloads}
+    continuous = {
+        "mu": plan.mission_alloc, "rho": plan.relay_frac, "tau": plan.transfers, "tausink": plan.sink_transfers,
+    }
+    for v in m.variables:
+        if v.symbol in binaries:
+            if v.name not in sol:
+                raise KeyError(f"missing variable: {v.name}")
+            val = sol[v.name]
+            if min(abs(val), abs(val - 1.0)) > BINARY_ROUND_TOL:
+                raise ValueError(f"binary {v.name} = {val!r} is farther than {BINARY_ROUND_TOL} from 0/1")
+            binaries[v.symbol][v.indices] = int(round(val))
+        elif v.symbol in continuous:
+            continuous[v.symbol][v.indices] = sol.get(v.name, 0.0)
+    for d, k in np.argwhere(lam.sum(axis=2) != 1):
+        raise ValueError(f"UAV {d} epoch {k}: expected exactly one location, got {np.flatnonzero(lam[d, k]).tolist()}")
+    plan.locations = lam.argmax(axis=2)
+    return plan
 
 
 def solution_to_text(sol: dict[str, float]) -> str:

@@ -254,7 +254,7 @@ def max_range(spec: UavSpec, e_per_km_kg: float) -> float:
 def _index(value, size: int, what: str) -> int:
     """value as an index into range(size); negative, out-of-range or
     fractional values are rejected instead of wrapping or truncating."""
-    i = _integer(value, what)
+    i = value if type(value) is int else _integer(value, what)
     if not 0 <= i < size:
         raise ScenarioError(f"{what} {value!r} is outside [0, {size})")
     return i
@@ -558,6 +558,13 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     return issues
 
 
+def require_valid(s: Scenario) -> None:
+    """Raise ScenarioError, carrying the issues, if validate(s) finds any."""
+    issues = validate(s)
+    if issues:
+        raise ScenarioError("scenario failed validation: " + "; ".join(map(str, issues)), issues)
+
+
 # -- file format ---------------------------------------------------------------
 
 
@@ -754,11 +761,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         hover_km_equiv=_number(energy.get("hover_km_equiv", 0.1), "energy: hover_km_equiv"),
         epoch_minutes=_number(doc.get("epoch_minutes", 10.0), "epoch_minutes"),
     )
-    issues = validate(s)
-    if issues:
-        raise ScenarioError(
-            "scenario failed validation: " + "; ".join(str(i) for i in issues), issues
-        )
+    require_valid(s)
     return s
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
+ROW_TOL = 1e-7  # largest scaled row residual an optimal point may have
 SIZE_CAP = 2000
 _BLAND_AFTER = 60  # stalled iterations before anti-cycling kicks in
 
@@ -182,4 +183,25 @@ def simplex_solve(
         return SimplexResult("unbounded", None, None, iterations)
     x = np.zeros(N)
     x[basis] = T[:, -1] + 0.0  # turns a -0.0 the pivots left into 0.0
-    return SimplexResult("optimal", x[:n].copy(), float(c @ x[:n]), iterations)
+    x = x[:n].copy()
+    _check_rows(a_ub, b_ub, a_eq, b_eq, x)
+    return SimplexResult("optimal", x, float(c @ x), iterations)
+
+
+def _check_rows(a_ub, b_ub, a_eq, b_eq, x) -> None:
+    """Raise AssertionError if x breaks a row by more than ROW_TOL, scaled:
+    |a.x - b| / (1 + |b| + |a|.|x|), counting only the excess on a <= row.
+    Pivoting error can leave the tableau at a point the rows refuse; that
+    point must never be reported as an optimum."""
+    for kind, a, b in (("inequality", a_ub, b_ub), ("equality", a_eq, b_eq)):
+        r = a @ x - b
+        if kind == "inequality":
+            r = np.maximum(r, 0.0)
+        scaled = np.abs(r) / (1.0 + np.abs(b) + np.abs(a) @ np.abs(x))
+        bad = (scaled > ROW_TOL).nonzero()[0]
+        if bad.size:
+            i = int(bad[0])
+            raise AssertionError(
+                f"simplex_solve reached 'optimal' at a point that breaks {kind} row {i} "
+                f"(scaled residual {scaled[i]:.3g})"
+            )

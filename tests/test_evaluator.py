@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from uavplan.evaluator import (
     Plan,
     battery_trace,
     check_feasibility,
+    energy_used,
     load_plan,
     plan_metrics,
     satisfaction,
@@ -82,6 +84,16 @@ class TestBattery:
         assert beta[0, 2] == pytest.approx(-46.1538, abs=1e-3)
         report = check_feasibility(s, p, depot_return=False)
         assert "BATTERY" in report.tags
+
+    @pytest.mark.parametrize("location", [-1, 3])
+    def test_out_of_range_location_refused_by_both_readers(self, location):
+        """-1 must not wrap to the last location in energy_used either."""
+        s = tiny_mixed()
+        p = Plan.idle(s)
+        p.locations[0, 1] = location
+        for read in (battery_trace, energy_used):
+            with pytest.raises(ValueError, match="out-of-range location ids"):
+                read(s, p)
 
     def test_invariant_to_weightless_payloads(self):
         rng = np.random.default_rng(11)
@@ -278,3 +290,151 @@ class TestPlanIO:
         assert m["objective"] == 1.0
         assert m["energy_wh"] > 0
         assert 0 <= m["mean_payload_fraction"] <= 1
+
+
+# -- pinned outputs of every evaluator function over a corpus of plans ------------
+
+
+def _random_plan(s, rng, in_range):
+    """Random decisions on s: locations off the map and at -1 unless
+    in_range, fractions below 0 and above 1, negative transfers, a NaN."""
+    p = Plan.idle(s)
+    D, K, L = s.num_uavs, s.epochs, s.num_locations
+    p.locations[:, 1:] = rng.integers(0, L, size=(D, K - 1))
+    if not in_range:
+        off = rng.random((D, K)) < 0.2
+        p.locations[off] = rng.choice([-1, L, L + 3], size=int(off.sum()))
+    p.payloads[:] = rng.random(p.payloads.shape) < 0.4
+    for arr, lo, hi, share in (
+        (p.mission_alloc, -0.2, 1.3, 0.3),
+        (p.relay_frac, -0.2, 1.3, 0.3),
+        (p.transfers, -2.0, 60.0, 0.2),
+        (p.sink_transfers, -2.0, 60.0, 0.3),
+    ):
+        arr[:] = rng.uniform(lo, hi, arr.shape) * (rng.random(arr.shape) < share)
+    if s.relay_index is not None:
+        p.mission_alloc[:, :, s.relay_index, :] = 0.0
+    if rng.random() < 0.3:
+        arr = (p.mission_alloc, p.relay_frac, p.transfers, p.sink_transfers)[int(rng.integers(4))]
+        arr[tuple(int(rng.integers(n)) for n in arr.shape)] = np.nan
+    return p
+
+
+def _two_payload_scenario(epochs):
+    """Two UAVs, a depot and one site; coverage needs both the radio and the
+    camera."""
+    return make_scenario(
+        locations=[Location(0, 0.0, 0.0, True), Location(1, 1.0, 0.0, False)],
+        zones=[Zone(0, {1: {"coverage": 1.0}})],
+        uav=UavSpec(4.0, 2.5, 200.0, 2.0, 2),
+        payloads=[PayloadItem(0, 1.0, "radio"), PayloadItem(1, 1.0, "camera")],
+        missions=[Mission(0, "coverage", (0, 1), 10.0), Mission(1, "relay", (0,), 0.0)],
+        epochs=epochs,
+        horizon=1,
+        demand_entries=[(0, "coverage", 0, 1.0)],
+    )
+
+
+def _edge_cases():
+    """A K = 1 plan off the depot, and one plan with an unequipped two-payload
+    mission and out-of-range relay fractions and sink transfers."""
+    s1 = _two_payload_scenario(1)
+    p1 = Plan.idle(s1)
+    p1.locations[0, 0] = 1
+    yield "k1/off-depot", s1, p1
+    s3 = _two_payload_scenario(3)
+    p3 = Plan.idle(s3)
+    p3.mission_alloc[0, 1, 0, 0] = 0.5  # neither payload aboard
+    p3.relay_frac[1, 1] = 1.5  # over the time budget and over its own bound
+    p3.relay_frac[1, 2] = -0.5
+    p3.sink_transfers[1, 2] = -1.0  # negative, and over -0.5 times the link
+    yield "two-payloads/edges", s3, p3
+
+
+def _evaluator_corpus():
+    """(label, scenario, plan) triples covering every constraint family."""
+    from mutations import MUTATORS
+    from scenarios import flex_fixed_scenario, mutation_base_plan, mutation_scenario
+
+    from uavplan.heuristic import PRESETS, InsertionError, insertion_solve
+    from uavplan.synth import generate_preset
+
+    ms = mutation_scenario()
+    base = mutation_base_plan(ms)
+    yield "mutation/base", ms, base
+    for tag, mutate in MUTATORS.items():
+        for seed in range(3):
+            yield f"mutation/{tag}/{seed}", ms, mutate(ms, base, np.random.default_rng(seed))
+    builds = {
+        "tiny-delivery": tiny_delivery(),
+        "tiny-mixed": tiny_mixed(),
+        "mutation": ms,
+        "flex-fixed": flex_fixed_scenario(1, 3),
+    }
+    for name, s in builds.items():
+        rng = np.random.default_rng(7)
+        for i in range(8):
+            yield f"{name}/random/{i}", s, _random_plan(s, rng, in_range=i % 2 == 0)
+    for seed in (1, 2):
+        s = generate_preset("sf-large", seed)
+        rng = np.random.default_rng(seed)
+        for preset, cfg in PRESETS.items():
+            try:
+                _, p = insertion_solve(s, cfg())
+            except InsertionError:
+                continue
+            yield f"sf-large/{seed}/{preset}", s, p
+            q = p.copy()
+            q.mission_alloc *= rng.uniform(0.5, 1.5, q.mission_alloc.shape)
+            q.locations[0, 1] = -1
+            yield f"sf-large/{seed}/{preset}/perturbed", s, q
+    yield from _edge_cases()
+
+
+def _evaluator_outputs(s, p):
+    """Every evaluator output on (s, p) as text; battery_trace's refusal
+    reads as its exception type and message."""
+    parts = []
+    for tol in (1e-6, 1e-4):
+        for depot_return in (True, False):
+            rep = check_feasibility(s, p, tol=tol, depot_return=depot_return)
+            parts += [rep.to_csv(), rep.to_json(), repr(rep.violations)]
+    parts.append(satisfaction(s, p).to_csv(s))
+    parts.append(repr(plan_metrics(s, p)))
+    try:
+        parts.append(repr(battery_trace(s, p).tolist()))
+    except ValueError as exc:
+        parts.append(f"{type(exc).__name__}: {exc}")
+    if ((p.locations >= 0) & (p.locations < s.num_locations)).all():
+        parts.append(repr(energy_used(s, p).tolist()))
+    return "\n".join(parts)
+
+
+# sha256 of _evaluator_outputs over _evaluator_corpus, in order; computed
+# before check_feasibility moved onto one violation helper.  The corpus holds
+# heuristic plans, so a change to the heuristic's sf-large plans moves it too
+EVALUATOR_DIGEST = "ee232ff242173c1142cecc3a70bab14aee80260567f685b9508c4fca158f0385"
+
+
+def test_evaluator_outputs_match_pinned_digest():
+    h = hashlib.sha256()
+    count = 0
+    for label, s, p in _evaluator_corpus():
+        h.update(label.encode() + b"\0" + _evaluator_outputs(s, p).encode() + b"\0")
+        count += 1
+    assert count == 85
+    assert h.hexdigest() == EVALUATOR_DIGEST
+
+
+def test_evaluator_edge_cases_keep_their_order():
+    """Stable order within a tag: the time-budget entry before relay_frac's
+    bound, a negative sink transfer before its over-capacity entry; two
+    DEPOT-RETURN entries when K = 1; one EQUIP entry per missing payload."""
+    corpus = {label: (s, p) for label, s, p in _edge_cases()}
+    rep = check_feasibility(*corpus["k1/off-depot"])
+    assert [v.indices for v in rep.violations if v.tag == "DEPOT-RETURN"] == [(0, 0), (0, 0)]
+    rep = check_feasibility(*corpus["two-payloads/edges"])
+    by_tag = lambda tag: [(v.indices, v.magnitude) for v in rep.violations if v.tag == tag]
+    assert by_tag("EQUIP") == [((0, 1, 0, 0), 0.5), ((0, 1, 0, 0), 0.5), ((1, 1, 1), 1.5)]
+    assert by_tag("BUDGET")[:2] == [((1, 1), 0.5), ((1, 1), 1.5)]
+    assert by_tag("RELAY-CAP") == [((1, -1, 2), 1.0), ((1, -1, 2), 24999.0), ((1, 0, 2), 25000.0)]

@@ -508,8 +508,9 @@ class TestSubtreeBound:
                 id=CASES[3].id,
                 marks=pytest.mark.xfail(
                     strict=True,
-                    reason="without pruning, two of its inner LPs come back optimal from simplex_solve "
-                    "at a point 0.499 over an inequality row (gamma 1.166), and that plan wins",
+                    raises=AssertionError,
+                    reason="without pruning, two of its inner LPs end at a point 0.499 over an inequality "
+                    "row (gamma 1.166); simplex_solve refuses that point instead of reporting it optimal",
                 ),
             )
         ],

@@ -520,6 +520,27 @@ class TestSolutions:
         with pytest.raises(ValueError):
             import_solution(m, sol)
 
+    def test_second_location_rejected(self):
+        s = tiny_delivery()
+        m = build_milp(s)
+        _, _, sol = solve_model_exhaustive(m)
+        name = next(v.name for v in m.variables if v.symbol == "lam" and sol[v.name] == 0.0)
+        sol[name] = 1.0
+        with pytest.raises(ValueError, match="expected exactly one location"):
+            import_solution(m, sol)
+
+    def test_other_variables_are_ignored(self):
+        """delta, beta, muh and the objective carry nothing a plan holds."""
+        s = tiny_delivery()
+        m = build_milp(s)
+        _, _, sol = solve_model_exhaustive(m)
+        lines = solution_to_text(sol).splitlines(keepends=True)
+        without_delta = "".join(ln for ln in lines if not ln.startswith("delta_"))
+        assert len(without_delta) < len("".join(lines))
+        a, b = import_solution(m, sol), import_solution(m, parse_solution(without_delta))
+        for field in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
     def test_nan_solution_value_rejected(self):
         with pytest.raises(ValueError) as err:
             parse_solution("lam_0_0_0 nan\n")

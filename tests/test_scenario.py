@@ -103,6 +103,27 @@ def test_validate_flags_asymmetric_distance():
     assert any("asymmetric distance" in str(i) for i in issues)
 
 
+@pytest.mark.parametrize("engine", ["insertion_solve", "solve_exact", "build_milp"])
+def test_engines_refuse_an_invalid_scenario_as_the_loader_does(engine):
+    """Each engine raises the loader's ScenarioError, with its message and
+    the validate issues it carries."""
+    import dataclasses
+
+    from uavplan import exact, heuristic, milp
+
+    run = {"insertion_solve": heuristic.insertion_solve, "solve_exact": exact.solve_exact,
+           "build_milp": milp.build_milp}[engine]
+    s = tiny_mixed()
+    d = s.dist_km.copy()
+    d[0, 1] += 0.5
+    s2 = dataclasses.replace(s, dist_km=d)
+    with pytest.raises(ScenarioError) as err:
+        run(s2)
+    issues = validate(s2)
+    assert err.value.issues == issues
+    assert str(err.value) == "scenario failed validation: " + "; ".join(map(str, issues))
+
+
 def test_validate_flags_overweight_payload():
     doc = json.loads(json.dumps(MINIMAL))
     doc["payloads"] = [{"name": "heavy", "weight_kg": 3.0}]

@@ -317,3 +317,15 @@ class TestHotPathEquivalence:
         simplex._pivot(T, basis, row, col)
         assert np.array_equal(T, want_T)
         assert np.array_equal(basis, want_basis)
+
+
+def test_row_check_refuses_a_point_over_a_row():
+    """An excess on a <= row, or either side of an = row, beyond the scaled
+    tolerance is an AssertionError naming the row; slack is not."""
+    a = np.array([[1.0, 1.0], [1.0, 0.0]])
+    b = np.array([2.0, 5.0])
+    simplex._check_rows(a, b, np.zeros((0, 2)), np.zeros(0), np.array([1.0, 1.0]))
+    with pytest.raises(AssertionError, match="inequality row 0"):
+        simplex._check_rows(a, b, np.zeros((0, 2)), np.zeros(0), np.array([1.5, 1.0]))
+    with pytest.raises(AssertionError, match="equality row 1"):
+        simplex._check_rows(np.zeros((0, 2)), np.zeros(0), a, b, np.array([1.0, 1.0]))
