@@ -134,7 +134,7 @@ class SatisfactionReport:
         for k in range(self.sigma.shape[0]):
             for m in range(self.sigma.shape[1]):
                 for z in range(self.sigma.shape[2]):
-                    lines.append(f"{k},{s.missions[m].name},{z},{self.sigma[k, m, z]!r}")
+                    lines.append(f"{k},{s.missions[m].name},{z},{float(self.sigma[k, m, z])!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -431,6 +431,8 @@ def plan_from_dict(doc: dict, s: Scenario) -> Plan:
     P, M, Z = s.num_payloads, s.num_missions, s.num_zones
     if not isinstance(doc, dict):
         raise ScenarioError("a plan must be a JSON object")
+    if "locations" not in doc:
+        raise ScenarioError("plan: missing required field 'locations'")
     p = Plan.idle(s)
     try:
         for value in np.array(doc["locations"], dtype=object).flat:

@@ -571,6 +571,11 @@ def solve_exact(
             # tie only with fewer epochs away
             if best is None or gamma > best[0] + 1e-12 or (gamma >= best[0] - 1e-12 and total < best[1]):
                 best = (gamma, total, assignment, flows)
+            # an inner LP can take far longer than the 256 leaves between
+            # the checks above, so the budget is read after each one too
+            if time.monotonic() - t0 > limits.time_budget_s:
+                truncated = True
+                return False
         return True
 
     search(0, 0, _NO_CONFIGS, frozenset(s.deliverable_ids), 0, ())

@@ -13,11 +13,25 @@ Route service weights depend on residual demand and are refreshed after every
 committed insertion, so demand already claimed by earlier tours is not counted
 twice; route scores are cached between refreshes.  Each route carries a
 per-hop step record (depot flag, Wh per kg) for the battery pass.
+
+The route graph depends only on the scenario, so each Scenario instance gets
+one, built on its first solve and shared, read-only, by every later solve of
+the same instance (dropped when the scenario is collected).  Each route also
+carries a drain record (does it land on a depot, Wh per kg before its first
+landing, after its last and in total).  phi1 composes the records of a route
+pair with the tour's drain on either side of the slot, in O(1) per pair, and
+skips _simulate for a pair whose gross weight times that drain already
+exceeds the battery: on-site waits only drain more, so such a pair is
+infeasible whatever its schedule.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +81,30 @@ PRESETS = {
 }
 
 
+class Drain(NamedTuple):
+    """Battery drain of a route's hops in Wh per kg of gross weight; a hop
+    that lands on a depot swaps the battery and drains nothing."""
+
+    lands: bool  # some hop lands on a depot
+    pre: float  # drained before the first landing (all of it without one)
+    post: float  # drained after the last landing (all of it without one)
+    total: float  # drained over every hop
+
+
+def _drain(steps: tuple[tuple[bool, float], ...]) -> Drain:
+    pre = None
+    post = total = 0.0
+    for to_depot, wh in steps:
+        if to_depot:
+            if pre is None:
+                pre = total
+            post = 0.0
+        else:
+            post += wh
+            total += wh
+    return Drain(pre is not None, total if pre is None else pre, post, total)
+
+
 @dataclass(frozen=True)
 class Route:
     seq: tuple[int, ...]  # per-epoch location hops, seq[0] .. seq[-1]
@@ -75,21 +113,25 @@ class Route:
     # per hop: (lands on a depot, Wh per kg of gross weight), Python bool/float
     steps: tuple[tuple[bool, float], ...] = field(default=(), repr=False, compare=False)
     hops: int = field(init=False, repr=False, compare=False)  # len(seq) - 1
+    drain: Drain = field(init=False, repr=False, compare=False)  # from steps
 
     def __post_init__(self):
         object.__setattr__(self, "hops", len(self.seq) - 1)
         if len(self.steps) != self.hops:
             raise ValueError(f"route {self.seq} needs one step record per hop, got {len(self.steps)}")
+        object.__setattr__(self, "drain", _drain(self.steps))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteGraph:
+    """Read-only, since every solve of a scenario shares one graph."""
+
     depot: int
     nodes: tuple[int, ...]
-    routes: dict[tuple[int, int], tuple[Route, ...]]
+    routes: Mapping[tuple[int, int], tuple[Route, ...]]
     path_km: np.ndarray
     next_hop: np.ndarray
-    fewest_hops: dict[tuple[int, int], int]  # fewest hops over each pair's routes
+    fewest_hops: Mapping[tuple[int, int], int]  # fewest hops over each pair's routes
 
     def between(self, a: int, b: int) -> tuple[Route, ...]:
         return self.routes[(a, b)]
@@ -152,9 +194,34 @@ def build_route_graph(s: Scenario) -> RouteGraph:
             ordered = sorted(cands.values(), key=lambda r: (r.length_km, r.hops, r.seq))
             routes[(a, b)] = tuple(ordered)
     fewest = {pair: min(r.hops for r in rs) for pair, rs in routes.items()}
+    path_km.setflags(write=False)
+    next_hop.setflags(write=False)
     return RouteGraph(
-        depot=depot, nodes=nodes, routes=routes, path_km=path_km, next_hop=next_hop, fewest_hops=fewest
+        depot=depot,
+        nodes=nodes,
+        routes=MappingProxyType(routes),
+        path_km=path_km,
+        next_hop=next_hop,
+        fewest_hops=MappingProxyType(fewest),
     )
+
+
+# route graph per live Scenario instance, keyed by id() because a Scenario
+# holds arrays and cannot be hashed; an entry goes when its scenario does.
+# Two threads that miss at once each build an equal graph; the later stays
+_GRAPHS: dict[int, RouteGraph] = {}
+
+
+def _scenario_graph(s: Scenario) -> RouteGraph:
+    """s's route graph: built by build_route_graph on the instance's first
+    solve, then shared.  A refusal is raised again on every call."""
+    key = id(s)
+    graph = _GRAPHS.get(key)
+    if graph is None:
+        graph = build_route_graph(s)
+        _GRAPHS[key] = graph
+        weakref.finalize(s, _GRAPHS.pop, key, None)
+    return graph
 
 
 # -- service weights along a route -------------------------------------------------
@@ -357,7 +424,7 @@ def _simulate(
 # -- insertion machinery -----------------------------------------------------------
 
 
-STAT_KEYS = ("phi1_calls", "precheck_rejected", "simulate_calls", "simulate_feasible", "tours")
+STAT_KEYS = ("phi1_calls", "precheck_rejected", "battery_rejected", "simulate_calls", "simulate_feasible", "tours")
 
 
 class _SolveContext:
@@ -432,13 +499,45 @@ class _SolveContext:
         return got
 
 
+def _slot_drain(legs: list[Route], position: int) -> tuple[float, float]:
+    """Wh per kg the tour drains from its last landing before the leg
+    legs[position - 1], and after that leg up to its next landing; on-site
+    waits are left out."""
+    before = after = 0.0
+    for leg in legs[: position - 1]:
+        d = leg.drain
+        before = d.post if d.lands else before + d.total
+    for leg in legs[position:]:
+        d = leg.drain
+        if d.lands:
+            return before, after + d.pre
+        after += d.total
+    return before, after
+
+
+def _pair_drain(before: float, g: Route, g2: Route, after: float) -> float:
+    """Largest drain between landings, in Wh per kg and without waits, of a
+    tour whose slot legs are g then g2, given _slot_drain's two sides."""
+    worst, carry = 0.0, before
+    for d in (g.drain, g2.drain):
+        if d.lands:
+            worst = max(worst, carry + d.pre)
+            carry = d.post
+        else:
+            carry += d.total
+    return max(worst, carry + after)
+
+
 def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
     """Best feasible route pair for inserting the delivery at this position.
 
     Returns (cost, g, g_prime) minimizing the weighted detour, or None when
     every route pair breaks a window, the battery or capacity.  Capacity,
     delivery targets and windows at the fewest hops are checked once, before
-    any route pair is scored or simulated."""
+    any route pair is scored or simulated.  A route pair whose drain between
+    two landings, times the gross weight, exceeds the battery is rejected
+    without _simulate; the relative 1e-9 margin covers summation order, so
+    only pairs _simulate would refuse are skipped."""
     s = ctx.s
     ctx.stats["phi1_calls"] += 1
     target = s.payloads[payload_id].target
@@ -460,6 +559,9 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
     if not first or not second:
         return None
 
+    gross = s.uav.empty_weight_kg + ctx.equip_w + pack_w
+    limit = s.uav.battery_capacity_wh * (1.0 + 1e-9) + 1e-9
+    before, after = _slot_drain(tour.legs, position)
     best = None
     min_second = second[0][0]
     for f_g, g in first:
@@ -469,6 +571,9 @@ def phi1(ctx: _SolveContext, tour: Tour, payload_id: int, position: int):
             cost = f_g + f_g2 - base
             if best is not None and cost > best[0] + 1e-12:
                 break
+            if gross * _pair_drain(before, g, g2, after) > limit:
+                ctx.stats["battery_rejected"] += 1
+                continue
             legs = tour.legs[:]
             legs[position - 1 : position] = [g, g2]
             if ctx.simulate(ctx.equip_w, new_stops, legs, pack_w=pack_w) is not None:
@@ -531,8 +636,7 @@ def insertion_solve(
     if given, receives the STAT_KEYS counters of the run.
     """
     require_valid(s)
-    graph = build_route_graph(s)
-    ctx = _SolveContext(s, graph, cfg, stats)
+    ctx = _SolveContext(s, _scenario_graph(s), cfg, stats)
     w = s.payload_weights()
     cap = s.uav.payload_capacity_kg
 

@@ -314,7 +314,9 @@ class TestSolve:
             manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
             runs.append(manifest["stats"])
         stats = runs[0]
-        assert set(stats) == {"phi1_calls", "precheck_rejected", "simulate_calls", "simulate_feasible", "tours"}
+        assert set(stats) == {
+            "phi1_calls", "precheck_rejected", "battery_rejected", "simulate_calls", "simulate_feasible", "tours"
+        }
         assert stats == runs[1]
         assert stats["tours"] == printed["tours"] > 0
         assert 0 < stats["simulate_feasible"] <= stats["simulate_calls"]
@@ -454,6 +456,16 @@ class TestEvaluate:
         plan_file.write_text(json.dumps(doc))
         assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
         assert capsys.readouterr().err.startswith("error: plan locations are not integers")
+
+    def test_missing_locations_named_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        doc = json.loads(serialize_plan(Plan.idle(load_scenario(scen.read_text()))))
+        del doc["locations"]
+        plan_file = tmp_path / "no-loc.json"
+        plan_file.write_text(json.dumps(doc))
+        assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
+        assert capsys.readouterr().err == "error: plan: missing required field 'locations'\n"
 
 
 class TestCompare:

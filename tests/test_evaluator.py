@@ -155,6 +155,17 @@ class TestSatisfaction:
         assert np.all(rep.sigma[:, 0, 0] == pytest.approx(1.0))
         assert check_feasibility(s, p).ok  # NEED binds exactly, no violation
 
+    def test_csv_sigma_cells_are_plain_floats(self):
+        """Each sigma cell is repr of a Python float, so it reads back with
+        float() (numpy 2's repr of its own scalars would write np.float64(...))."""
+        s = tiny_mixed()
+        rep = satisfaction(s, Plan.idle(s))
+        rows = [line.split(",") for line in rep.to_csv(s).splitlines()[1:]]
+        assert len(rows) == rep.sigma.size > 0
+        for k, m, z, cell in rows:
+            assert "np." not in cell
+            assert float(cell) == rep.sigma[int(k), s.mission_by_name(m).id, int(z)]
+
     def test_objective_monotone_in_service(self):
         rng = np.random.default_rng(5)
         s = generate_synthetic(6, Dims(4, 2, 2, 1, 6))
@@ -412,8 +423,11 @@ def _evaluator_outputs(s, p):
 
 # sha256 of _evaluator_outputs over _evaluator_corpus, in order; computed
 # before check_feasibility moved onto one violation helper.  The corpus holds
-# heuristic plans, so a change to the heuristic's sf-large plans moves it too
-EVALUATOR_DIGEST = "ee232ff242173c1142cecc3a70bab14aee80260567f685b9508c4fca158f0385"
+# heuristic plans, so a change to the heuristic's sf-large plans moves it too.
+# Re-pinned when satisfaction CSV cells became repr of a Python float instead
+# of a numpy scalar (np.float64(1.0) -> 1.0); the earlier code with only that
+# line changed gives this same digest
+EVALUATOR_DIGEST = "5e382b968e43d45c4d6001833a7ff46496fda723c8d787ba0b61a74efd547212"
 
 
 def test_evaluator_outputs_match_pinned_digest():

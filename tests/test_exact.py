@@ -365,6 +365,14 @@ class TestCounters:
         assert _result_digest(capped) == _result_digest(full)
         assert not solve_exact(s, EnumerationLimits(max_assignments=5)).proven_optimal
 
+    def test_time_budget_read_after_each_inner_lp(self):
+        """A spent budget stops the search right after the inner LP that
+        spent it, not at the next 256th leaf."""
+        s = flex_fixed_scenario(1, 4)
+        res = solve_exact(s, EnumerationLimits(time_budget_s=1e-9))
+        assert not res.proven_optimal
+        assert res.lp_solves == 1
+
 
 def _bounds_and_gammas(s, groups):
     """(bound, inner-LP gamma) for every covering assignment, each solved

@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import hashlib
 
 import numpy as np
@@ -7,6 +9,7 @@ from uavplan.evaluator import check_feasibility, plan_metrics, satisfaction, ser
 from uavplan import heuristic
 from uavplan.heuristic import (
     PRESETS,
+    STAT_KEYS,
     HeuristicConfig,
     InsertionError,
     RouteGraphError,
@@ -829,3 +832,191 @@ class TestHotPathEquivalence:
             assert np.array_equal(got_resid, want_resid)
             assert got == want
             assert got_gen == want_gen
+
+
+def _solve_record(s, cfg, uav_equipment):
+    """Tours, plan arrays and counters of one solve, or its refusal."""
+    stats: dict = {}
+    try:
+        tours, plan = insertion_solve(s, cfg, uav_equipment=uav_equipment, stats=stats)
+    except InsertionError as exc:
+        return repr((str(exc), exc.payloads)), stats
+    arrays = [np.ascontiguousarray(getattr(plan, f)).tobytes()
+              for f in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers")]
+    detail = [(t.stops, t.legs, t.uav, t.depart, t.service_epochs, t.return_epoch, repr(t.energy_wh),
+               type(t.energy_wh)) for t in tours]
+    return (detail, arrays), stats
+
+
+class TestSharedGraphAndBatteryBound:
+    def test_shared_graph_and_bound_change_nothing_but_simulations(self, monkeypatch):
+        """Against a fresh build_route_graph per solve and no battery bound,
+        plans, tours and every other counter are equal, and each pair the
+        bound rejects is one _simulate call fewer."""
+        rejected = 0
+        for seed in range(1, 11):
+            s = generate_preset("sf-large", seed)
+            for equipment in (None, _fixed_equipment(s)[1]):
+                for name, cfg in PRESETS.items():
+                    got, stats = _solve_record(s, cfg(), equipment)
+                    with monkeypatch.context() as m:
+                        m.setattr(heuristic, "_scenario_graph", heuristic.build_route_graph)
+                        m.setattr(heuristic, "_pair_drain", lambda before, g, g2, after: 0.0)
+                        want, ref = _solve_record(s, cfg(), equipment)
+                    assert got == want, (seed, equipment is None, name)
+                    assert ref["battery_rejected"] == 0
+                    assert stats["simulate_calls"] + stats["battery_rejected"] == ref["simulate_calls"]
+                    other = set(STAT_KEYS) - {"simulate_calls", "battery_rejected"}
+                    assert {k: stats[k] for k in other} == {k: ref[k] for k in other}
+                    rejected += stats["battery_rejected"]
+        assert rejected > 0
+
+    def test_battery_bound_skips_only_pairs_simulate_refuses(self, monkeypatch):
+        """Every route pair phi1 looks at is either simulated or rejected by
+        the bound; each rejected one, simulated anyway, comes back None.  No
+        pair of seed 3 or 6 meets the bound; seed 7 has thousands."""
+        real_phi1, real_drain, real_simulate = heuristic.phi1, heuristic._pair_drain, heuristic._simulate
+        seen: list = []  # route pairs the bound looked at in the current phi1 call
+        simulated: list = []  # legs _simulate saw in the current phi1 call
+        skipped = 0
+
+        def spy_drain(before, g, g2, after):
+            seen.append((g, g2))
+            return real_drain(before, g, g2, after)
+
+        def spy_simulate(s_, equip_w, stops, legs, depart=None, pack_w=None):
+            simulated.append(legs)
+            return real_simulate(s_, equip_w, stops, legs, depart, pack_w)
+
+        def checked_phi1(ctx, tour, payload_id, position):
+            nonlocal skipped
+            seen.clear()
+            simulated.clear()
+            before = ctx.stats["battery_rejected"]
+            got = real_phi1(ctx, tour, payload_id, position)
+            tried = {(id(legs[position - 1]), id(legs[position])) for legs in simulated}
+            stops = tour.stops[:]
+            stops.insert(position - 1, Stop(payload_id, ctx.s.payloads[payload_id].target))
+            rejected = [(g, g2) for g, g2 in seen if (id(g), id(g2)) not in tried]
+            assert len(rejected) == ctx.stats["battery_rejected"] - before
+            for g, g2 in rejected:
+                legs = tour.legs[:]
+                legs[position - 1 : position] = [g, g2]
+                assert real_simulate(ctx.s, ctx.equip_w, stops, legs) is None, (payload_id, position)
+            skipped += len(rejected)
+            return got
+
+        monkeypatch.setattr(heuristic, "phi1", checked_phi1)
+        monkeypatch.setattr(heuristic, "_pair_drain", spy_drain)
+        monkeypatch.setattr(heuristic, "_simulate", spy_simulate)
+        for seed in range(1, 8):
+            s = generate_preset("sf-large", seed)
+            for equipment in (None, _fixed_equipment(s)[1]):
+                for name, cfg in PRESETS.items():
+                    try:
+                        insertion_solve(s, cfg(), uav_equipment=equipment)
+                    except InsertionError:
+                        pass  # fleet refusals come after every insertion was checked
+        assert skipped > 1000
+
+    def test_drain_records_follow_the_steps(self):
+        """Each route's drain record against a plain walk over its steps, on
+        a graph whose routes include depot landings mid-route."""
+        s = generate_preset("sf-large", 1)
+        mid_landings = 0
+        for routes in build_route_graph(s).routes.values():
+            for r in routes:
+                segments = [0.0]  # Wh per kg between landings
+                for to_depot, wh in r.steps:
+                    if to_depot:
+                        segments.append(0.0)
+                    else:
+                        segments[-1] += wh
+                lands = len(segments) > 1
+                total = sum(wh for to_depot, wh in r.steps if not to_depot)
+                assert r.drain.lands == lands
+                assert r.drain.pre == pytest.approx(segments[0] if lands else total, abs=1e-12)
+                assert r.drain.post == pytest.approx(segments[-1], abs=1e-12)
+                assert r.drain.total == pytest.approx(total, abs=1e-12)
+                mid_landings += lands and not r.steps[-1][0]
+        assert mid_landings > 0
+
+    def test_pair_drain_matches_a_plain_walk(self):
+        """_slot_drain then _pair_drain give the largest drain among the
+        segments between landings that hold the start of g, the g/g2
+        junction or the end of g2, on random leg lists drawn half from
+        routes with a depot landing before their last hop."""
+        s = generate_preset("sf-large", 1)
+        routes = [r for rs in build_route_graph(s).routes.values() for r in rs]
+        landing = [r for r in routes if any(d for d, _ in r.steps[:-1])]
+        assert landing
+        rng = np.random.default_rng(3)
+
+        def draw():
+            pool = landing if rng.random() < 0.5 else routes
+            return pool[int(rng.integers(len(pool)))]
+
+        for _ in range(3000):
+            tour_legs = [draw() for _ in range(int(rng.integers(1, 6)))]
+            position = int(rng.integers(1, len(tour_legs) + 1))
+            g, g2 = draw(), draw()
+            before, after = heuristic._slot_drain(tour_legs, position)
+            got = heuristic._pair_drain(before, g, g2, after)
+            walk = tour_legs[: position - 1] + [g, g2] + tour_legs[position:]
+            steps = [step for leg in walk for step in leg.steps]
+            segments, landed = [0.0], [0]  # drain per segment; landings before each point
+            for to_depot, wh in steps:
+                if to_depot:
+                    segments.append(0.0)
+                else:
+                    segments[-1] += wh
+                landed.append(len(segments) - 1)
+            start = sum(leg.hops for leg in tour_legs[: position - 1])
+            points = (start, start + g.hops, start + g.hops + g2.hops)
+            want = max(segments[landed[p]] for p in points)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_one_graph_per_scenario_instance(self, monkeypatch):
+        """A second solve of the same instance reuses its graph; a replaced
+        copy builds its own; the entry goes with its scenario."""
+        monkeypatch.setattr(heuristic, "_GRAPHS", {})
+        builds = []
+        real_build = heuristic.build_route_graph
+
+        def counted(s_):
+            builds.append(id(s_))
+            return real_build(s_)
+
+        monkeypatch.setattr(heuristic, "build_route_graph", counted)
+        s = line_scenario(targets=[2, 3], windows=[(2, 10), (3, 12)])
+        first = insertion_solve(s)
+        assert insertion_solve(s, HeuristicConfig.privilege_coverage()) is not None
+        assert builds == [id(s)] and set(heuristic._GRAPHS) == {id(s)}
+        copy = dataclasses.replace(s, uav=dataclasses.replace(s.uav, count=1))
+        assert insertion_solve(copy)[0] == first[0]
+        assert builds == [id(s), id(copy)]
+        del s, copy
+        gc.collect()
+        assert heuristic._GRAPHS == {}
+
+    def test_refused_graph_not_kept(self, monkeypatch):
+        monkeypatch.setattr(heuristic, "_GRAPHS", {})
+        s = line_scenario(targets=[2], windows=[(1, 10)], spacing=3.0, vmax=2.5)
+        for _ in range(2):
+            with pytest.raises(RouteGraphError):
+                insertion_solve(s)
+        assert heuristic._GRAPHS == {}
+
+    def test_shared_graph_refuses_assignment(self):
+        s = line_scenario(targets=[2], windows=[(2, 10)])
+        graph = heuristic._scenario_graph(s)
+        assert graph is heuristic._scenario_graph(s)
+        with pytest.raises(TypeError):
+            graph.routes[0, 2] = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            graph.routes = {}
+        with pytest.raises(TypeError):
+            graph.fewest_hops[0, 2] = 0
+        for arr in (graph.path_km, graph.next_hop):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1
