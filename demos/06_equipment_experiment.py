@@ -12,14 +12,13 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from scenarios import flex_fixed_scenario
 
-from uavplan import EnumerationLimits, solve_exact
-from uavplan.cli import _fixed_equipment
+from uavplan import EnumerationLimits, fixed_equipment, solve_exact
 
 print(f"{'UAVs':>4} {'flexible':>9} {'fixed':>9} {'gap':>7}")
 for uavs in (2, 4, 6):
     scenario = flex_fixed_scenario(seed=1, uavs=uavs)
     flexible = solve_exact(scenario, EnumerationLimits())
-    groups, _ = _fixed_equipment(scenario)
+    groups = fixed_equipment(scenario)
     fixed = solve_exact(scenario, EnumerationLimits(), equipment_groups=groups)
     gap = flexible.objective - fixed.objective
     print(f"{uavs:>4} {flexible.objective:>9.4f} {fixed.objective:>9.4f} {gap:>7.4f}")

@@ -30,7 +30,14 @@ from .exact import EnumerationLimits, GuardError, solve_exact
 from .heuristic import PRESETS as HEURISTIC_PRESETS
 from .heuristic import HeuristicConfig, InsertionError, insertion_solve
 from .milp import build_milp, export_lp, import_solution, parse_solution
-from .scenario import Scenario, ScenarioError, check_tensor_cells, load_scenario, serialize_scenario
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    check_tensor_cells,
+    fixed_equipment,
+    load_scenario,
+    serialize_scenario,
+)
 from .simplex import SizeCapError
 from .synth import PRESETS as SCENARIO_PRESETS
 from .synth import Dims, GenerationError, generate_preset, generate_synthetic
@@ -80,31 +87,6 @@ def _with_uav_count(s: Scenario, count: int) -> Scenario:
     return dataclasses.replace(s, uav=dataclasses.replace(s.uav, count=count))
 
 
-def _fixed_equipment(s: Scenario):
-    """One third radio-only, one third camera-only, remainder both."""
-    relay = s.mission_by_name("relay")
-    if relay is None or not relay.requires:
-        raise ScenarioError("fixed equipment mode needs a relay mission with its radio")
-    radio = relay.requires[0]
-    others = [e for e in s.equipment_ids if e != radio]
-    if not others:
-        raise ScenarioError("fixed equipment mode needs a second equipment payload")
-    camera = others[0]
-    D = s.num_uavs
-    third = D // 3
-    groups = []
-    if third:
-        groups.append((third, frozenset({radio}), frozenset({camera})))
-        groups.append((third, frozenset({camera}), frozenset({radio})))
-    both = D - 2 * third
-    if both:
-        groups.append((both, frozenset({radio, camera}), frozenset()))
-    per_uav = []
-    for count, on, off in groups:
-        per_uav.extend([(on, off)] * count)
-    return groups, per_uav
-
-
 def _parse_run(spec: str):
     parts = spec.split(":")
     engine = parts[0]
@@ -132,10 +114,8 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
     """Run one engine on one scenario; returns (plan, info dict, tours or
     None, engine counters or None).  info goes into the solve summary, the
     counters into the manifest only."""
+    groups = fixed_equipment(s) if equipment == "fixed" else None
     if engine == "exact":
-        groups = None
-        if equipment == "fixed":
-            groups, _ = _fixed_equipment(s)
         res = solve_exact(s, limits, equipment_groups=groups)
         if not res.feasible or res.plan is None:
             raise ValueError("no feasible plan exists for this instance")
@@ -151,11 +131,8 @@ def _solve_one(s: Scenario, engine: str, equipment: str, cfg: HeuristicConfig, l
             "bound_prunes": res.bound_prunes,
         }
         return res.plan, info, None, stats
-    per_uav = None
-    if equipment == "fixed":
-        _, per_uav = _fixed_equipment(s)
     stats: dict = {}
-    tours, plan = insertion_solve(s, cfg, uav_equipment=per_uav, stats=stats)
+    tours, plan = insertion_solve(s, cfg, equipment_groups=groups, stats=stats)
     info = {
         "engine": "heuristic",
         "alpha1": cfg.alpha1,
@@ -422,10 +399,11 @@ def cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="uavplan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    default_limits, default_cfg = EnumerationLimits(), HeuristicConfig()
     limits = argparse.ArgumentParser(add_help=False)  # exact-engine limits
-    limits.add_argument("--max-assignments", type=int, default=2_000_000)
-    limits.add_argument("--time-budget", type=float, default=600.0)
-    limits.add_argument("--size-guard", type=int, default=64)
+    limits.add_argument("--max-assignments", type=int, default=default_limits.max_assignments)
+    limits.add_argument("--time-budget", type=float, default=default_limits.time_budget_s)
+    limits.add_argument("--size-guard", type=int, default=default_limits.size_guard)
 
     g = sub.add_parser("generate", help="synthesize a scenario file")
     g.add_argument("--seed", type=int, default=0)
@@ -444,8 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     so.add_argument("--scenario", required=True)
     so.add_argument("--engine", choices=["heuristic", "exact"], default="heuristic")
     so.add_argument("--preset", choices=sorted(HEURISTIC_PRESETS))
-    so.add_argument("--alpha1", type=float, default=0.0)
-    so.add_argument("--alpha2", type=float, default=0.0)
+    so.add_argument("--alpha1", type=float, default=default_cfg.alpha1)
+    so.add_argument("--alpha2", type=float, default=default_cfg.alpha2)
     so.add_argument("--equipment", choices=["flexible", "fixed"], default="flexible")
     so.add_argument("--out")
     so.set_defaults(func=cmd_solve)

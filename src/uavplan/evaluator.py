@@ -251,12 +251,11 @@ def check_feasibility(
 
     # EQUIP: missions demand their payloads aboard, one entry per missing payload
     mu = p.mission_alloc
-    for m in s.missions:
-        if m.name == "relay":
-            continue
-        alloc = mu[:, :, m.id, :]
+    for mid in s.service_mission_ids:
+        m = s.missions[mid]
+        alloc = mu[:, :, mid, :]
         for pid in m.requires:
-            _flag(out, "EQUIP", (alloc > tol) & ~p.payloads[:, :, pid, None], alloc, lambda d, k, z: (d, k, m.id, z))
+            _flag(out, "EQUIP", (alloc > tol) & ~p.payloads[:, :, pid, None], alloc, lambda d, k, z: (d, k, mid, z))
     relaying = p.relay_frac > tol
     if s.relay_index is None:
         _flag(out, "EQUIP", relaying, p.relay_frac, lambda d, k: (d, k, -1))

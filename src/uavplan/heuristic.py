@@ -37,7 +37,7 @@ import numpy as np
 
 from .evaluator import Plan
 from .paths import all_pairs_shortest, reconstruct
-from .scenario import Scenario, require_valid
+from .scenario import Scenario, check_equipment_groups, require_valid
 
 
 class RouteGraphError(ValueError):
@@ -58,7 +58,8 @@ class HeuristicConfig:
     alpha2: float = 0.0  # weight of monitoring value
 
     def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0 or self.alpha1 + self.alpha2 > 1 + 1e-12:
+        # written so that a NaN weight fails it too
+        if not (self.alpha1 >= 0 and self.alpha2 >= 0 and self.alpha1 + self.alpha2 <= 1 + 1e-12):
             raise ValueError("weights must be nonnegative and sum to at most 1")
 
     @classmethod
@@ -626,16 +627,19 @@ def _project_residual(ctx: _SolveContext, current: Tour):
 def insertion_solve(
     s: Scenario,
     cfg: HeuristicConfig = HeuristicConfig(),
-    uav_equipment: list[tuple[frozenset, frozenset]] | None = None,
+    equipment_groups: list[tuple[int, frozenset, frozenset]] | None = None,
     stats: dict | None = None,
 ) -> tuple[list[Tour], Plan]:
     """Run the insertion heuristic and materialize a full plan.
 
-    uav_equipment optionally pins (forced_on, forbidden) payload sets per UAV;
-    by default every UAV flies with the full mission equipment.  A stats dict,
-    if given, receives the STAT_KEYS counters of the run.
+    equipment_groups optionally partitions the fleet into (count, forced_on,
+    forbidden) payload policies, as solve_exact takes them; each UAV flies
+    with its group's forced-on payloads that are not deliveries.  By default
+    every UAV flies with the full mission equipment.  A stats dict, if given,
+    receives the STAT_KEYS counters of the run.
     """
     require_valid(s)
+    equipment = _equipment_per_uav(s, equipment_groups)
     ctx = _SolveContext(s, _scenario_graph(s), cfg, stats)
     w = s.payload_weights()
     cap = s.uav.payload_capacity_kg
@@ -693,20 +697,21 @@ def insertion_solve(
         _project_residual(ctx, current)
 
     ctx.stats["tours"] = len(tours)
-    _assign_tours(s, ctx, tours, uav_equipment)
-    plan = tours_to_plan(s, tours, uav_equipment)
+    _assign_tours(s, ctx, tours, equipment)
+    plan = tours_to_plan(s, tours, equipment_groups)
     return tours, plan
 
 
-def _assign_tours(s, ctx, tours, uav_equipment):
+def _assign_tours(s, ctx, tours, equipment):
     """Greedy schedule onto the earliest-available UAV; a UAV is busy from its
     departure epoch through one epoch past its return (battery swap).  Tours
     with the earliest latest-possible departure go first (deadline order) and
     each departs as soon as its UAV is free and the battery tolerates the
-    on-site waits, which keeps the fleet from bunching at the horizon's end."""
+    on-site waits, which keeps the fleet from bunching at the horizon's end.
+    equipment holds each UAV's equipment, as _equipment_per_uav expands it."""
     D = s.num_uavs
     w = s.payload_weights()
-    equip_w = [float(sum(w[e] for e in _uav_equipment(s, uav_equipment, u))) for u in range(D)]
+    equip_w = [float(sum(w[e] for e in aboard)) for aboard in equipment]
     avail = [0] * D
     unserved: list[int] = []
 
@@ -746,12 +751,16 @@ def _assign_tours(s, ctx, tours, uav_equipment):
         )
 
 
-def _uav_equipment(s: Scenario, uav_equipment, u: int) -> frozenset:
-    """Equipment UAV u flies with: its pinned forced-on payloads that are not
-    deliveries, or by default every mission equipment payload."""
-    if uav_equipment is None:
-        return frozenset(s.equipment_ids)
-    return frozenset(e for e in uav_equipment[u][0] if not s.payloads[e].deliverable)
+def _equipment_per_uav(s: Scenario, equipment_groups) -> list[frozenset]:
+    """Equipment each UAV flies with: its group's forced-on payloads that are
+    not deliveries, or by default every mission equipment payload."""
+    if equipment_groups is None:
+        return [frozenset(s.equipment_ids)] * s.num_uavs
+    check_equipment_groups(s, equipment_groups)
+    equipment = []
+    for count, on, _ in equipment_groups:
+        equipment += [frozenset(e for e in on if not s.payloads[e].deliverable)] * count
+    return equipment
 
 
 def _epoch_walk(s: Scenario, tour: Tour, depart: int, services: list[int]):
@@ -813,12 +822,13 @@ def _allocate_service(s: Scenario, l: int, k: int, aboard: frozenset, resid, col
 def tours_to_plan(
     s: Scenario,
     tours: list[Tour],
-    uav_equipment: list[tuple[frozenset, frozenset]] | None = None,
+    equipment_groups: list[tuple[int, frozenset, frozenset]] | None = None,
 ) -> Plan:
     """Expand scheduled tours into a full plan: per-epoch locations, payload
     aboard for the whole tour (equipment plus every delivery pack), greedy
     mission allocations along the way, and traffic pushed straight down to the
-    ground network."""
+    ground network.  equipment_groups is insertion_solve's."""
+    equipment = _equipment_per_uav(s, equipment_groups)
     plan = Plan.idle(s)
     resid = s.demand.copy()
     w = s.payload_weights()
@@ -829,7 +839,7 @@ def tours_to_plan(
             raise ValueError("tours must be scheduled before materialization")
         d = tour.uav
         pack = [st.payload for st in tour.stops]
-        aboard = sorted(set(pack) | _uav_equipment(s, uav_equipment, d))
+        aboard = sorted(set(pack) | equipment[d])
         total_w = float(sum(w[list(aboard)]))
         if total_w > cap + 1e-12:
             raise InsertionError(

@@ -565,6 +565,41 @@ def require_valid(s: Scenario) -> None:
         raise ScenarioError("scenario failed validation: " + "; ".join(map(str, issues)), issues)
 
 
+# -- equipment groups --------------------------------------------------------------
+
+
+def fixed_equipment(s: Scenario) -> list[tuple[int, frozenset, frozenset]]:
+    """The fixed-equipment fleet as (count, forced_on, forbidden) groups: one
+    third radio-only, one third camera-only, the remainder both.  The radio
+    is the relay mission's first required payload, the camera the first
+    other equipment payload."""
+    relay = s.mission_by_name(RELAY)
+    if relay is None or not relay.requires:
+        raise ScenarioError("fixed equipment mode needs a relay mission with its radio")
+    radio = relay.requires[0]
+    others = [e for e in s.equipment_ids if e != radio]
+    if not others:
+        raise ScenarioError("fixed equipment mode needs a second equipment payload")
+    camera = others[0]
+    third = s.num_uavs // 3
+    groups = []
+    if third:
+        groups.append((third, frozenset({radio}), frozenset({camera})))
+        groups.append((third, frozenset({camera}), frozenset({radio})))
+    both = s.num_uavs - 2 * third
+    if both:
+        groups.append((both, frozenset({radio, camera}), frozenset()))
+    return groups
+
+
+def check_equipment_groups(s: Scenario, groups) -> None:
+    """Refuse (count, forced_on, forbidden) groups that do not partition the fleet."""
+    if any(count < 0 for count, _, _ in groups):
+        raise ValueError("equipment group counts must be nonnegative")
+    if sum(count for count, _, _ in groups) != s.num_uavs:
+        raise ValueError("equipment group counts must sum to the fleet size")
+
+
 # -- file format ---------------------------------------------------------------
 
 

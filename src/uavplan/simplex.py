@@ -108,9 +108,8 @@ def simplex_solve(
     b_ub=None,
     a_eq=None,
     b_eq=None,
-    maximize: bool = True,
 ) -> SimplexResult:
-    """Solve the LP; variables are nonnegative.  Returns status, the primal
+    """Maximize c @ x; variables are nonnegative.  Returns status, the primal
     point on the structural variables, and the objective value."""
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
@@ -123,12 +122,6 @@ def simplex_solve(
     m = a_ub.shape[0] + a_eq.shape[0]
     if n > SIZE_CAP or m > 4 * SIZE_CAP:
         raise SizeCapError(f"problem size {n} vars x {m} rows exceeds the desk-scale cap")
-    if not maximize:
-        res = simplex_solve(-c, a_ub, b_ub, a_eq, b_eq, maximize=True)
-        if res.value is not None:
-            res.value = -res.value
-        return res
-
     # normalize rows to b >= 0; <= rows flipping sign become >= rows.  Every
     # inequality gets a slack column (-1 on a >= row), every >= and = row an
     # artificial one, which starts in its basis; a <= row starts on its slack.

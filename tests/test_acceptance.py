@@ -12,12 +12,13 @@ import zlib
 import numpy as np
 import pytest
 
-from uavplan.cli import _fixed_equipment, main
+from uavplan.bruteforce import solve_model_exhaustive
+from uavplan.cli import main
 from uavplan.evaluator import TAGS, check_feasibility, plan_metrics, satisfaction
-from uavplan.exact import EnumerationLimits, solve_exact, solve_model_exhaustive
+from uavplan.exact import EnumerationLimits, solve_exact
 from uavplan.heuristic import PRESETS, insertion_solve
 from uavplan.milp import build_milp, export_lp, parse_lp
-from uavplan.scenario import UavSpec, max_range
+from uavplan.scenario import UavSpec, fixed_equipment, max_range
 from uavplan.synth import generate_preset
 
 from mutations import MUTATORS
@@ -90,7 +91,7 @@ def test_criterion_4_flexible_vs_fixed_trend():
         for uavs in (2, 4, 6):
             s = flex_fixed_scenario(seed, uavs)
             flexible = solve_exact(s, EnumerationLimits())
-            groups, _ = _fixed_equipment(s)
+            groups = fixed_equipment(s)
             fixed = solve_exact(s, EnumerationLimits(), equipment_groups=groups)
             assert flexible.feasible and fixed.feasible
             assert flexible.proven_optimal and fixed.proven_optimal

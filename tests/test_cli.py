@@ -6,8 +6,8 @@ import resource
 import pytest
 
 from uavplan.cli import main
+from uavplan.bruteforce import solve_model_exhaustive
 from uavplan.evaluator import Plan, Violation, ViolationReport, check_feasibility, load_plan, serialize_plan
-from uavplan.exact import solve_model_exhaustive
 from uavplan.milp import build_milp, solution_to_text
 from uavplan.scenario import load_scenario, serialize_scenario
 
@@ -321,6 +321,32 @@ class TestSolve:
         assert stats["tours"] == printed["tours"] > 0
         assert 0 < stats["simulate_feasible"] <= stats["simulate_calls"]
         assert "stats" not in printed and "phi1_calls" not in printed
+
+    @pytest.mark.parametrize(
+        "engine, flag, value",
+        [
+            ("heuristic", "--alpha1", "nan"),
+            ("heuristic", "--alpha2", "nan"),
+            ("exact", "--time-budget", "nan"),
+            ("exact", "--time-budget", "inf"),
+        ],
+    )
+    def test_non_finite_knob_exit_2(self, tmp_path, capsys, engine, flag, value):
+        """A NaN weight would reach the summary and manifest as a bare NaN,
+        which is not JSON; a NaN budget would switch the budget off."""
+        scen = tmp_path / "tiny.scenario"
+        scen.write_text((DATA / "tiny-mixed.scenario").read_text())
+        plan_file = tmp_path / "p.json"
+        assert run("solve", "--scenario", scen, "--engine", engine, flag, value, "--out", plan_file) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not plan_file.exists() and not (tmp_path / "p.json.manifest.json").exists()
+
+    @pytest.mark.parametrize("engine", ["heuristic", "exact"])
+    def test_fixed_equipment_without_relay_exit_2(self, tmp_path, capsys, engine):
+        scen = tmp_path / "delivery.scenario"
+        scen.write_text(serialize_scenario(tiny_delivery()))
+        assert run("solve", "--scenario", scen, "--engine", engine, "--equipment", "fixed") == 2
+        assert "fixed equipment mode needs a relay mission with its radio" in capsys.readouterr().err
 
     def test_exact_guard_refusal_exit_3(self, sf_small_file, tmp_path):
         assert run("solve", "--scenario", sf_small_file, "--engine", "exact", "--out", tmp_path / "p") == 3

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from uavplan import exact
-from uavplan.cli import _fixed_equipment
 from uavplan.evaluator import check_feasibility, satisfaction
 from uavplan.exact import (
     EnumerationLimits,
@@ -19,7 +18,7 @@ from uavplan.exact import (
     enumerate_configs,
     solve_exact,
 )
-from uavplan.scenario import Location, PayloadItem, UavSpec, make_scenario
+from uavplan.scenario import Location, PayloadItem, UavSpec, fixed_equipment, make_scenario
 from uavplan.synth import Dims, generate_preset, generate_synthetic
 
 from scenarios import flex_fixed_scenario, tiny_delivery, tiny_instance, tiny_mixed
@@ -230,7 +229,7 @@ def _loop_bound(s, assignment, win_need):
 
 def _groups(s, mode):
     if mode == "fixed":
-        return _fixed_equipment(s)[0]
+        return fixed_equipment(s)
     return [(s.num_uavs, frozenset(), frozenset())]
 
 
@@ -364,6 +363,15 @@ class TestCounters:
         assert capped.proven_optimal and capped.assignments_visited == full.assignments_visited == 1820
         assert _result_digest(capped) == _result_digest(full)
         assert not solve_exact(s, EnumerationLimits(max_assignments=5)).proven_optimal
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"time_budget_s": float("nan")}, {"time_budget_s": float("inf")}, {"max_assignments": float("nan")},
+         {"size_guard": float("nan")}, {"time_budget_s": 0.0}],
+    )
+    def test_non_finite_or_non_positive_limits_refused(self, limits):
+        with pytest.raises(ValueError, match="enumeration limits must be positive and finite"):
+            EnumerationLimits(**limits)
 
     def test_time_budget_read_after_each_inner_lp(self):
         """A spent budget stops the search right after the inner LP that

@@ -1,11 +1,13 @@
 import dataclasses
 import gc
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from uavplan.evaluator import check_feasibility, plan_metrics, satisfaction, serialize_plan
+from uavplan.exact import solve_exact
 from uavplan import heuristic
 from uavplan.heuristic import (
     PRESETS,
@@ -28,11 +30,12 @@ from uavplan.heuristic import (
     phi2,
     tours_to_plan,
 )
-from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, make_scenario
-from uavplan.cli import _fixed_equipment
+from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, fixed_equipment, make_scenario
 from uavplan.synth import Dims, generate_preset, generate_synthetic
 
-from scenarios import tiny_mixed
+from scenarios import flex_fixed_scenario, tiny_mixed
+
+PLAN_FIELDS = ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers")
 
 
 def line_scenario(targets, windows, weights=None, epochs=16, zones=(), demand=(), extra_locs=(),
@@ -403,6 +406,41 @@ class TestToursToPlan:
         assert plan_metrics(s, plan)["served_fraction"]["coverage"] > 0
 
 
+class TestEquipmentGroups:
+    """Both engines take the fleet as (count, forced_on, forbidden) groups
+    and refuse, through one shared check, groups that do not partition it."""
+
+    ENGINES = {
+        "insertion_solve": lambda s, groups: insertion_solve(s, equipment_groups=groups),
+        "tours_to_plan": lambda s, groups: tours_to_plan(s, [], groups),
+        "solve_exact": lambda s, groups: solve_exact(s, equipment_groups=groups),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "counts, message",
+        [((1,), "must sum to the fleet size"), ((2, 3), "must sum to the fleet size"), ((5, -1), "nonnegative")],
+    )
+    def test_groups_must_partition_the_fleet(self, engine, counts, message):
+        s = flex_fixed_scenario(1, 4)
+        groups = [(n, frozenset({0}), frozenset()) for n in counts]
+        with pytest.raises(ValueError, match=message):
+            self.ENGINES[engine](s, groups)
+
+    def test_default_is_one_group_with_all_equipment_on(self):
+        """A delivery in forced_on is a pack, not equipment, so it changes nothing."""
+        s = generate_preset("sf-small", 1)
+        on = frozenset(s.equipment_ids) | {s.deliverable_ids[0]}
+        runs = []
+        for groups in (None, [(s.num_uavs, on, frozenset())]):
+            tours, plan = insertion_solve(s, equipment_groups=groups)
+            runs.append((
+                [(t.uav, t.depart, t.stops, t.legs, t.service_epochs, t.return_epoch, t.energy_wh) for t in tours],
+                [np.ascontiguousarray(getattr(plan, f)).tobytes() for f in PLAN_FIELDS],
+            ))
+        assert runs[0][0] and runs[0] == runs[1]
+
+
 class TestPresets:
     def test_preset_configs(self):
         assert HeuristicConfig.save_time() == HeuristicConfig(0.0, 0.0)
@@ -410,6 +448,11 @@ class TestPresets:
         assert HeuristicConfig.privilege_monitoring() == HeuristicConfig(0.0, 1.0)
         with pytest.raises(ValueError):
             HeuristicConfig(0.7, 0.5)
+
+    @pytest.mark.parametrize("weights", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (-math.inf, 0.0)])
+    def test_non_finite_weights_refused(self, weights):
+        with pytest.raises(ValueError, match="weights must be"):
+            HeuristicConfig(*weights)
 
     def test_energy_ordering_trend(self):
         """Ignoring travel time in favor of coverage or monitoring never
@@ -586,19 +629,19 @@ def _over_capacity(ctx, stops):
     return ctx.equip_w + float(sum(w[st.payload] for st in stops)) > ctx.s.uav.payload_capacity_kg + 1e-12
 
 
-def _solve_digest(s, cfg, uav_equipment=None):
+def _solve_digest(s, cfg, equipment_groups=None):
     """sha256 of the plan arrays and tour legs, or of the refusal; with pinned
     equipment the tours' service epochs, return epochs and energy too."""
     h = hashlib.sha256()
     try:
-        tours, plan = insertion_solve(s, cfg, uav_equipment=uav_equipment)
+        tours, plan = insertion_solve(s, cfg, equipment_groups=equipment_groups)
     except InsertionError as exc:
         h.update(repr((str(exc), exc.payloads)).encode())
         return h.hexdigest()
-    for f in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers"):
+    for f in PLAN_FIELDS:
         h.update(np.ascontiguousarray(getattr(plan, f)).tobytes())
     h.update(repr([(t.uav, t.depart, [leg.seq for leg in t.legs]) for t in tours]).encode())
-    if uav_equipment is not None:
+    if equipment_groups is not None:
         h.update(repr([(t.service_epochs, t.return_epoch, t.energy_wh) for t in tours]).encode())
     return h.hexdigest()
 
@@ -617,7 +660,8 @@ HEURISTIC_DIGESTS = {
     (3, "monitoring"): "16056823ad883a10c1ab825288fbb930373c92ad52a2f01ca93a221014e1381c",
 }
 
-# the same runs with uav_equipment=_fixed_equipment(s)[1], pinned before the
+# the same runs with equipment_groups=fixed_equipment(s) (at the time, the
+# per-UAV (forced_on, forbidden) pairs of the same split), pinned before the
 # tour rules were merged into one implementation each; seed 2's coverage and
 # monitoring runs are fleet-horizon refusals
 FIXED_EQUIPMENT_DIGESTS = {
@@ -702,8 +746,8 @@ class TestHotPathEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_fixed_equipment_plans_match_pinned_digests(self, seed):
         s = generate_preset("sf-large", seed)
-        per_uav = _fixed_equipment(s)[1]
-        got = {name: _solve_digest(s, cfg(), per_uav) for name, cfg in PRESETS.items()}
+        groups = fixed_equipment(s)
+        got = {name: _solve_digest(s, cfg(), groups) for name, cfg in PRESETS.items()}
         assert got == {name: FIXED_EQUIPMENT_DIGESTS[seed, name] for name in PRESETS}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -758,11 +802,11 @@ class TestHotPathEquivalence:
             return got
 
         monkeypatch.setattr(heuristic, "_simulate", checked)
-        for equipment in (None, _fixed_equipment(s)[1]):
+        for equipment in (None, fixed_equipment(s)):
             for name, cfg in PRESETS.items():
                 stats: dict = {}
                 try:
-                    insertion_solve(s, cfg(), uav_equipment=equipment, stats=stats)
+                    insertion_solve(s, cfg(), equipment_groups=equipment, stats=stats)
                 except InsertionError:
                     pass  # fleet refusals come after every simulation was checked
                 assert stats["simulate_calls"] > 0
@@ -834,15 +878,14 @@ class TestHotPathEquivalence:
             assert got_gen == want_gen
 
 
-def _solve_record(s, cfg, uav_equipment):
+def _solve_record(s, cfg, equipment_groups):
     """Tours, plan arrays and counters of one solve, or its refusal."""
     stats: dict = {}
     try:
-        tours, plan = insertion_solve(s, cfg, uav_equipment=uav_equipment, stats=stats)
+        tours, plan = insertion_solve(s, cfg, equipment_groups=equipment_groups, stats=stats)
     except InsertionError as exc:
         return repr((str(exc), exc.payloads)), stats
-    arrays = [np.ascontiguousarray(getattr(plan, f)).tobytes()
-              for f in ("locations", "payloads", "mission_alloc", "relay_frac", "transfers", "sink_transfers")]
+    arrays = [np.ascontiguousarray(getattr(plan, f)).tobytes() for f in PLAN_FIELDS]
     detail = [(t.stops, t.legs, t.uav, t.depart, t.service_epochs, t.return_epoch, repr(t.energy_wh),
                type(t.energy_wh)) for t in tours]
     return (detail, arrays), stats
@@ -856,7 +899,7 @@ class TestSharedGraphAndBatteryBound:
         rejected = 0
         for seed in range(1, 11):
             s = generate_preset("sf-large", seed)
-            for equipment in (None, _fixed_equipment(s)[1]):
+            for equipment in (None, fixed_equipment(s)):
                 for name, cfg in PRESETS.items():
                     got, stats = _solve_record(s, cfg(), equipment)
                     with monkeypatch.context() as m:
@@ -911,10 +954,10 @@ class TestSharedGraphAndBatteryBound:
         monkeypatch.setattr(heuristic, "_simulate", spy_simulate)
         for seed in range(1, 8):
             s = generate_preset("sf-large", seed)
-            for equipment in (None, _fixed_equipment(s)[1]):
+            for equipment in (None, fixed_equipment(s)):
                 for name, cfg in PRESETS.items():
                     try:
-                        insertion_solve(s, cfg(), uav_equipment=equipment)
+                        insertion_solve(s, cfg(), equipment_groups=equipment)
                     except InsertionError:
                         pass  # fleet refusals come after every insertion was checked
         assert skipped > 1000

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from uavplan.bruteforce import solve_model_exhaustive
 from uavplan.evaluator import Plan, check_feasibility, satisfaction
-from uavplan.exact import solve_exact, solve_model_exhaustive
+from uavplan.exact import solve_exact
 from uavplan.milp import (
     build_milp,
     export_lp,

@@ -7,6 +7,7 @@ import pytest
 from uavplan.scenario import (
     ScenarioError,
     UavSpec,
+    fixed_equipment,
     load_scenario,
     max_range,
     serialize_scenario,
@@ -16,7 +17,7 @@ from uavplan.scenario import (
 from uavplan.synth import Dims, GenerationError, generate_preset, generate_synthetic
 from uavplan.paths import all_pairs_shortest, reconstruct
 
-from scenarios import tiny_mixed
+from scenarios import flex_fixed_scenario, tiny_delivery, tiny_mixed
 
 # sha256 of serialize_scenario(...), pinned before generate_synthetic's fixed
 # reference values became module constants
@@ -298,3 +299,26 @@ class TestDerivedData:
             s.window_need[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             s.needed_ratios[0, 0, 0] = True
+
+
+class TestFixedEquipment:
+    @pytest.mark.parametrize(
+        "uavs, counts", [(1, (1,)), (2, (2,)), (3, (1, 1, 1)), (4, (1, 1, 2)), (6, (2, 2, 2)), (7, (2, 2, 3))]
+    )
+    def test_thirds_radio_camera_both(self, uavs, counts):
+        """Radio-only, camera-only, then both; a fleet under three UAVs is all both."""
+        radio, camera, none = frozenset({0}), frozenset({1}), frozenset()
+        policies = [(radio, camera), (camera, radio), (radio | camera, none)][-len(counts):]
+        want = [(n, on, off) for n, (on, off) in zip(counts, policies)]
+        assert fixed_equipment(flex_fixed_scenario(1, uavs)) == want
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (tiny_delivery, "fixed equipment mode needs a relay mission with its radio"),
+            (tiny_mixed, "fixed equipment mode needs a second equipment payload"),
+        ],
+    )
+    def test_refusals(self, build, message):
+        with pytest.raises(ScenarioError, match=message):
+            fixed_equipment(build())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uavplan import exact, simplex
-from uavplan.cli import _fixed_equipment
+from uavplan.scenario import fixed_equipment
 from uavplan.simplex import SizeCapError, simplex_solve
 
 from scenarios import flex_fixed_scenario
@@ -56,9 +56,11 @@ def test_equality_constraint():
 
 
 def test_minimize_direction():
-    res = simplex_solve([1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[2.0], maximize=False)
+    """min x + 3y on x + y = 2 is max -x - 3y, at x = 2."""
+    res = simplex_solve([-1.0, -3.0], a_eq=[[1.0, 1.0]], b_eq=[2.0])
     assert res.status == "optimal"
-    assert res.value == pytest.approx(2.0)
+    assert -res.value == pytest.approx(2.0)
+    assert res.x == pytest.approx([2.0, 0.0])
 
 
 def test_degenerate_cycling_candidate_terminates():
@@ -264,7 +266,7 @@ def _inner_lps(max_lps=40):
         for seed in (1, 2):
             s = flex_fixed_scenario(seed, 3)
             exact.solve_exact(s)
-            exact.solve_exact(s, equipment_groups=_fixed_equipment(s)[0])
+            exact.solve_exact(s, equipment_groups=fixed_equipment(s))
     return seen[:: max(1, len(seen) // max_lps)]
 
 
