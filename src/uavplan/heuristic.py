@@ -247,7 +247,7 @@ class _WeightContext:
 
     def _mission_id(self, name: str, fallback_rank: int):
         m = self.s.mission_by_name(name)
-        if m is not None and name != "relay":
+        if m is not None:
             return m.id
         service = self.s.service_mission_ids
         return service[fallback_rank] if len(service) > fallback_rank else None

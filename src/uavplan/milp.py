@@ -715,7 +715,9 @@ def models_equal(a: MilpModel, b: MilpModel, tol: float = 1e-9) -> bool:
 
 
 def parse_solution(text: str) -> dict[str, float]:
-    """Whitespace-separated `name value` lines; # starts a comment."""
+    """Whitespace-separated `name value` lines; # starts a comment.  A value
+    that is not a number or is NaN, or a name given twice, is a ValueError
+    naming the line."""
     out: dict[str, float] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#")[0].strip()
@@ -724,10 +726,16 @@ def parse_solution(text: str) -> dict[str, float]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {ln}: expected 'name value', got {raw!r}")
-        val = float(parts[1])
+        name = parts[0]
+        try:
+            val = float(parts[1])
+        except ValueError:
+            raise ValueError(f"line {ln}: value {parts[1]!r} for variable {name} is not a number") from None
         if math.isnan(val):
-            raise ValueError(f"line {ln}: NaN value for variable {parts[0]}")
-        out[parts[0]] = val
+            raise ValueError(f"line {ln}: NaN value for variable {name}")
+        if name in out:
+            raise ValueError(f"line {ln}: variable {name} appears twice")
+        out[name] = val
     return out
 
 

@@ -2,7 +2,9 @@
 
 Solves  max c.x  subject to  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 Dantzig pricing with an automatic switch to Bland's rule when the objective
-stalls, which guarantees termination on degenerate problems.
+stalls, which guarantees termination on degenerate problems.  The reduced-cost
+row is carried in the tableau and updated by each pivot, and the artificial
+columns are dropped after phase 1, so phase 2 runs on a narrower tableau.
 """
 
 from __future__ import annotations
@@ -42,36 +44,24 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _basic_cost_product(cb: np.ndarray, priced: np.ndarray, A: np.ndarray):
-    """cb @ A, where priced lists the nonzero entries of cb.  One priced row
-    is scaled on its own, which gives the dense product's bits; several keep
-    the dense product, because BLAS would sum a subset of the rows in another
-    order and round differently."""
-    if priced.size > 1:
-        return cb @ A
-    if priced.size:
-        return cb[priced[0]] * A[priced[0]]
-    return np.zeros(A.shape[1:])
-
-
-def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray):
-    """Optimize max cost.x over the tableau in place; returns status string."""
-    m = T.shape[0]
+def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray):
+    """Optimize max cost.x over the tableau in place; returns status string.
+    T's last row is the reduced-cost row, with -objective in its last column:
+    filled here from cost, then kept current by every pivot."""
+    m = T.shape[0] - 1
+    T[m, :-1] = cost - cost[basis] @ T[:m, :-1]
+    T[m, -1] = -(cost[basis] @ T[:m, -1])
+    r = T[m, :-1]  # a view, so each pivot's update shows here
     it = 0
     stall = 0
     last = -np.inf
     bland = False
     max_iter = 20000 + 200 * (m + T.shape[1])
-    blocked = (~allowed).nonzero()[0]
-    cb = cost[basis]
-    priced = cb.nonzero()[0]
     while True:
         it += 1
         if it > max_iter:
             raise RuntimeError("simplex iteration cap exceeded")
         # reduced costs for a max problem: improving columns have r > 0
-        r = cost - _basic_cost_product(cb, priced, T[:, :-1])
-        r[blocked] = 0.0
         if bland:
             cands = (r > FEAS_TOL).nonzero()[0]
             if cands.size == 0:
@@ -81,7 +71,7 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray
             col = int(r.argmax())
             if r[col] <= FEAS_TOL:
                 return "optimal", it
-        colvals = T[:, col]
+        colvals = T[:m, col]
         pos = (colvals > PIVOT_TOL).nonzero()[0]
         if not pos.size:
             return "unbounded", it
@@ -90,9 +80,7 @@ def _run(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, allowed: np.ndarray
         # leaving rule: lowest basis index among ties (Bland-compatible)
         row = int(ties[basis[ties].argmin()])
         _pivot(T, basis, row, col)
-        cb[row] = cost[col]
-        priced = cb.nonzero()[0]
-        obj = float(_basic_cost_product(cb, priced, T[:, -1]))
+        obj = -T[m, -1]
         if obj > last + 1e-12:
             last = obj
             stall = 0
@@ -135,9 +123,9 @@ def simplex_solve(
     art_rows = (flip | (np.arange(m) >= n_slack)).nonzero()[0]
     art_at = n + n_slack  # first artificial column
     N = art_at + art_rows.size
-    T = np.zeros((m, N + 1))
-    T[:, :n] = A
-    T[:, -1] = b
+    T = np.zeros((m + 1, N + 1))  # the last row is _run's reduced-cost row
+    T[:m, :n] = A
+    T[:m, -1] = b
     T[slack_rows, n + slack_rows] = np.where(flip[:n_slack], -1.0, 1.0)
     basis = np.empty(m, dtype=int)
     basis[slack_rows] = n + slack_rows
@@ -148,34 +136,30 @@ def simplex_solve(
     if art_rows.size:
         cost1 = np.zeros(N)
         cost1[art_at:] = -1.0  # max of -(sum of artificials)
-        allowed = np.ones(N, dtype=bool)
-        status, it = _run(T, basis, cost1, allowed)
+        status, it = _run(T, basis, cost1)
         iterations += it
-        if status != "optimal" or float(cost1[basis] @ T[:, -1]) < -1e-7:
+        if status != "optimal" or float(cost1[basis] @ T[:m, -1]) < -1e-7:
             return SimplexResult("infeasible", None, None, iterations)
-        # drive leftover artificials out of the basis, dropping redundant rows
-        keep = np.ones(m, dtype=bool)
+        # drive leftover artificials out of the basis, dropping redundant rows,
+        # then drop the artificial columns: they never re-enter
+        keep = np.ones(m + 1, dtype=bool)
         for i in (basis >= art_at).nonzero()[0]:  # a pivot changes only its own row's basis
             piv = np.nonzero(np.abs(T[i, :art_at]) > PIVOT_TOL)[0]
             if piv.size:
                 _pivot(T, basis, i, int(piv[0]))
             else:
                 keep[i] = False
-        if not keep.all():
-            T = T[keep]
-            basis = basis[keep]
-            m = T.shape[0]
+        T = T[keep][:, np.r_[:art_at, N]]
+        basis = basis[keep[:m]]
 
-    cost2 = np.zeros(N)
+    cost2 = np.zeros(art_at)
     cost2[:n] = c
-    allowed = np.ones(N, dtype=bool)
-    allowed[art_at:] = False  # artificials never re-enter
-    status, it = _run(T, basis, cost2, allowed)
+    status, it = _run(T, basis, cost2)
     iterations += it
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations)
-    x = np.zeros(N)
-    x[basis] = T[:, -1] + 0.0  # turns a -0.0 the pivots left into 0.0
+    x = np.zeros(art_at)
+    x[basis] = T[:-1, -1] + 0.0  # turns a -0.0 the pivots left into 0.0
     x = x[:n].copy()
     _check_rows(a_ub, b_ub, a_eq, b_eq, x)
     return SimplexResult("optimal", x, float(c @ x), iterations)

@@ -388,6 +388,21 @@ class TestLpRoundTrip:
         assert run("import-solution", "--scenario", scen, "--solution", sol_file, "--out", tmp_path / "p") == 2
         assert "lam_0_0_0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lam_0_0_0 1\nlam_0_0_0 0\n", "line 2: variable lam_0_0_0 appears twice"),
+            ("lam_0_0_0 abc\n", "line 1: value 'abc' for variable lam_0_0_0 is not a number"),
+        ],
+    )
+    def test_import_unreadable_solution_exit_2(self, tmp_path, capsys, text, message):
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-delivery.scenario").read_text())
+        sol_file = tmp_path / "model.sol"
+        sol_file.write_text(text)
+        assert run("import-solution", "--scenario", scen, "--solution", sol_file, "--out", tmp_path / "p") == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_reports_written(self, sf_small_file, tmp_path, capsys):

@@ -109,6 +109,10 @@ def test_random_lps_match_vertex_enumeration(seed):
 
 
 # -- reference implementations the hot path must reproduce bit for bit --------
+# The reference prices every column from scratch on each iteration; the hot
+# path carries its reduced-cost row in the tableau and drops the artificial
+# columns after phase 1, and must still match the reference's status,
+# iterations, value and x bits on the sampled LPs below.
 
 
 def _dense_pivot(T, basis, row, col):
@@ -294,18 +298,6 @@ class TestHotPathEquivalence:
         for args in lps:
             _assert_same(simplex_solve(*args), _reference_solve(*args))
 
-    @pytest.mark.parametrize("priced", [0, 1, 2, 7])
-    def test_basic_cost_product_matches_dense(self, priced):
-        rng = np.random.default_rng(priced)
-        for _ in range(50):
-            m, n = int(rng.integers(8, 120)), int(rng.integers(2, 200))
-            A = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4, size=(m, n))
-            cb = np.zeros(m)
-            cb[rng.choice(m, size=priced, replace=False)] = rng.normal(size=priced)
-            nz = cb.nonzero()[0]
-            assert np.array_equal(simplex._basic_cost_product(cb, nz, A), cb @ A)
-            assert np.array_equal(simplex._basic_cost_product(cb, nz, A[:, 0]), cb @ A[:, 0])
-
     @pytest.mark.parametrize("seed", range(20))
     def test_pivot_matches_dense_update(self, seed):
         rng = np.random.default_rng(seed)
@@ -319,6 +311,44 @@ class TestHotPathEquivalence:
         simplex._pivot(T, basis, row, col)
         assert np.array_equal(T, want_T)
         assert np.array_equal(basis, want_basis)
+
+
+def _carried_row_drift(lps):
+    """Largest scaled gap, over every _run of every LP, between the reduced-cost
+    row and objective carried in the tableau and the same recomputed from the
+    basis: cost - cost[basis] @ T[:m, :-1] and cost[basis] @ T[:m, -1]."""
+    run = simplex._run
+    worst = 0.0
+
+    def checked(T, basis, cost):
+        nonlocal worst
+        out = run(T, basis, cost)
+        m = T.shape[0] - 1
+        cb = cost[basis]
+        r = cost - cb @ T[:m, :-1]
+        r_scale = 1.0 + np.abs(cost) + np.abs(cb) @ np.abs(T[:m, :-1])
+        obj_scale = 1.0 + np.abs(cb) @ np.abs(T[:m, -1])
+        worst = max(
+            worst,
+            float(np.max(np.abs(T[m, :-1] - r) / r_scale)),
+            abs(-T[m, -1] - cb @ T[:m, -1]) / obj_scale,
+        )
+        return out
+
+    with mock.patch.object(simplex, "_run", checked):
+        for args in lps:
+            simplex_solve(*args)
+    return worst
+
+
+class TestCarriedReducedCosts:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_lps(self, seed):
+        rng = np.random.default_rng(seed)
+        assert _carried_row_drift([_random_lp(rng) for _ in range(30)]) <= 1e-9
+
+    def test_inner_lps(self):
+        assert _carried_row_drift(_inner_lps()) <= 1e-9
 
 
 def test_row_check_refuses_a_point_over_a_row():
