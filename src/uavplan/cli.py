@@ -190,7 +190,10 @@ def cmd_generate(args) -> int:
         if not args.dims:
             print("either --preset or --dims is required", file=sys.stderr)
             return EXIT_INPUT
-        L, Z, D, P, K = (int(x) for x in args.dims.split(","))
+        try:
+            L, Z, D, P, K = (int(x) for x in args.dims.split(","))
+        except ValueError:  # a field that is no integer, or not five fields
+            raise ValueError(f"--dims {args.dims!r}: expected five integers L,Z,D,P,K") from None
         if args.uavs is not None:
             D = args.uavs
         s = generate_synthetic(args.seed, Dims(L, Z, D, P, K))

@@ -178,8 +178,7 @@ def _battery(s: Scenario, lam: np.ndarray, payloads: np.ndarray):
     battery swaps excluded."""
     if np.any((lam < 0) | (lam >= s.num_locations)):
         raise ValueError("plan contains out-of-range location ids")
-    w = s.payload_weights()
-    is_depot = s.is_depot_arr()
+    w, is_depot = s.payload_kg, s.is_depot
     cap = s.uav.battery_capacity_wh
     beta = np.empty(lam.shape)
     beta[:, 0] = cap
@@ -214,7 +213,6 @@ def check_feasibility(
     _check_dims(s, p)
     out: list[Violation] = []
     lam, bad_loc, work = _located_work(s, p)
-    is_depot = s.is_depot_arr()
     vmax = s.uav.max_step_km
 
     # FINITE: NaN fails every tolerance comparison below, so without this
@@ -230,12 +228,12 @@ def check_feasibility(
     far = (hop > vmax + tol) & ~bad_loc[:, 1:] & ~bad_loc[:, :-1]
     _flag(out, "TRAVEL", far, hop - vmax, lambda d, k: (d, k + 1))
 
-    load, cap_kg = p.payloads @ s.payload_weights(), s.uav.payload_capacity_kg  # (D, K)
+    load, cap_kg = p.payloads @ s.payload_kg, s.uav.payload_capacity_kg  # (D, K)
     _flag(out, "CAPACITY", load > cap_kg + tol, load - cap_kg)
 
     # PAYLOAD-LOCK: payload only changes while at a depot
     changed = p.payloads[:, 1:, :] != p.payloads[:, :-1, :]
-    away = ~is_depot[lam[:, 1:]]
+    away = ~s.is_depot[lam[:, 1:]]
     _flag(out, "PAYLOAD-LOCK", changed & away[:, :, None], 1.0, lambda d, k, pp: (d, k + 1, pp))
 
     beta = _battery(s, lam, p.payloads)[0]
@@ -270,8 +268,7 @@ def check_feasibility(
     _flag(out, "NEED", excess > tol, excess)
 
     # Traffic: generated = sum over service missions of mu * q * data-per-work
-    s_rate = np.array([m.mb_per_work for m in s.missions])
-    gen = (work * s_rate[None, None, :, None]).sum(axis=(2, 3))  # (D, K)
+    gen = (work * s.mb_per_work[None, None, :, None]).sum(axis=(2, 3))  # (D, K)
 
     # FLOW per UAV, SINK per epoch
     inflow = p.transfers.sum(axis=0)  # (D, K): into d
@@ -301,7 +298,7 @@ def check_feasibility(
     # DEPOT-RETURN: start at a depot, and end at one when required; with one
     # epoch both checks report (d, 0)
     ends = [0, s.epochs - 1]
-    off = ~bad_loc[:, ends] & ~is_depot[lam[:, ends]]
+    off = ~bad_loc[:, ends] & ~s.is_depot[lam[:, ends]]
     off[:, 1] &= depot_return
     _flag(out, "DEPOT-RETURN", off, 1.0, lambda d, j: (d, ends[j]))
 
@@ -330,8 +327,7 @@ def _satisfaction(s: Scenario, serv: np.ndarray) -> SatisfactionReport:
     if ridx is not None:
         sigma[:, ridx, :] = 1.0
     sigma_bar = sigma.min(axis=(0, 2)) if Z and K else np.ones(M)
-    service = list(s.service_mission_ids)
-    objective = float(sigma_bar[service].min()) if service else 1.0
+    objective = float(sigma_bar[s.is_service].min()) if s.is_service.any() else 1.0
     return SatisfactionReport(sigma=sigma, sigma_bar=sigma_bar, objective=objective)
 
 
@@ -347,9 +343,9 @@ def plan_metrics(s: Scenario, p: Plan) -> dict:
     lam, _, work = _located_work(s, p)
     serv = work.sum(axis=0)
     rep = _satisfaction(s, serv)
-    w = s.payload_weights()
+    w = s.payload_kg
     equip = set(s.equipment_ids)
-    away = ~s.is_depot_arr()[lam]
+    away = ~s.is_depot[lam]
     flying = int(away.sum())
     mean_payload = mean_equip = mean_deliv = 0.0
     if flying:

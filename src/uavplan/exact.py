@@ -81,7 +81,7 @@ class _Config:
 
 
 def _payload_subsets(s: Scenario, forced_on: frozenset, forbidden: frozenset) -> list[frozenset]:
-    w = s.payload_weights()
+    w = s.payload_kg
     cap = s.uav.payload_capacity_kg
     ids = [p.id for p in s.payloads]
     subsets = []
@@ -120,7 +120,7 @@ def _depot_idle_set(s: Scenario, forced_on: frozenset, forbidden: frozenset) -> 
     plus any depot-targeted packs.  Carrying it there costs nothing (battery
     swaps are free) and only widens what the UAV can do, so this choice is
     dominant whenever it fits the capacity."""
-    w = s.payload_weights()
+    w = s.payload_kg
     cap = s.uav.payload_capacity_kg
     depots = set(s.depot_ids)
     ids = set(forced_on)
@@ -156,7 +156,7 @@ def enumerate_configs(
     reach = s.reach
     energy = s.energy_wh_per_kg
     W, E = s.uav.empty_weight_kg, s.uav.battery_capacity_wh
-    w = s.payload_weights()
+    w = s.payload_kg
     subsets = _payload_subsets(s, forced_on, forbidden)
     subset_w = {sub: float(sum(w[list(sub)])) for sub in subsets}
     depot_hops = _hops_to_depot(s)
@@ -174,7 +174,7 @@ def enumerate_configs(
     }
     relays = {a: relay is not None and _equipped(s, relay, a) for a in serves}
     # (M, 1): missions whose data must leave by relay (no flow rows without a relay mission)
-    sends = np.array([relay is not None and m.mb_per_work > 0 for m in s.missions], dtype=bool)[:, None]
+    sends = ((s.mb_per_work > 0) & (relay is not None))[:, None]
     cells = s.needed_ratios.any(axis=1)
 
     def finish(min_batt: float):
@@ -375,9 +375,7 @@ def _inner_lp(s: Scenario, assignment):
     link, sink_link = s.link_uav_mb[locs[:, None], locs[None]], s.link_sink_mb[locs]  # (D, D, K), (D, K)
     tau = rho[:, None] & (link > 0) & ~np.eye(D, dtype=bool)[:, :, None]
     sink = rho & (sink_link > 0)
-    sig = s.needed_ratios
-    serving = np.zeros(M, dtype=bool)
-    serving[list(s.service_mission_ids)] = True
+    sig, serving = s.needed_ratios, s.is_service
     masks = (mu, rho, tau, sink, sig, serving)
     at = np.cumsum([0] + [np.count_nonzero(mask) for mask in masks])
     mu_col, rho_col, tau_col, sink_col, sig_col, bar_col = map(_number, masks, at)
@@ -410,7 +408,7 @@ def _inner_lp(s: Scenario, assignment):
     ]
     eq = []
     if s.relay_index is not None:  # flow conservation per UAV-epoch
-        rate = np.array([mission.mb_per_work for mission in s.missions])[:, None]  # (M, 1)
+        rate = s.mb_per_work[:, None]  # (M, 1)
         sending = mu & (rate != 0)
         flow = _number(sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1) | sink)
         data = (flow[np.nonzero(sending)[:2]], mu_col[sending], (rate * quality)[sending])

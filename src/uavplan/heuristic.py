@@ -14,20 +14,19 @@ committed insertion, so demand already claimed by earlier tours is not counted
 twice; route scores are cached between refreshes.  Each route carries a
 per-hop step record (depot flag, Wh per kg) for the battery pass.
 
-The route graph depends only on the scenario, so each Scenario instance gets
-one, built on its first solve and shared, read-only, by every later solve of
-the same instance (dropped when the scenario is collected).  Each route also
-carries a drain record (does it land on a depot, Wh per kg before its first
-landing, after its last and in total).  phi1 composes the records of a route
-pair with the tour's drain on either side of the slot, in O(1) per pair, and
-skips _simulate for a pair whose gross weight times that drain already
-exceeds the battery: on-site waits only drain more, so such a pair is
-infeasible whatever its schedule.
+The route graph depends only on the scenario, so each Scenario instance keeps
+one (Scenario.derived), built on its first solve and shared, read-only, by
+every later solve of the instance.  Each route also carries a drain record
+(does it land on a depot, Wh per kg before its first landing, after its last
+and in total).  phi1 composes the records of a route pair with the tour's
+drain on either side of the slot, in O(1) per pair, and skips _simulate for
+a pair whose gross weight times that drain already exceeds the battery:
+on-site waits only drain more, so such a pair is infeasible whatever its
+schedule.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -144,7 +143,7 @@ class RouteGraph:
 def _route_from_seq(s: Scenario, seq: tuple[int, ...], anchors: tuple[int, ...]) -> Route:
     length = sum(s.dist_km[seq[j], seq[j + 1]] for j in range(len(seq) - 1))
     src, dst = list(seq[:-1]), list(seq[1:])
-    steps = tuple(zip(s.is_depot_arr()[dst].tolist(), s.energy_wh_per_kg[src, dst].tolist()))
+    steps = tuple(zip(s.is_depot[dst].tolist(), s.energy_wh_per_kg[src, dst].tolist()))
     return Route(seq=seq, anchors=anchors, length_km=float(length), steps=steps)
 
 
@@ -205,24 +204,6 @@ def build_route_graph(s: Scenario) -> RouteGraph:
         next_hop=next_hop,
         fewest_hops=MappingProxyType(fewest),
     )
-
-
-# route graph per live Scenario instance, keyed by id() because a Scenario
-# holds arrays and cannot be hashed; an entry goes when its scenario does.
-# Two threads that miss at once each build an equal graph; the later stays
-_GRAPHS: dict[int, RouteGraph] = {}
-
-
-def _scenario_graph(s: Scenario) -> RouteGraph:
-    """s's route graph: built by build_route_graph on the instance's first
-    solve, then shared.  A refusal is raised again on every call."""
-    key = id(s)
-    graph = _GRAPHS.get(key)
-    if graph is None:
-        graph = build_route_graph(s)
-        _GRAPHS[key] = graph
-        weakref.finalize(s, _GRAPHS.pop, key, None)
-    return graph
 
 
 # -- service weights along a route -------------------------------------------------
@@ -317,7 +298,7 @@ def _pack_weight(s: Scenario, equip_w: float, stops: list[Stop]) -> float | None
     """Delivery pack weight of the stops, or None when equipment plus packs
     exceed the payload capacity or a stop is not its payload's delivery
     target.  Neither check depends on the legs."""
-    w = s.payload_weights()
+    w = s.payload_kg
     pack_w = float(sum(w[st.payload] for st in stops))
     if equip_w + pack_w > s.uav.payload_capacity_kg + 1e-12:
         return None
@@ -437,8 +418,7 @@ class _SolveContext:
         self.stats.update(dict.fromkeys(STAT_KEYS, 0))
         self.weights = _WeightContext(s)
         self.equip_ids = list(s.equipment_ids)
-        w = s.payload_weights()
-        self.equip_w = float(sum(w[self.equip_ids])) if self.equip_ids else 0.0
+        self.equip_w = float(sum(s.payload_kg[self.equip_ids])) if self.equip_ids else 0.0
         self.committed = s.demand  # residual after the committed tours
         self.residual = s.demand.copy()  # after the committed tours and the open one
         self._refresh_values()
@@ -635,13 +615,16 @@ def insertion_solve(
     equipment_groups optionally partitions the fleet into (count, forced_on,
     forbidden) payload policies, as solve_exact takes them; each UAV flies
     with its group's forced-on payloads that are not deliveries.  By default
-    every UAV flies with the full mission equipment.  A stats dict, if given,
-    receives the STAT_KEYS counters of the run.
+    every UAV flies with the full mission equipment.  Tours are built for the
+    full mission equipment either way; the groups apply only when tours are
+    assigned and materialized, so a flexible-vs-fixed gap measures only what
+    that assignment loses.  A stats dict, if given, receives the STAT_KEYS
+    counters of the run.
     """
     require_valid(s)
     equipment = _equipment_per_uav(s, equipment_groups)
-    ctx = _SolveContext(s, _scenario_graph(s), cfg, stats)
-    w = s.payload_weights()
+    ctx = _SolveContext(s, s.derived(build_route_graph), cfg, stats)
+    w = s.payload_kg
     cap = s.uav.payload_capacity_kg
 
     unserved = sorted(s.deliverable_ids)
@@ -710,7 +693,7 @@ def _assign_tours(s, ctx, tours, equipment):
     on-site waits, which keeps the fleet from bunching at the horizon's end.
     equipment holds each UAV's equipment, as _equipment_per_uav expands it."""
     D = s.num_uavs
-    w = s.payload_weights()
+    w = s.payload_kg
     equip_w = [float(sum(w[e] for e in aboard)) for aboard in equipment]
     avail = [0] * D
     unserved: list[int] = []
@@ -831,7 +814,7 @@ def tours_to_plan(
     equipment = _equipment_per_uav(s, equipment_groups)
     plan = Plan.idle(s)
     resid = s.demand.copy()
-    w = s.payload_weights()
+    w = s.payload_kg
     cap = s.uav.payload_capacity_kg
 
     for tour in tours:

@@ -126,7 +126,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     W, C, E = s.uav.empty_weight_kg, s.uav.payload_capacity_kg, s.uav.battery_capacity_wh
     H = s.horizon
     # coefficients come from nested lists, so every term is a Python float
-    w = s.payload_weights().tolist()
+    w = s.payload_kg.tolist()
     reach = s.reach.tolist()
     q = s.quality.tolist()
     n = s.demand.tolist()
@@ -465,7 +465,7 @@ def model_size(s: Scenario) -> dict:
     )
     servable = int(sum(1 for m in s.service_mission_ids for z in range(Z) if s.quality[:, m, z].any()))
     n_req = sum(len(s.missions[m].requires) for m in s.service_mission_ids)
-    hops = int(s.reach[:, ~s.is_depot_arr()].sum())
+    hops = int(s.reach[:, ~s.is_depot].sum())
     tight = int((s.link_uav_mb < s.link_uav_mb.max(initial=0.0)).sum())
     tight_sink = int((s.link_sink_mb < s.link_sink_mb.max(initial=0.0)).sum())
     rows = {
@@ -566,8 +566,8 @@ def export_lp(m: MilpModel) -> str:
 
 
 _NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+_SIGNED = rf"[-+]?{_NUMBER}"  # a right-hand side or a bound value
 _VAR = r"[A-Za-z][A-Za-z0-9_]*"
-_BOUND = r"[-+]?[\d.eE+-]+"
 # a backslash starts a comment that runs to the end of its line
 _COMMENT_RE = re.compile(r"\\[^\n]*")
 # a section keyword alone on its line, read after the newline before it
@@ -576,12 +576,12 @@ _SECTION_RE = re.compile(
 )
 _OBJECTIVE_RE = re.compile(rf"\s*\w+\s*:\s*({_VAR})\s*")
 # one row: name, terms, sense and a right-hand side that ends its line
-_ROW_RE = re.compile(rf"\s*([A-Za-z0-9_]+)\s*:\s*([^<>=]*)(<=|>=|=)\s*([-+]?{_NUMBER})[^\S\n]*(?:\n|\Z)")
+_ROW_RE = re.compile(rf"\s*([A-Za-z0-9_]+)\s*:\s*([^<>=]*)(<=|>=|=)\s*({_SIGNED})[^\S\n]*(?:\n|\Z)")
 _ROW_NAME_RE = re.compile(r"\s*([A-Za-z0-9_]+)\s*:")
 # one term, its sign and coefficient read as "" when absent; re.split also
 # returns what lies between terms, which must be empty
 _TERM_RE = re.compile(rf"([+-]?)\s*((?:{_NUMBER})?)\s*({_VAR})\s*")
-_BOUND_RE = re.compile(rf"\s*(?:({_BOUND})\s*<=\s*({_VAR})\s*<=\s*({_BOUND})|({_VAR})\s*(>=|=)\s*({_BOUND}))\s*")
+_BOUND_RE = re.compile(rf"\s*(?:({_SIGNED})\s*<=\s*({_VAR})\s*<=\s*({_SIGNED})|({_VAR})\s*(>=|=)\s*({_SIGNED}))\s*")
 _HEAD_RE = re.compile(r"[A-Za-z]+")
 _INDEX_RE = re.compile(r"_(\d+)")
 

@@ -70,13 +70,18 @@ class Mission:
 class Scenario:
     """One problem instance.
 
-    The derived ids, masks and weights below (``depot_ids``, ``relay_index``,
+    Every fact derived from the instance lives here, computed once, on first
+    use.  The ids, masks and weights below (``depot_ids``, ``relay_index``,
     ``service_mission_ids``, ``deliverable_ids``, ``equipment_ids``,
+    ``payload_kg``, ``is_depot``, ``mb_per_work``, ``is_service``,
     ``window_need``, ``needed_ratios``, ``reach``, ``hover_wh_per_kg``,
-    ``serving_zones``, ``payload_weights()``, ``is_depot_arr()``) are
-    computed once per instance, on first use; the arrays are read-only and
-    the records are tuples of Python numbers.  ``dataclasses.replace``
-    builds a fresh instance, which computes its own.
+    ``serving_zones``) are read-only properties: read-only arrays, or tuples
+    of Python numbers.  Facts built elsewhere (the heuristic's route graph,
+    ``require_valid``'s issue list) are kept by :meth:`derived` in one memo
+    on the instance, as ``cached_property`` keeps its values.  What is kept
+    is a pure function of the fields; a refusal is not kept, so it is raised
+    again on every call.  No memo is a field: equality and ``repr`` ignore
+    it, and ``dataclasses.replace`` builds a fresh instance.
     """
 
     locations: tuple[Location, ...]
@@ -155,12 +160,24 @@ class Scenario:
         return None
 
     @cached_property
-    def _payload_weights(self) -> np.ndarray:
+    def payload_kg(self) -> np.ndarray:
+        """(P,) payload weights in kg; read-only."""
         return _read_only(np.array([p.weight_kg for p in self.payloads], dtype=float))
 
     @cached_property
-    def _is_depot(self) -> np.ndarray:
+    def is_depot(self) -> np.ndarray:
+        """(L,) depot mask; read-only."""
         return _read_only(np.array([l.is_depot for l in self.locations], dtype=bool))
+
+    @cached_property
+    def mb_per_work(self) -> np.ndarray:
+        """(M,) Mb of data one unit of each mission's work generates; read-only."""
+        return _read_only(np.array([m.mb_per_work for m in self.missions], dtype=float))
+
+    @cached_property
+    def is_service(self) -> np.ndarray:
+        """(M,) mask of the service missions (all but relay); read-only."""
+        return _read_only(np.array([m.name != RELAY for m in self.missions], dtype=bool))
 
     @cached_property
     def window_need(self) -> np.ndarray:
@@ -172,9 +189,7 @@ class Scenario:
     def needed_ratios(self) -> np.ndarray:
         """(K, M, Z) mask of the satisfaction ratios with demand in their
         window, on service missions only; read-only."""
-        service = np.zeros(self.num_missions, dtype=bool)
-        service[list(self.service_mission_ids)] = True
-        return _read_only((self.window_need > 0) & service[:, None])
+        return _read_only((self.window_need > 0) & self.is_service[:, None])
 
     @cached_property
     def reach(self) -> np.ndarray:
@@ -199,13 +214,15 @@ class Scenario:
             rows[l][m].append((z, q))
         return tuple(tuple(map(tuple, per_mission)) for per_mission in rows)
 
-    def payload_weights(self) -> np.ndarray:
-        """(P,) payload weights in kg; read-only."""
-        return self._payload_weights
-
-    def is_depot_arr(self) -> np.ndarray:
-        """(L,) depot mask; read-only."""
-        return self._is_depot
+    def derived(self, build):
+        """build(self), computed on the first request with this build
+        function and kept on the instance; build must be a pure function of
+        the scenario.  An exception is not kept: the next request calls
+        build again."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -559,10 +576,11 @@ def validate(s: Scenario) -> list[ValidationIssue]:
 
 
 def require_valid(s: Scenario) -> None:
-    """Raise ScenarioError, carrying the issues, if validate(s) finds any."""
-    issues = validate(s)
+    """Raise ScenarioError, carrying the issues, if validate(s) finds any;
+    validate runs once per instance, and the refusal is raised on every call."""
+    issues = s.derived(validate)
     if issues:
-        raise ScenarioError("scenario failed validation: " + "; ".join(map(str, issues)), issues)
+        raise ScenarioError("scenario failed validation: " + "; ".join(map(str, issues)), list(issues))
 
 
 # -- equipment groups --------------------------------------------------------------

@@ -61,6 +61,10 @@ class TestGenerate:
     def test_bad_dims_exit_2(self, tmp_path, capsys):
         assert run("generate", "--dims", "0,0,0,0,0", "--out", tmp_path / "x") == 2
         assert capsys.readouterr().err
+        # wrong field count or a non-integer field: the message names the flag
+        for dims in ("1,2", "a,b,c,d,e", "4,2,2,1,1.5"):
+            assert run("generate", "--dims", dims, "--out", tmp_path / "x") == 2
+            assert capsys.readouterr().err == f"error: --dims {dims!r}: expected five integers L,Z,D,P,K\n"
 
     @pytest.mark.parametrize(
         "dims, what",

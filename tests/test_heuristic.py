@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ class TestInsertion:
         tours, plan = insertion_solve(s)
         assert check_feasibility(s, plan).ok
         flying = plan.locations != 0
-        w = s.payload_weights()
+        w = s.payload_kg
         loads = (plan.payloads @ w)[flying]
         assert loads.max() == pytest.approx(2.5)
 
@@ -540,7 +541,7 @@ def _simulate_numpy_reference(s, equip_w, stops, legs, depart=None):
         return None
 
     # battery along the realized epoch walk, resetting at depot waypoints
-    is_depot = s.is_depot_arr()
+    is_depot = s.is_depot
     gross = s.uav.empty_weight_kg + equip_w + pack_w
     E = s.uav.battery_capacity_wh
     battery = E
@@ -625,7 +626,7 @@ def _phi1_full_scan(ctx, tour, payload_id, position):
 
 def _over_capacity(ctx, stops):
     """_simulate's first check, which no choice of legs can pass."""
-    w = ctx.s.payload_weights()
+    w = ctx.s.payload_kg
     return ctx.equip_w + float(sum(w[st.payload] for st in stops)) > ctx.s.uav.payload_capacity_kg + 1e-12
 
 
@@ -733,7 +734,7 @@ class TestHotPathEquivalence:
             settle()
             if case == "full-capacity" and name == "save-time":
                 assert [len(t.stops) for t in tours] == [2]
-                assert (plan.payloads @ s.payload_weights()).max() == 2.5
+                assert (plan.payloads @ s.payload_kg).max() == 2.5
         assert counts["phi1"] > 0 and counts["placed"] > 0
         assert counts["skipped"] > 0 or not case.startswith("sf-large")
 
@@ -784,7 +785,7 @@ class TestHotPathEquivalence:
         for (a, b), routes in graph.routes.items():
             for r in routes:
                 hops = list(zip(r.seq[:-1], r.seq[1:]))
-                want = [(bool(s.is_depot_arr()[y]), float(s.energy_wh_per_kg[x, y])) for x, y in hops]
+                want = [(bool(s.is_depot[y]), float(s.energy_wh_per_kg[x, y])) for x, y in hops]
                 assert [(type(d), type(wh)) for d, wh in r.steps] == [(bool, float)] * r.hops
                 assert list(r.steps) == want, (a, b, r.seq)
         assert s.hover_wh_per_kg == tuple(float(s.energy_wh_per_kg[l, l]) for l in range(s.num_locations))
@@ -893,9 +894,9 @@ def _solve_record(s, cfg, equipment_groups):
 
 class TestSharedGraphAndBatteryBound:
     def test_shared_graph_and_bound_change_nothing_but_simulations(self, monkeypatch):
-        """Against a fresh build_route_graph per solve and no battery bound,
-        plans, tours and every other counter are equal, and each pair the
-        bound rejects is one _simulate call fewer."""
+        """Against a fresh route graph per solve (a replaced copy builds its
+        own) and no battery bound, plans, tours and every other counter are
+        equal, and each pair the bound rejects is one _simulate call fewer."""
         rejected = 0
         for seed in range(1, 11):
             s = generate_preset("sf-large", seed)
@@ -903,9 +904,8 @@ class TestSharedGraphAndBatteryBound:
                 for name, cfg in PRESETS.items():
                     got, stats = _solve_record(s, cfg(), equipment)
                     with monkeypatch.context() as m:
-                        m.setattr(heuristic, "_scenario_graph", heuristic.build_route_graph)
                         m.setattr(heuristic, "_pair_drain", lambda before, g, g2, after: 0.0)
-                        want, ref = _solve_record(s, cfg(), equipment)
+                        want, ref = _solve_record(dataclasses.replace(s), cfg(), equipment)
                     assert got == want, (seed, equipment is None, name)
                     assert ref["battery_rejected"] == 0
                     assert stats["simulate_calls"] + stats["battery_rejected"] == ref["simulate_calls"]
@@ -1019,41 +1019,49 @@ class TestSharedGraphAndBatteryBound:
             want = max(segments[landed[p]] for p in points)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
-    def test_one_graph_per_scenario_instance(self, monkeypatch):
-        """A second solve of the same instance reuses its graph; a replaced
-        copy builds its own; the entry goes with its scenario."""
-        monkeypatch.setattr(heuristic, "_GRAPHS", {})
-        builds = []
-        real_build = heuristic.build_route_graph
+    @staticmethod
+    def _counted_builds(monkeypatch):
+        """Route graph builds from here on, as the list of the scenarios built for."""
+        builds, real_build = [], heuristic.build_route_graph
 
         def counted(s_):
-            builds.append(id(s_))
+            builds.append(s_)
             return real_build(s_)
 
         monkeypatch.setattr(heuristic, "build_route_graph", counted)
+        return builds, counted
+
+    def test_one_graph_per_scenario_instance(self, monkeypatch):
+        """A second solve of the same instance reuses its graph; a replaced
+        copy builds its own; the graph goes with its scenario."""
+        builds, counted = self._counted_builds(monkeypatch)
         s = line_scenario(targets=[2, 3], windows=[(2, 10), (3, 12)])
         first = insertion_solve(s)
         assert insertion_solve(s, HeuristicConfig.privilege_coverage()) is not None
-        assert builds == [id(s)] and set(heuristic._GRAPHS) == {id(s)}
+        assert builds == [s]
+        graph = weakref.ref(s.derived(counted))
         copy = dataclasses.replace(s, uav=dataclasses.replace(s.uav, count=1))
         assert insertion_solve(copy)[0] == first[0]
-        assert builds == [id(s), id(copy)]
-        del s, copy
+        assert len(builds) == 2 and builds[1] is copy and copy.derived(counted) is not graph()
+        builds.clear()
+        del s, copy, first
         gc.collect()
-        assert heuristic._GRAPHS == {}
+        assert graph() is None
 
     def test_refused_graph_not_kept(self, monkeypatch):
-        monkeypatch.setattr(heuristic, "_GRAPHS", {})
+        """A RouteGraphError is raised, by a fresh build, on every solve."""
+        builds, _ = self._counted_builds(monkeypatch)
         s = line_scenario(targets=[2], windows=[(1, 10)], spacing=3.0, vmax=2.5)
         for _ in range(2):
             with pytest.raises(RouteGraphError):
                 insertion_solve(s)
-        assert heuristic._GRAPHS == {}
+        assert builds == [s, s]
 
     def test_shared_graph_refuses_assignment(self):
         s = line_scenario(targets=[2], windows=[(2, 10)])
-        graph = heuristic._scenario_graph(s)
-        assert graph is heuristic._scenario_graph(s)
+        insertion_solve(s)
+        graph = s.derived(heuristic.build_route_graph)
+        assert graph is s.derived(heuristic.build_route_graph)
         with pytest.raises(TypeError):
             graph.routes[0, 2] = ()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -189,8 +189,15 @@ class TestExport:
             (" loc_unique_0_0: 1 lam_0_0_0 +", " loc_unique_0_0: 1 lam_0_0_0", "loc_unique_0_0: terms must be joined"),
             (" lam_0_0_1 = 1\n", " lam_0_0_1 = 1 x\n", "loc_unique_0_0 does not end in a sense"),
             (" beta_0_0 = 200", " beta_0_0 = 200 junk", "bound line 'beta_0_0 = 200 junk'"),
+            # each bound value below used to fail in float() with a bare
+            # "could not convert string to float"
+            (" beta_0_0 = 200", " beta_0_0 = 1.2.3", "bound line 'beta_0_0 = 1\\.2\\.3'"),
+            (" beta_0_0 = 200", " beta_0_0 = 1e", "bound line 'beta_0_0 = 1e'"),
+            (" beta_0_0 = 200", " beta_0_0 = --5", "bound line 'beta_0_0 = --5'"),
+            (" beta_0_0 = 200", " beta_0_0 = -", "bound line 'beta_0_0 = -'"),
         ],
-        ids=["multiplication", "malformed-number", "duplicate-row", "missing-operator", "text-after-rhs", "bound-junk"],
+        ids=["multiplication", "malformed-number", "duplicate-row", "missing-operator", "text-after-rhs", "bound-junk",
+             "bound-two-points", "bound-bare-exponent", "bound-double-sign", "bound-lone-sign"],
     )
     def test_unreadable_text_refused(self, tiny_delivery_lp_text, row, edited, message):
         assert row in tiny_delivery_lp_text

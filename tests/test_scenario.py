@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from uavplan.scenario import (
 from uavplan.synth import Dims, GenerationError, generate_preset, generate_synthetic
 from uavplan.paths import all_pairs_shortest, reconstruct
 
-from scenarios import flex_fixed_scenario, tiny_delivery, tiny_mixed
+from scenarios import flex_fixed_scenario, tiny_delivery, tiny_instance, tiny_mixed
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 # sha256 of serialize_scenario(...), pinned before generate_synthetic's fixed
 # reference values became module constants
@@ -118,11 +121,43 @@ def test_engines_refuse_an_invalid_scenario_as_the_loader_does(engine):
     d = s.dist_km.copy()
     d[0, 1] += 0.5
     s2 = dataclasses.replace(s, dist_km=d)
-    with pytest.raises(ScenarioError) as err:
-        run(s2)
     issues = validate(s2)
-    assert err.value.issues == issues
-    assert str(err.value) == "scenario failed validation: " + "; ".join(map(str, issues))
+    for _ in range(2):  # the refusal is raised again, with the same issues
+        with pytest.raises(ScenarioError) as err:
+            run(s2)
+        assert err.value.issues == issues
+        assert str(err.value) == "scenario failed validation: " + "; ".join(map(str, issues))
+
+
+def test_validate_runs_once_per_instance(monkeypatch):
+    """The loader's verdict serves every engine the instance meets; a
+    replaced copy is validated once more, on its own, and a generated
+    scenario only by the generator."""
+    import dataclasses
+
+    from uavplan import exact, heuristic, milp, scenario, synth
+
+    calls, real_validate = [], scenario.validate
+
+    def counted(s_):
+        calls.append(s_)
+        return real_validate(s_)
+
+    monkeypatch.setattr(scenario, "validate", counted)
+    monkeypatch.setattr(synth, "validate", counted)
+    s = load_scenario((DATA / "tiny-mixed.scenario").read_text())
+    heuristic.insertion_solve(s)
+    exact.solve_exact(s)
+    milp.build_milp(s)
+    assert calls == [s]
+    copy = dataclasses.replace(s)
+    for run in (heuristic.insertion_solve, exact.solve_exact, milp.build_milp):
+        run(copy)
+    assert len(calls) == 2 and calls[1] is copy
+    generated = generate_synthetic(3, Dims(4, 2, 2, 1, 4))
+    heuristic.insertion_solve(generated)
+    milp.build_milp(generated)
+    assert len(calls) == 3 and calls[2] is generated
 
 
 def test_validate_flags_overweight_payload():
@@ -192,7 +227,7 @@ class TestGenerator:
         and battery at full equipment load."""
         s = generate_synthetic(seed, Dims(10, 5, 3, 4, 14))
         path_km, nxt = all_pairs_shortest(s.dist_km, s.uav.max_step_km)
-        w = s.payload_weights()
+        w = s.payload_kg
         equip_w = sum(w[list(s.equipment_ids)])
         depot = s.depot_ids[0]
         for p in s.payloads:
@@ -226,27 +261,52 @@ class TestGenerator:
 
 
 class TestDerivedData:
+    DERIVED_ARRAYS = ("payload_kg", "is_depot", "mb_per_work", "is_service", "window_need", "needed_ratios", "reach")
+
     def test_derived_arrays_are_read_only(self):
+        """Each derived array is built once, cannot be written and cannot be
+        rebound."""
+        import dataclasses
+
         s = tiny_mixed()
-        with pytest.raises(ValueError):
-            s.payload_weights()[0] = 9.0
-        with pytest.raises(ValueError):
-            s.is_depot_arr()[0] = False
-        assert s.payload_weights() is s.payload_weights()
+        for name in self.DERIVED_ARRAYS:
+            arr = getattr(s, name)
+            assert arr is getattr(s, name) and arr.size, name
+            with pytest.raises(ValueError):
+                arr.flat[0] = arr.flat[0]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, arr.copy())
+
+    @pytest.mark.parametrize(
+        "make",
+        [tiny_mixed, tiny_delivery, *(lambda seed=seed: tiny_instance(seed) for seed in (1, 4, 7)),
+         *(lambda seed=seed: generate_preset("sf-large", seed) for seed in (1, 2))],
+        ids=["tiny-mixed", "tiny-delivery", "tiny-1", "tiny-4", "tiny-7", "sf-large-1", "sf-large-2"],
+    )
+    def test_rate_and_service_mask_match_local_builds(self, make):
+        """mb_per_work and is_service equal the arrays the evaluator and the
+        exact engine used to build for themselves."""
+        s = make()
+        rate = np.array([m.mb_per_work for m in s.missions])
+        assert s.mb_per_work.dtype == rate.dtype and s.mb_per_work.tobytes() == rate.tobytes()
+        service = np.zeros(s.num_missions, dtype=bool)
+        service[list(s.service_mission_ids)] = True
+        assert s.is_service.dtype == bool and np.array_equal(s.is_service, service)
+        assert np.array_equal(s.needed_ratios, (s.window_need > 0) & service[:, None])
 
     def test_replace_recomputes_depot_data(self):
         """A fresh instance from dataclasses.replace carries no stale masks."""
         import dataclasses
 
         s = tiny_mixed()
-        assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
+        assert s.depot_ids == (0,) and s.is_depot.tolist() == [True, False, False]
         locs = list(s.locations)
         locs[0] = dataclasses.replace(locs[0], is_depot=False)
         locs[1] = dataclasses.replace(locs[1], is_depot=True)
         s2 = dataclasses.replace(s, locations=tuple(locs))
         assert s2.depot_ids == (1,)
-        assert s2.is_depot_arr().tolist() == [False, True, False]
-        assert s.depot_ids == (0,) and s.is_depot_arr().tolist() == [True, False, False]
+        assert s2.is_depot.tolist() == [False, True, False]
+        assert s.depot_ids == (0,) and s.is_depot.tolist() == [True, False, False]
 
     def test_reach_is_read_only_and_follows_max_step(self):
         import dataclasses
