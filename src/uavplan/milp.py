@@ -25,6 +25,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ from .scenario import Scenario, require_valid
 BINARY_ROUND_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
     kind: str  # binary | continuous
     lb: float
@@ -44,8 +44,7 @@ class Var:
     indices: tuple
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     terms: tuple[tuple[int, float], ...]  # (variable index, coefficient)
     sense: str  # <= | >= | =

@@ -20,16 +20,17 @@ def all_pairs_shortest(dist_km: np.ndarray, max_step_km: float):
     unreachable).  Ties resolve to the lowest intermediate node, so results
     are deterministic.
     """
-    g = step_graph(dist_km, max_step_km)
-    L = g.shape[0]
-    d = g.copy()
-    nxt = np.where(np.isfinite(g), np.arange(L)[None, :], -1)
+    d = step_graph(dist_km, max_step_km)
+    L = d.shape[0]
+    nxt = np.where(np.isfinite(d), np.arange(L)[None, :], -1)
     np.fill_diagonal(nxt, np.arange(L))
     for k in range(L):
-        via = d[:, k, None] + d[None, k, :]
+        # row and column k cannot improve at step k, so updating in place
+        # reads the same values as a fresh copy would
+        via = d[:, k, None] + d[k]
         better = via < d - 1e-12
-        d = np.where(better, via, d)
-        nxt = np.where(better, nxt[:, k, None], nxt)
+        np.copyto(d, via, where=better)
+        np.copyto(nxt, nxt[:, k, None], where=better)
     return d, nxt
 
 

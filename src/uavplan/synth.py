@@ -6,7 +6,11 @@ from about two locations each, and delivery windows of 5 epochs (blood packs)
 or 10 epochs (medicine).  Every generated delivery is guaranteed to admit a
 dedicated depot round trip within its window and battery budget at full
 equipment, so instances are never trivially infeasible; layouts that cannot
-offer enough such targets are redrawn from the same seeded stream.
+offer enough such targets are redrawn from the same seeded stream.  A draw
+with too few targets even in straight-line battery range is redrawn before its
+shortest paths are computed; it still counts as one of the MAX_ATTEMPTS.
+Dims under which no delivery fits (fewer than 3 epochs, or no location besides
+the depot) are refused before anything is drawn.
 
 The reference UAV and mission values are fixed module constants: 4 kg empty
 weight, 2.5 kg payload capacity, a 200 Wh battery, 3.125 Wh per km and kg
@@ -111,14 +115,24 @@ def generate_synthetic(
     n_equipment = (2 if include_monitoring else 1) if include_missions else 0
     n_missions = n_equipment + 1 if include_missions else 0  # one per equipment, plus relay
     _check_sizes(d, n_missions, n_payloads=n_equipment + d.deliveries)
+    if d.deliveries:
+        # a delivery goes out and comes back: 2 * hops <= epochs - 1 with hops >= 1
+        if d.epochs < 3:
+            raise GenerationError(f"deliveries need at least 3 epochs, got epochs={d.epochs}")
+        if d.locations < 2:
+            raise GenerationError(
+                f"deliveries need a non-depot location, got locations={d.locations}"
+            )
+    if seed < 0:
+        raise GenerationError(f"seed must be nonnegative, got seed={seed}")
     rng = np.random.default_rng(seed)
     equip_w = n_equipment * EQUIPMENT_WEIGHT_KG
     heaviest_pack = max(pack_weights) if d.deliveries else 0.0
     if equip_w + heaviest_pack > PAYLOAD_CAPACITY_KG:
         raise GenerationError("equipment plus one pack exceeds payload capacity")
 
-    needed_targets = 1 if d.deliveries else 0
-    if d.locations > 1 and d.deliveries:
+    needed_targets = 0
+    if d.deliveries:
         # ask for spread-out targets only when the map can offer them
         needed_targets = min(3, max(1, (d.locations - 1) // 5))
     if unique_targets:
@@ -127,15 +141,23 @@ def generate_synthetic(
             raise GenerationError("more deliveries than non-depot locations with unique targets")
 
     side = 2.0 * SPACING_KM * np.sqrt(d.locations)
+    gross = EMPTY_WEIGHT_KG + equip_w + heaviest_pack
+    # a path is never shorter than the straight line, so a draw with too few
+    # targets in straight-line range is one the full check below refuses; the
+    # relative margin covers float summation along a path
+    straight_limit = BATTERY_SAFETY * BATTERY_CAPACITY_WH * (1.0 + 1e-9)
     for _ in range(MAX_ATTEMPTS):
         coords = rng.uniform(0.0, side, size=(d.locations, 2))
         coords[0] = (0.0, 0.0)  # depot anchors a corner
         diff = coords[:, None, :] - coords[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
+        if d.deliveries:
+            in_range = 2.0 * dist[0, 1:] * E_PER_KM_KG * gross <= straight_limit
+            if np.count_nonzero(in_range) < needed_targets:
+                continue
         vmax = max(2.5, mst_max_edge(dist) * 1.05)
         path_km, next_hop = all_pairs_shortest(dist, vmax)
 
-        gross = EMPTY_WEIGHT_KG + equip_w + heaviest_pack
         eligible = []
         for l in range(1, d.locations):
             if not np.isfinite(path_km[0, l]):
@@ -212,15 +234,15 @@ def generate_synthetic(
             wired = rng.choice(d.locations, size=min(n_wire, d.locations), replace=False)
             served: dict[int, dict[str, float]] = {}
             for loc in sorted(int(w) for w in wired):
-                qmap = {"coverage": float(np.round(rng.uniform(0.5, 1.5), 6))}
-                mon_q = float(np.round(rng.uniform(0.5, 1.5), 6))
+                qmap = {"coverage": _round6(rng.uniform(0.5, 1.5))}
+                mon_q = _round6(rng.uniform(0.5, 1.5))
                 if include_monitoring:
                     qmap["monitoring"] = mon_q
                 served[loc] = qmap
             zones.append(Zone(id=z, served_from=served))
             base = float(rng.uniform(0.3, 1.0))
             for k in range(k_lo, k_hi + 1):
-                cov = float(np.round(base * rng.uniform(0.8, 1.2), 6))
+                cov = _round6(base * rng.uniform(0.8, 1.2))
                 demand_entries.append((k, "coverage", z, cov))
                 if include_monitoring and monitored[z]:
                     demand_entries.append((k, "monitoring", z, 1.0))
@@ -248,6 +270,14 @@ def generate_synthetic(
     if issues:  # generator bug if this ever fires
         raise GenerationError("generated scenario failed validation: " + "; ".join(map(str, issues)))
     return s
+
+
+def _round6(x: float) -> float:
+    """x rounded to 6 decimals, bit for bit as float(np.round(x, 6)): numpy's
+    own algorithm (scale by 1e6, round half to even, unscale) without its
+    scalar wrapper.  x must be positive: for a negative x near zero this gives
+    0.0 where numpy gives -0.0."""
+    return round(x * 1e6) / 1e6
 
 
 def _check_sizes(d: Dims, n_missions: int, n_payloads: int) -> None:

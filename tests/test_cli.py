@@ -85,6 +85,16 @@ class TestGenerate:
         assert err.startswith(f"error: scenario too large: {what}") and "100000000 cells" in err
         assert not out.exists()
 
+    def test_hopeless_dims_and_negative_seed_exit_2(self, tmp_path, capsys):
+        """Dims under which no delivery fits, and a negative seed, exit 2 with
+        a message naming the value, instead of drawing 500 layouts first."""
+        out = tmp_path / "x.scenario"
+        for dims, seed, what in (("300,4,2,3,2", 1, "epochs=2"), ("1,2,1,2,10", 1, "locations=1"), ("6,4,2,3,10", -1, "seed=-1")):
+            assert run("generate", "--dims", dims, "--seed", seed, "--out", out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and what in err
+        assert not out.exists()
+
     def test_out_directory_exit_2_and_no_tmp_left(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.mkdir()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from uavplan.scenario import (
     validate,
     windowed_sum,
 )
+from uavplan import synth
 from uavplan.synth import Dims, GenerationError, generate_preset, generate_synthetic
 from uavplan.paths import all_pairs_shortest, reconstruct
 
@@ -40,6 +42,10 @@ OPTION_DIGESTS = {  # seed -> (no monitoring on Dims(6, 4, 2, 3, 10), unique tar
     3: ("179e02afca88306e396659ec7fa6d6d2568a3128586972839d6227ce18445948",
         "f218b27d495c9b1519ea4c1d3c6dc32cdf6de32c3b714274a643b759488a9622"),
 }
+
+
+# sha256 over serialize_scenario of sf-large seeds 1-40, then sf-small seeds 1-40
+POOL_DIGEST = "8628be67bcbcd88376fca1dc6f3e107164eb9248bc04df590f88a7be9275405e"
 
 
 def _digest(s):
@@ -258,6 +264,53 @@ class TestGenerator:
         s = generate_preset("sf-large", seed=2)
         per_zone = [len(z.served_from) for z in s.zones]
         assert 1.2 <= float(np.mean(per_zone)) <= 2.8
+
+    def test_preset_pool_matches_pinned_digest(self):
+        """One sha256 over sf-large seeds 1-40 (the heuristic-sflarge pool)
+        then sf-small seeds 1-40, pinned before the straight-line pre-check."""
+        h = hashlib.sha256()
+        for preset in ("sf-large", "sf-small"):
+            for seed in range(1, 41):
+                h.update(serialize_scenario(generate_preset(preset, seed)).encode())
+        assert h.hexdigest() == POOL_DIGEST
+
+    def test_redrawn_layouts_keep_their_bytes(self, monkeypatch):
+        """Seed 4 of Dims(60, 5, 2, 5, 20) draws 20 layouts (19 redraws, pinned
+        when every draw ran the path search); the straight-line pre-check
+        refuses all 19 before the path search, and the rng stream is unchanged."""
+        searched = []
+        real = synth.mst_max_edge
+        monkeypatch.setattr(synth, "mst_max_edge", lambda dist: searched.append(1) or real(dist))
+        s = generate_synthetic(4, Dims(60, 5, 2, 5, 20))
+        assert _digest(s) == "25ab7ac6124256cd17da3f9d4fce2bdc138cf159870cf5b4affdadb900e1dc6f"
+        assert len(searched) == 1
+
+    @pytest.mark.parametrize(
+        "seed, dims, what",
+        [
+            (1, Dims(300, 4, 2, 3, 2), "epochs=2"),
+            (1, Dims(1, 2, 1, 2, 10), "locations=1"),
+            (-1, Dims(6, 4, 2, 3, 10), "seed=-1"),
+        ],
+    )
+    def test_hopeless_dims_and_negative_seed_refused_before_drawing(self, monkeypatch, seed, dims, what):
+        monkeypatch.setattr(synth.np.random, "default_rng", None)  # drawing would raise TypeError
+        with pytest.raises(GenerationError, match=what):
+            generate_synthetic(seed, dims)
+
+
+class TestRound6:
+    def test_matches_numpy_round_on_generator_ranges(self):
+        rng = np.random.default_rng(20)
+        base = rng.uniform(0.3, 1.0, 50_000)
+        values = np.concatenate([rng.uniform(0.5, 1.5, 50_000), base * rng.uniform(0.8, 1.2, 50_000)])
+        for x in values.tolist():
+            assert struct.pack("<d", synth._round6(x)) == struct.pack("<d", float(np.round(x, 6)))
+
+    def test_matches_numpy_round_half_to_even(self):
+        n = np.arange(0, 1_600_000, 97)
+        for x in ((n + 0.5) / 1e6).tolist():
+            assert struct.pack("<d", synth._round6(x)) == struct.pack("<d", float(np.round(x, 6)))
 
 
 class TestDerivedData:
