@@ -98,7 +98,10 @@ def simplex_solve(
     b_eq=None,
 ) -> SimplexResult:
     """Maximize c @ x; variables are nonnegative.  Returns status, the primal
-    point on the structural variables, and the objective value."""
+    point on the structural variables, and the objective value.  If pivoting
+    error leaves an optimal point that breaks a row, the LP is solved once more
+    with each row divided by its largest absolute coefficient; that point is
+    returned only if the original rows accept it, else AssertionError."""
     c = np.asarray(c, dtype=float).ravel()
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, dtype=float).reshape(-1, n)
@@ -110,6 +113,34 @@ def simplex_solve(
     m = a_ub.shape[0] + a_eq.shape[0]
     if n > SIZE_CAP or m > 4 * SIZE_CAP:
         raise SizeCapError(f"problem size {n} vars x {m} rows exceeds the desk-scale cap")
+    result = _solve(c, a_ub, b_ub, a_eq, b_eq)
+    if result.status != "optimal":
+        return result
+    try:
+        _check_rows(a_ub, b_ub, a_eq, b_eq, result.x)
+    except AssertionError:
+        ub, eq = _row_scale(a_ub), _row_scale(a_eq)
+        retry = _solve(c, a_ub / ub[:, None], b_ub / ub, a_eq / eq[:, None], b_eq / eq)
+        if retry.status != "optimal":
+            raise
+        _check_rows(a_ub, b_ub, a_eq, b_eq, retry.x)
+        retry.iterations += result.iterations
+        return retry
+    return result
+
+
+def _row_scale(a: np.ndarray) -> np.ndarray:
+    """Each row's largest absolute coefficient, 1 for an all-zero row."""
+    s = np.abs(a).max(axis=1, initial=0.0)
+    s[s == 0.0] = 1.0
+    return s
+
+
+def _solve(c, a_ub, b_ub, a_eq, b_eq) -> SimplexResult:
+    """The two-phase simplex on checked float arrays; the point is not yet
+    checked against the rows."""
+    n = c.size
+    m = a_ub.shape[0] + a_eq.shape[0]
     # normalize rows to b >= 0; <= rows flipping sign become >= rows.  Every
     # inequality gets a slack column (-1 on a >= row), every >= and = row an
     # artificial one, which starts in its basis; a <= row starts on its slack.
@@ -161,7 +192,6 @@ def simplex_solve(
     x = np.zeros(art_at)
     x[basis] = T[:-1, -1] + 0.0  # turns a -0.0 the pivots left into 0.0
     x = x[:n].copy()
-    _check_rows(a_ub, b_ub, a_eq, b_eq, x)
     return SimplexResult("optimal", x, float(c @ x), iterations)
 
 

@@ -22,6 +22,17 @@ location is reachable.  With the monitoring mission, every zone has monitoring
 demand 1 in each demand epoch.  Only the satisfaction horizon, the two pack
 weights, whether monitoring is included and whether delivery targets are
 unique vary per call.
+
+Stream contract: one seeded numpy Generator makes every draw.  After the
+layout and the deliveries, each zone in turn draws, in this order: its number
+of serving locations (`integers`), those locations (`choice`), one block of
+(coverage, monitoring) quality pairs in location order (monitoring is drawn
+even when the mission is left out), the scalar demand base, and one block of
+demand factors, one per demand epoch.  A block of n uniform draws gives the
+same doubles as n scalar draws, and the blocks are rounded to 6 decimals by
+numpy's round, as single values were, so batching inside this order keeps
+every scenario byte-identical.  Moving a draw from one zone to another, or
+ahead of a zone, changes the stream and re-pins every generator digest.
 """
 
 from __future__ import annotations
@@ -232,17 +243,17 @@ def generate_synthetic(
         for z in range(d.zones):
             n_wire = int(rng.integers(1, 4))  # one to three serving locations
             wired = rng.choice(d.locations, size=min(n_wire, d.locations), replace=False)
-            served: dict[int, dict[str, float]] = {}
-            for loc in sorted(int(w) for w in wired):
-                qmap = {"coverage": _round6(rng.uniform(0.5, 1.5))}
-                mon_q = _round6(rng.uniform(0.5, 1.5))
-                if include_monitoring:
-                    qmap["monitoring"] = mon_q
-                served[loc] = qmap
+            locs = sorted(wired.tolist())
+            # one (coverage, monitoring) pair per location, in location order
+            quality = rng.uniform(0.5, 1.5, size=(len(locs), 2)).round(6).tolist()
+            if include_monitoring:
+                served = {l: {"coverage": c, "monitoring": m} for l, (c, m) in zip(locs, quality)}
+            else:
+                served = {l: {"coverage": c} for l, (c, _) in zip(locs, quality)}
             zones.append(Zone(id=z, served_from=served))
             base = float(rng.uniform(0.3, 1.0))
-            for k in range(k_lo, k_hi + 1):
-                cov = _round6(base * rng.uniform(0.8, 1.2))
+            factors = rng.uniform(0.8, 1.2, size=k_hi - k_lo + 1)
+            for k, cov in enumerate((base * factors).round(6).tolist(), start=k_lo):
                 demand_entries.append((k, "coverage", z, cov))
                 if include_monitoring and monitored[z]:
                     demand_entries.append((k, "monitoring", z, 1.0))
@@ -270,14 +281,6 @@ def generate_synthetic(
     if issues:  # generator bug if this ever fires
         raise GenerationError("generated scenario failed validation: " + "; ".join(map(str, issues)))
     return s
-
-
-def _round6(x: float) -> float:
-    """x rounded to 6 decimals, bit for bit as float(np.round(x, 6)): numpy's
-    own algorithm (scale by 1e6, round half to even, unscale) without its
-    scalar wrapper.  x must be positive: for a negative x near zero this gives
-    0.0 where numpy gives -0.0."""
-    return round(x * 1e6) / 1e6
 
 
 def _check_sizes(d: Dims, n_missions: int, n_payloads: int) -> None:

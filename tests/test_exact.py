@@ -515,22 +515,7 @@ class TestSubtreeBound:
             solve_exact(s, equipment_groups=_groups(s, mode))
         assert batches and all(batch in tails for batch in batches)
 
-    @pytest.mark.parametrize(
-        "build, mode",
-        CASES[:3]
-        + [
-            pytest.param(
-                *CASES[3].values,
-                id=CASES[3].id,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="without pruning, two of its inner LPs end at a point 0.499 over an inequality "
-                    "row (gamma 1.166); simplex_solve refuses that point instead of reporting it optimal",
-                ),
-            )
-        ],
-    )
+    @pytest.mark.parametrize("build, mode", CASES)
     def test_bound_pruning_changes_no_plan(self, build, mode):
         s = build()
         pruned = solve_exact(s, equipment_groups=_groups(s, mode))

@@ -699,3 +699,22 @@ def test_text_path_matches_pinned_digests(name):
         for part in (text, repr(m.constraints), repr(parsed.variables), repr(parsed.constraints))
     )
     assert got == TEXT_PATH_DIGESTS[name]
+
+
+def test_highs_agrees_on_the_tiny_instances():
+    """Optional third leg of the oracle triangle (criterion 2): HiGHS on each
+    of the 20 exported tiny_instance models reaches solve_exact's objective,
+    and its solution imports as a feasible plan.  Skipped without scipy."""
+    pytest.importorskip("scipy")
+    from milp_highs import solve_highs
+
+    for seed in range(1, 21):
+        s = tiny_instance(seed)
+        exact = solve_exact(s)
+        built = build_milp(s)
+        status, val, sol = solve_highs(parse_lp(export_lp(built)))
+        assert status == "optimal", f"seed {seed}: {status}"
+        assert val == pytest.approx(exact.objective, abs=1e-6), f"seed {seed}"
+        plan = import_solution(built, sol)
+        assert check_feasibility(s, plan).ok, f"seed {seed}"
+        assert satisfaction(s, plan).objective == pytest.approx(exact.objective, abs=1e-6), f"seed {seed}"

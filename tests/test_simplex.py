@@ -361,3 +361,48 @@ def test_row_check_refuses_a_point_over_a_row():
         simplex._check_rows(a, b, np.zeros((0, 2)), np.zeros(0), np.array([1.5, 1.0]))
     with pytest.raises(AssertionError, match="equality row 1"):
         simplex._check_rows(np.zeros((0, 2)), np.zeros(0), a, b, np.array([1.0, 1.0]))
+
+
+class TestScaledRetry:
+    """A point the rows refuse is solved once more on rows divided by their
+    largest absolute coefficient, and kept only if the original rows accept it."""
+
+    A_UB = np.array([[6e4, 0.0], [0.0, 2.0]])
+    B_UB = np.array([6e4, 2.0])
+    BAD = simplex.SimplexResult("optimal", np.array([1.5, 1.0]), 2.5, 7)  # 0.5 over row 0
+
+    def _recorded(self, calls, first=None):
+        """Patch simplex._solve to record its arguments; the first call returns
+        `first` when given, every other call solves."""
+        real = simplex._solve
+
+        def solve(*args):
+            calls.append(args)
+            return first if first is not None and len(calls) == 1 else real(*args)
+
+        return mock.patch.object(simplex, "_solve", solve)
+
+    def test_refused_point_is_solved_again_on_scaled_rows(self):
+        calls = []
+        with self._recorded(calls, self.BAD):
+            res = simplex_solve([1.0, 1.0], self.A_UB, self.B_UB)
+        assert res.status == "optimal" and res.value == pytest.approx(2.0)
+        assert len(calls) == 2
+        _, a_ub, b_ub, _, _ = calls[1]
+        assert np.abs(a_ub).max(axis=1).tolist() == [1.0, 1.0]
+        assert b_ub.tolist() == [1.0, 1.0]
+        assert res.iterations > self.BAD.iterations  # both solves counted
+
+    def test_point_refused_again_raises(self):
+        with mock.patch.object(simplex, "_solve", lambda *args: self.BAD):
+            with pytest.raises(AssertionError, match="inequality row 0"):
+                simplex_solve([1.0, 1.0], self.A_UB, self.B_UB)
+
+    def test_accepted_points_are_solved_once(self):
+        rng = np.random.default_rng(5)
+        lps = [_random_lp(rng) for _ in range(30)]
+        calls = []
+        with self._recorded(calls):
+            for args in lps:
+                simplex_solve(*args)
+        assert len(calls) == len(lps)
