@@ -6,14 +6,16 @@ auxiliary variables:
 * battery recurrence: big-M rows per location pair, with the smallest constant
   that covers every pair (battery capacity plus the costliest hop at max load);
 * delivery fulfilment: indicator variables bounded by carrying and presence;
-* service quality: per-location allocation shares bounded by presence, summing
-  to the mission allocation;
+* service quality: allocation shares bounded by presence and summing to the
+  mission allocation, declared only at the locations that serve the zone
+  (nonzero quality), so no budget goes where nothing is served;
 * relay capacity: every transfer is capped by the relay fraction times the
   largest link capacity, and each location pair (or sink location) below that
   maximum adds a big-M row that binds when the UAVs sit there, so uniform
   links add none;
-* the max-min objective: a single epigraph variable under every per-mission
-  satisfaction floor.
+* the max-min objective: one epigraph row per needed (epoch, mission, zone)
+  cell, ``N * Gamma <= windowed served work``, with N the cell's windowed
+  demand; the need rows already keep each ratio at most 1.
 
 Variable and constraint counts follow closed forms (see ``model_size``),
 asserted in the test suite.
@@ -133,6 +135,8 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
     t_sink = s.link_sink_mb.tolist()
     energy = s.energy_wh_per_kg.tolist()
     win_need = s.window_need.tolist()
+    # the (location, quality) pairs that serve each (service mission, zone)
+    serving = {(m, z): [(l, q[l][m][z]) for l in range(L) if q[l][m][z] != 0.0] for m in service for z in range(Z)}
 
     b = _Builder()
 
@@ -168,9 +172,9 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                     b.add_var("mu", (d, k, m, z), "continuous", 0.0, 1.0)
     for d in range(D):
         for k in range(K):
-            for l in range(L):
-                for m in service:
-                    for z in range(Z):
+            for m in service:
+                for z in range(Z):
+                    for l, _ in serving[m, z]:
                         b.add_var("muh", (d, k, l, m, z), "continuous", 0.0, 1.0)
     has_relay = ridx is not None
     if has_relay:
@@ -187,14 +191,6 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
             for k in range(K):
                 b.add_var("tausink", (d, k), "continuous")
 
-    # windowed demand totals decide which satisfaction ratios exist
-    for k in range(K):
-        for m in service:
-            for z in range(Z):
-                if win_need[k][m][z] > 0:
-                    b.add_var("sig", (k, m, z), "continuous", 0.0, 1.0)
-    for m in service:
-        b.add_var("sigbar", (m,), "continuous", 0.0, 1.0)
     if service:
         gamma = b.add_var("Gamma", (), "continuous", 0.0, 1.0)
     else:
@@ -307,45 +303,38 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for k in range(K):
             for m in service:
                 for z in range(Z):
-                    for l in range(L):
+                    for l, _ in serving[m, z]:
                         b.add_row(
                             f"muh_lam_{d}_{k}_{l}_{m}_{z}",
                             [(b.get("muh", d, k, l, m, z), 1.0), (b.get("lam", d, k, l), -1.0)],
                             "<=",
                             0.0,
                         )
-                    terms = [(b.get("muh", d, k, l, m, z), 1.0) for l in range(L)]
+                    terms = [(b.get("muh", d, k, l, m, z), 1.0) for l, _ in serving[m, z]]
                     terms.append((b.get("mu", d, k, m, z), -1.0))
                     b.add_row(f"muh_sum_{d}_{k}_{m}_{z}", terms, "=", 0.0)
     # zone needs per epoch
     for k in range(K):
         for m in service:
             for z in range(Z):
-                terms = [
-                    (b.get("muh", d, k, l, m, z), q[l][m][z])
-                    for d in range(D)
-                    for l in range(L)
-                    if q[l][m][z] != 0.0
-                ]
+                terms = [(b.get("muh", d, k, l, m, z), c) for d in range(D) for l, c in serving[m, z]]
                 b.add_row(f"need_{k}_{m}_{z}", terms, "<=", n[k][m][z])
     # traffic flow and relay capacity
     if has_relay:
 
-        def gen_terms(d, k, sign=1.0):
+        def gen_terms(d, k):
             out = []
             for m in service:
                 rate = s.missions[m].mb_per_work
                 if rate == 0.0:
                     continue
-                for l in range(L):
-                    for z in range(Z):
-                        if q[l][m][z] != 0.0:
-                            out.append((b.get("muh", d, k, l, m, z), sign * rate * q[l][m][z]))
+                for z in range(Z):
+                    out += [(b.get("muh", d, k, l, m, z), rate * c) for l, c in serving[m, z]]
             return out
 
         for d in range(D):
             for k in range(K):
-                terms = gen_terms(d, k, 1.0)
+                terms = gen_terms(d, k)
                 for d2 in range(D):
                     if d2 == d:
                         continue
@@ -356,7 +345,7 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
         for k in range(K):
             terms = []
             for d in range(D):
-                terms += gen_terms(d, k, 1.0)
+                terms += gen_terms(d, k)
                 terms.append((b.get("tausink", d, k), -1.0))
             b.add_row(f"sink_{k}", terms, "=", 0.0)
         # relay capacity: taumax/tausinkmax cap every transfer at the largest
@@ -391,28 +380,18 @@ def build_milp(s: Scenario, depot_return: bool = True) -> MilpModel:
                     terms = [(tau, 1.0), (rho, -t_sink[l]), (b.get("lam", d, k, l), big_m)]
                     b.add_row(f"tausinkcap_{d}_{k}_{l}", terms, "<=", big_m)
                 b.add_row(f"tausinkmax_{d}_{k}", [(tau, 1.0), (rho, -ts_max)], "<=", 0.0)
-    # satisfaction ratios over the sliding window, epigraph objective
+    # max-min objective: Gamma under every needed cell's windowed ratio
     for k in range(K):
         lo = max(0, k - H)
         for m in service:
             for z in range(Z):
                 if win_need[k][m][z] <= 0:
                     continue
-                terms = [(b.get("sig", k, m, z), win_need[k][m][z])]
+                terms = [(gamma, win_need[k][m][z])]
                 for h in range(lo, k + 1):
                     for d in range(D):
-                        for l in range(L):
-                            if q[l][m][z] != 0.0:
-                                terms.append((b.get("muh", d, h, l, m, z), -q[l][m][z]))
-                b.add_row(f"sig_{k}_{m}_{z}", terms, "=", 0.0)
-                b.add_row(
-                    f"sigbar_{k}_{m}_{z}",
-                    [(b.get("sigbar", m), 1.0), (b.get("sig", k, m, z), -1.0)],
-                    "<=",
-                    0.0,
-                )
-    for m in service:
-        b.add_row(f"gamma_{m}", [(gamma, 1.0), (b.get("sigbar", m), -1.0)], "<=", 0.0)
+                        terms += [(b.get("muh", d, h, l, m, z), -c) for l, c in serving[m, z]]
+                b.add_row(f"gamma_{k}_{m}_{z}", terms, "<=", 0.0)
 
     meta = {
         "uavs": D,
@@ -432,23 +411,27 @@ def model_size(s: Scenario) -> dict:
     """Closed-form variable and constraint counts for a scenario's model.
 
     Variables: |lam| = DKL, |om| = DKP, |beta| = DK, |delta| = D * sum of
-    window lengths, |mu| = DK*Ms*Z, |muh| = DKL*Ms*Z, |rho| = |tausink| = DK,
-    |tau| = D(D-1)K (relay families only when a relay mission exists), one
-    sig per (epoch, service mission, zone) with windowed demand, one sigbar
-    per service mission, plus Gamma.
+    window lengths, |mu| = DK*Ms*Z, |muh| = DK * (number of serving
+    (location, service mission, zone) triples, those with nonzero quality),
+    |rho| = |tausink| = DK, |tau| = D(D-1)K (relay families only when a relay
+    mission exists), plus Gamma.
 
     Constraint families follow the same index spaces; sense rows that would
     be vacuously true (no terms) are not emitted, so the need-row count skips
-    (mission, zone) pairs no location can serve.  Battery rows cover the
-    reachable hops into non-depot locations; taucap and tausinkcap rows cover
-    the location pairs and locations whose link capacity is below the maximum.
+    (mission, zone) pairs no location can serve.  Each (service mission, zone)
+    has one muh_lam row per serving location and one muh_sum row, and each
+    needed (epoch, service mission, zone) cell one gamma row.  Battery rows
+    cover the reachable hops into non-depot locations; taucap and tausinkcap
+    rows cover the location pairs and locations whose link capacity is below
+    the maximum.
     """
     D, K, L = s.num_uavs, s.epochs, s.num_locations
     P, Z = s.num_payloads, s.num_zones
     Ms = len(s.service_mission_ids)
     relay = 1 if s.relay_index is not None else 0
     win = sum(b0 - a0 + 1 for p in s.payloads if p.deliverable for a0, b0 in [p.window])
-    n_sig = int(s.needed_ratios.sum())
+    served = s.quality[:, s.service_mission_ids, :] != 0.0  # (L, Ms, Z)
+    n_muh = D * K * int(served.sum())
     pairs = D * (D - 1)
     nvars = (
         D * K * L  # lam
@@ -456,13 +439,10 @@ def model_size(s: Scenario) -> dict:
         + D * K  # beta
         + D * win  # delta
         + D * K * Ms * Z  # mu
-        + D * K * L * Ms * Z  # muh
+        + n_muh  # muh
         + relay * (2 * D * K + pairs * K)  # rho, tausink, tau
-        + n_sig  # sig
-        + Ms  # sigbar
         + 1  # Gamma
     )
-    servable = int(sum(1 for m in s.service_mission_ids for z in range(Z) if s.quality[:, m, z].any()))
     n_req = sum(len(s.missions[m].requires) for m in s.service_mission_ids)
     hops = int(s.reach[:, ~s.is_depot].sum())
     tight = int((s.link_uav_mb < s.link_uav_mb.max(initial=0.0)).sum())
@@ -477,19 +457,17 @@ def model_size(s: Scenario) -> dict:
         "deliv": len(s.deliverable_ids),
         "equip": D * K * Z * n_req + (D * K * len(s.missions[s.relay_index].requires) if relay else 0),
         "budget": D * K if (Ms or relay) else 0,
-        "muh": D * K * Ms * Z * (L + 1),
-        "need": K * servable,
+        "muh": n_muh + D * K * Ms * Z,
+        "need": K * int(served.any(axis=0).sum()),
         "flow": relay * D * K,
         "sink": relay * K,
         "taucap": relay * pairs * K * tight,
         "taumax": relay * pairs * K,
         "tausinkcap": relay * D * K * tight_sink,
         "tausinkmax": relay * D * K,
-        "sig": n_sig,
-        "sigbar": n_sig,
-        "gamma": Ms,
+        "gamma": int(s.needed_ratios.sum()),
     }
-    return {"variables": nvars, "sig": n_sig, "mu_hat": D * K * L * Ms * Z, "rows": rows}
+    return {"variables": nvars, "mu_hat": n_muh, "rows": rows}
 
 
 # -- LP text export / import -----------------------------------------------------

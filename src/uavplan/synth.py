@@ -20,8 +20,7 @@ trip within 90% of the battery.  The per-epoch step is the larger of 2.5 km
 and 1.05 times the layout's longest minimum-spanning-tree edge, so every
 location is reachable.  With the monitoring mission, every zone has monitoring
 demand 1 in each demand epoch.  Only the satisfaction horizon, the two pack
-weights, whether monitoring is included and whether delivery targets are
-unique vary per call.
+weights and whether monitoring is included vary per call.
 
 Stream contract: one seeded numpy Generator makes every draw.  After the
 layout and the deliveries, each zone in turn draws, in this order: its number
@@ -108,7 +107,6 @@ def generate_synthetic(
     horizon: int | None = None,
     pack_weights: tuple[float, float] = (0.25, 0.2),
     include_monitoring: bool = True,
-    unique_targets: bool = False,
 ) -> Scenario:
     """Deterministic scenario synthesis; identical (seed, dims, options) give
     byte-identical scenarios on re-serialization."""
@@ -146,10 +144,6 @@ def generate_synthetic(
     if d.deliveries:
         # ask for spread-out targets only when the map can offer them
         needed_targets = min(3, max(1, (d.locations - 1) // 5))
-    if unique_targets:
-        needed_targets = max(needed_targets, d.deliveries)
-        if d.deliveries > d.locations - 1:
-            raise GenerationError("more deliveries than non-depot locations with unique targets")
 
     side = 2.0 * SPACING_KM * np.sqrt(d.locations)
     gross = EMPTY_WEIGHT_KG + equip_w + heaviest_pack
@@ -213,11 +207,7 @@ def generate_synthetic(
         kind = i % 2  # alternate blood / medicine
         weight = pack_weights[kind]
         win_len = PACK_WINDOWS[kind]
-        if unique_targets:
-            pick = int(rng.integers(len(target_pool)))
-            target = target_pool.pop(pick)
-        else:
-            target = int(target_pool[int(rng.integers(len(target_pool)))])
+        target = target_pool[int(rng.integers(len(target_pool)))]
         hops = hop_count[target]
         lo, hi = hops, d.epochs - 1 - hops
         k_star = int(rng.integers(lo, hi + 1))

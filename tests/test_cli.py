@@ -402,6 +402,19 @@ class TestLpRoundTrip:
         assert run("import-solution", "--scenario", scen, "--solution", sol_file, "--out", tmp_path / "p") == 2
         assert "lam_0_0_0" in capsys.readouterr().err
 
+    def test_import_infeasible_plan_exit_2(self, tmp_path, capsys):
+        """A solution that reads as a plan but breaks the scenario is refused,
+        and neither a plan nor a manifest is written."""
+        scen = tmp_path / "t.scenario"
+        scen.write_text((DATA / "tiny-delivery.scenario").read_text())
+        _, _, sol = solve_model_exhaustive(build_milp(tiny_delivery()))
+        sol.update({name: 0.0 for name in sol if name.startswith("om_")})  # the pack is never loaded
+        sol_file = tmp_path / "model.sol"
+        sol_file.write_text(solution_to_text(sol))
+        assert run("import-solution", "--scenario", scen, "--solution", sol_file, "--out", tmp_path / "p") == 2
+        assert "imported solution violates: ['DELIVERY']" in capsys.readouterr().err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["model.sol", "t.scenario"]
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -8,9 +9,11 @@ import pytest
 from uavplan.scenario import (
     ScenarioError,
     UavSpec,
+    ValidationIssue,
     fixed_equipment,
     load_scenario,
     max_range,
+    require_valid,
     serialize_scenario,
     validate,
     windowed_sum,
@@ -33,13 +36,10 @@ PRESET_DIGESTS = {
     ("sf-large", 2): "01b9c95c4809b0022e037fad11c102b052d989473b37a3b17b20514b3e9e1f5d",
     ("sf-large", 3): "07d2f0d65d5f1a6915e0d77a4acba04a463cfef4a279257aa372541f577020b3",
 }
-OPTION_DIGESTS = {  # seed -> (no monitoring on Dims(6, 4, 2, 3, 10), unique targets on Dims(8, 4, 2, 4, 12))
-    1: ("2d2de51b885a357a5ce51ee83ae3430f5d8076e220dfbcac77680c39da95630f",
-        "0d66ea7da5d89741e7c19222b2766a14d63f106d07650dd71e3a0162e3e3fefb"),
-    2: ("b5b2428423b79e6ebdb1253eeb9392021ee9185604ebca777b9145adf1fcc50e",
-        "6dfd35cda563f30237b334e4f7b9410b66ff6dce49039bbc34e0dba7eac883a6"),
-    3: ("179e02afca88306e396659ec7fa6d6d2568a3128586972839d6227ce18445948",
-        "f218b27d495c9b1519ea4c1d3c6dc32cdf6de32c3b714274a643b759488a9622"),
+OPTION_DIGESTS = {  # seed -> no monitoring on Dims(6, 4, 2, 3, 10)
+    1: "2d2de51b885a357a5ce51ee83ae3430f5d8076e220dfbcac77680c39da95630f",
+    2: "b5b2428423b79e6ebdb1253eeb9392021ee9185604ebca777b9145adf1fcc50e",
+    3: "179e02afca88306e396659ec7fa6d6d2568a3128586972839d6227ce18445948",
 }
 
 
@@ -173,6 +173,93 @@ def test_validate_flags_overweight_payload():
     assert "payload exceeds capacity" in str(err.value)
 
 
+def _swap(items, i, **fields):
+    """items with its i-th element's fields replaced."""
+    items = list(items)
+    items[i] = dataclasses.replace(items[i], **fields)
+    return tuple(items)
+
+
+def _set(arr, index, value):
+    """A writable copy of arr with arr[index] = value."""
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
+# (field, indices, rule, how tiny_mixed is broken): each row breaks one rule
+# that no loader or engine test reaches; tiny_mixed has locations 0 (depot),
+# 1 and 2, one zone, payloads radio (0) and pack (1, to location 1 in epochs
+# 1-2), missions coverage (0) and relay (1), and four epochs
+BROKEN_RULES = {
+    "no-location": ("locations", (), "at least one location required", lambda s: dict(locations=())),
+    "location-id": ("locations", (1,), "ids must be dense 0..2, found 5",
+                    lambda s: dict(locations=_swap(s.locations, 1, id=5))),
+    "no-depot": ("locations", (), "at least one depot required",
+                 lambda s: dict(locations=_swap(s.locations, 0, is_depot=False))),
+    "zone-id": ("zones", (0,), "ids must be dense 0..0, found 3", lambda s: dict(zones=_swap(s.zones, 0, id=3))),
+    "zone-location": ("zones", (0, 7), "served_from references unknown location",
+                      lambda s: dict(zones=_swap(s.zones, 0, served_from={7: {"coverage": 1.0}}))),
+    "negative-quality": ("quality", (1, 0, 0), "quality must be nonnegative",
+                         lambda s: dict(quality=_set(s.quality, (1, 0, 0), -1.0))),
+    "payload-id": ("payloads", (0,), "ids must be dense in list order",
+                   lambda s: dict(payloads=_swap(s.payloads, 0, id=4))),
+    "negative-weight": ("payloads", (0,), "weight must be nonnegative",
+                        lambda s: dict(payloads=_swap(s.payloads, 0, weight_kg=-1.0))),
+    "no-target": ("payloads", (1,), "deliverable payload needs target and window",
+                  lambda s: dict(payloads=_swap(s.payloads, 1, target=None))),
+    "late-window": ("payloads", (1,), "window end 9 beyond last epoch 3",
+                    lambda s: dict(payloads=_swap(s.payloads, 1, window=(1, 9)))),
+    "unknown-target": ("payloads", (1,), "target references unknown location",
+                       lambda s: dict(payloads=_swap(s.payloads, 1, target=9))),
+    "equipment-target": ("payloads", (0,), "non-deliverable payload must not set target/window",
+                         lambda s: dict(payloads=_swap(s.payloads, 0, target=1))),
+    "duplicate-mission": ("missions", (), "mission names must be unique",
+                          lambda s: dict(missions=_swap(s.missions, 0, name="relay"))),
+    "no-relay": ("missions", (), "relay mission required when service missions exist",
+                 lambda s: dict(missions=_swap(s.missions, 1, name="backhaul"))),
+    "mission-id": ("missions", (0,), "ids must be dense in list order",
+                   lambda s: dict(missions=_swap(s.missions, 0, id=4))),
+    "negative-data": ("missions", (0,), "data per work unit must be nonnegative",
+                      lambda s: dict(missions=_swap(s.missions, 0, mb_per_work=-1.0))),
+    "unknown-payload": ("missions", (0,), "requires unknown payload 9",
+                        lambda s: dict(missions=_swap(s.missions, 0, requires=(9,)))),
+    "relay-without-radio": ("missions", (1,), "relay must require its radio payload",
+                            lambda s: dict(missions=_swap(s.missions, 1, requires=()))),
+    "demand-shape": ("demand", (4, 2, 2), "shape must be (4,2,1)", lambda s: dict(demand=np.zeros((4, 2, 2)))),
+    "negative-demand": ("demand", (1, 0, 0), "demand must be nonnegative",
+                        lambda s: dict(demand=_set(s.demand, (1, 0, 0), -1.0))),
+    "relay-demand": ("demand", (1,), "relay mission carries no zone demand",
+                     lambda s: dict(demand=_set(s.demand, (1, 1, 0), 1.0))),
+    "distance-shape": ("distances", (2, 2), "shape must be (3,3)", lambda s: dict(dist_km=np.zeros((2, 2)))),
+    "self-distance": ("distances", (), "self-distance must be zero",
+                      lambda s: dict(dist_km=_set(s.dist_km, (1, 1), 0.5))),
+    "free-hover": ("energy", (), "hover cost on the diagonal must be positive",
+                   lambda s: dict(energy_wh_per_kg=_set(s.energy_wh_per_kg, (1, 1), 0.0))),
+    "negative-link": ("links", (), "capacities must be nonnegative",
+                      lambda s: dict(link_sink_mb=_set(s.link_sink_mb, 0, -1.0))),
+    "asymmetric-link": ("links", (), "UAV-to-UAV capacity must be symmetric",
+                        lambda s: dict(link_uav_mb=_set(s.link_uav_mb, (0, 1), 1.0))),
+    "no-epoch": ("epochs", (), "at least one epoch required", lambda s: dict(epochs=0, horizon=0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BROKEN_RULES))
+def test_validate_reports_each_broken_rule(case):
+    """validate names the broken field, indices and rule, and require_valid
+    raises a ScenarioError that carries the same issue."""
+    field, indices, rule, edit = BROKEN_RULES[case]
+    s = tiny_mixed()
+    assert validate(s) == []
+    bad = dataclasses.replace(s, **edit(s))
+    issue = ValidationIssue(field, indices, rule)
+    assert issue in validate(bad)
+    with pytest.raises(ScenarioError) as err:
+        require_valid(bad)
+    assert issue in err.value.issues
+    assert str(issue) in str(err.value)
+
+
 class TestMaxRange:
     def test_reference_parameters(self):
         spec = UavSpec(4.0, 2.5, 200.0, 2.0, 1)
@@ -252,12 +339,7 @@ class TestGenerator:
     @pytest.mark.parametrize("seed", sorted(OPTION_DIGESTS))
     def test_options_match_pinned_digests(self, seed):
         no_monitoring = generate_synthetic(seed, Dims(6, 4, 2, 3, 10), include_monitoring=False)
-        unique = generate_synthetic(seed, Dims(8, 4, 2, 4, 12), unique_targets=True)
-        assert (_digest(no_monitoring), _digest(unique)) == OPTION_DIGESTS[seed]
-
-    def test_unique_targets_overflow_rejected(self):
-        with pytest.raises(GenerationError):
-            generate_synthetic(1, Dims(3, 2, 1, 5, 10), unique_targets=True)
+        assert _digest(no_monitoring) == OPTION_DIGESTS[seed]
 
     def test_zone_wiring_averages_two_locations(self):
         s = generate_preset("sf-large", seed=2)
