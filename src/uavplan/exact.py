@@ -4,10 +4,13 @@ solve_exact enumerates every feasible trajectory/payload schedule (config) per
 UAV with battery pruning, then searches the assignments of configs to UAVs
 depth-first with delivery-cover and objective-bound pruning (of whole
 subtrees, by the most any later pick can add), and for each remaining
-complete assignment solves the remaining continuous problem (allocations,
-relay effort, transfers, satisfaction) with the bundled simplex.  UAVs within
-an equipment group are interchangeable, so config indices never decrease
-within a group: the search visits each multiset once, in lexicographic order.
+complete assignment solves the remaining continuous problem with the bundled
+simplex: an LP over allocations, relay effort and transfers (mu, rho, tau,
+tausink) and Gamma, bounded by the exported MILP's rows: one per needed
+(epoch, service mission, zone) cell, N * Gamma at most the work served in
+the window, N being the window's demand.  UAVs within an equipment group are
+interchangeable, so config indices never decrease within a group: the search
+visits each multiset once, in lexicographic order.
 """
 
 from __future__ import annotations
@@ -354,16 +357,16 @@ def _stack_rows(families, ncols):
 
 
 def _inner_lp(s: Scenario, assignment):
-    """LP over (mu, rho, tau, tausink, sigma, sigma_bar, Gamma) for fixed
-    trajectories.
+    """LP over (mu, rho, tau, tausink, Gamma) for fixed trajectories.
 
     Each column family is a mask, numbered in row-major order: mu (D, K, M, Z)
     where the config offers quality and the zone has demand, rho (D, K) where
     it carries the relay equipment, tau (D, D, K) and tausink (D, K) where
-    that relay has a link, sigma (K, M, Z) on the needed ratios and sigma_bar
-    (M,) on the service missions; Gamma is last.  Returns (gamma, flows,
-    simplex iterations), flows being the optimum's mission_alloc,
-    relay_frac, transfers and sink_transfers plan arrays."""
+    that relay has a link; Gamma is last.  Gamma is bounded as in the MILP:
+    one row per needed cell, N * Gamma at most the windowed served work, and
+    Gamma <= 1.  Returns (gamma, flows, simplex iterations), flows being the
+    optimum's mission_alloc, relay_frac, transfers and sink_transfers plan
+    arrays."""
     D, K, M, Z = len(assignment), s.epochs, s.num_missions, s.num_zones
     flows = (np.zeros((D, K, M, Z)), np.zeros((D, K)), np.zeros((D, D, K)), np.zeros((D, K)))
     if not s.service_mission_ids:
@@ -375,10 +378,9 @@ def _inner_lp(s: Scenario, assignment):
     link, sink_link = s.link_uav_mb[locs[:, None], locs[None]], s.link_sink_mb[locs]  # (D, D, K), (D, K)
     tau = rho[:, None] & (link > 0) & ~np.eye(D, dtype=bool)[:, :, None]
     sink = rho & (sink_link > 0)
-    sig, serving = s.needed_ratios, s.is_service
-    masks = (mu, rho, tau, sink, sig, serving)
+    masks = (mu, rho, tau, sink)
     at = np.cumsum([0] + [np.count_nonzero(mask) for mask in masks])
-    mu_col, rho_col, tau_col, sink_col, sig_col, bar_col = map(_number, masks, at)
+    mu_col, rho_col, tau_col, sink_col = map(_number, masks, at)
     gamma = at[-1]
     d, k, m, z = np.nonzero(mu)
     mu_cols, mu_q = mu_col[mu], quality[mu]
@@ -388,9 +390,16 @@ def _inner_lp(s: Scenario, assignment):
     caps = np.concatenate([tau_cols, sink_cols])
     senders = np.concatenate([rho_col[d1, k_tau], rho_col[sink]])
     cap_mb = np.concatenate([link[tau], sink_link[sink]])
-    k_sig, m_sig, z_sig = np.nonzero(sig)
-    sig_cols, bars = sig_col[sig], bar_col[serving]
-    cell, j = np.arange(len(sig_cols)), np.arange(len(bars))
+    k_cell, m_cell, z_cell = np.nonzero(s.needed_ratios)
+    cell = np.arange(len(k_cell))
+    # per needed cell: N * Gamma less the work served in its window, one lag at a time
+    served = [(cell, gamma, s.window_need[s.needed_ratios])]
+    for lag in range(min(s.horizon, K - 1) + 1):
+        cells = cell[k_cell >= lag]
+        h, mc, zc = k_cell[cells] - lag, m_cell[cells], z_cell[cells]
+        lagged = mu_col[:, h, mc, zc]  # (D, cells): each UAV's mu lag epochs back
+        has = lagged >= 0
+        served.append((np.broadcast_to(cells, lagged.shape)[has], lagged[has], -quality[:, h, mc, zc][has]))
 
     budget, need, lines = _number(mu.any(axis=(2, 3)) | rho), _number(mu.any(axis=0)), np.arange(len(caps))
     ub = [
@@ -400,29 +409,17 @@ def _inner_lp(s: Scenario, assignment):
         (s.demand[need >= 0], (need[k, m, z], mu_cols, mu_q)),
         # relay link capacities
         (np.zeros(len(caps)), (lines, caps, 1.0), (lines, senders, -cap_mb)),
-        # each sigma bounds its sigma_bar and is at most 1
-        (np.tile([0.0, 1.0], len(cell)), (2 * cell, bar_col[m_sig], 1.0), (2 * cell, sig_cols, -1.0),
-         (2 * cell + 1, sig_cols, 1.0)),
-        # each sigma_bar is at most 1 and bounds Gamma
-        (np.tile([1.0, 0.0], len(j)), (2 * j, bars, 1.0), (2 * j + 1, gamma, 1.0), (2 * j + 1, bars, -1.0)),
+        # max-min objective: N * Gamma at most each needed cell's windowed served work, and Gamma <= 1
+        (np.zeros(len(cell)), *served),
+        (np.ones(1), (0, gamma, 1.0)),
     ]
-    eq = []
-    if s.relay_index is not None:  # flow conservation per UAV-epoch
-        rate = s.mb_per_work[:, None]  # (M, 1)
-        sending = mu & (rate != 0)
-        flow = _number(sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1) | sink)
-        data = (flow[np.nonzero(sending)[:2]], mu_col[sending], (rate * quality)[sending])
-        relayed = (flow[d2, k_tau], tau_cols, 1.0), (flow[d1, k_tau], tau_cols, -1.0)
-        eq.append((np.zeros(flow.max() + 1), data, *relayed, (flow[sink], sink_cols, -1.0)))
-    # each sigma's definition over the mu of its window, one lag at a time
-    defined = [(cell, sig_cols, s.window_need[sig])]
-    for lag in range(min(s.horizon, K - 1) + 1):
-        cells = cell[k_sig >= lag]
-        h, mc, zc = k_sig[cells] - lag, m_sig[cells], z_sig[cells]
-        cols = mu_col[:, h, mc, zc]  # (D, cells): each UAV's mu lag epochs back
-        has = cols >= 0
-        defined.append((np.broadcast_to(cells, cols.shape)[has], cols[has], -quality[:, h, mc, zc][has]))
-    eq.append((np.zeros(len(cell)), *defined))
+    # flow conservation per UAV-epoch
+    rate = s.mb_per_work[:, None]  # (M, 1)
+    sending = mu & (rate != 0)
+    flow = _number(sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1) | sink)
+    data = (flow[np.nonzero(sending)[:2]], mu_col[sending], (rate * quality)[sending])
+    relayed = (flow[d2, k_tau], tau_cols, 1.0), (flow[d1, k_tau], tau_cols, -1.0)
+    eq = [(np.zeros(flow.max() + 1), data, *relayed, (flow[sink], sink_cols, -1.0))]
 
     c = np.zeros(gamma + 1)
     c[gamma] = 1.0

@@ -2,6 +2,8 @@
 HiGHS through scipy.optimize.milp.  Test-side only; scipy is not a package
 dependency, so callers skip when it is absent."""
 
+import dataclasses
+
 import numpy as np
 
 
@@ -31,3 +33,23 @@ def solve_highs(model, time_limit_s=60.0):
     if res.status != 0:
         return res.message, None, None
     return "optimal", -res.fun, dict(zip((v.name for v in model.variables), res.x.tolist()))
+
+
+def pin_equipment(model, groups):
+    """The model with every om_{d}_{k}_{p} of a forced payload fixed at 1 and
+    of a forbidden one at 0, at every epoch, for (count, forced_on, forbidden)
+    equipment groups taken in UAV order."""
+    policy = [(forced_on, forbidden) for count, forced_on, forbidden in groups for _ in range(count)]
+
+    def pin(v):
+        if v.symbol != "om":
+            return v
+        d, _, p = v.indices
+        forced_on, forbidden = policy[d]
+        if p in forced_on:
+            return v._replace(lb=1.0, ub=1.0)
+        if p in forbidden:
+            return v._replace(lb=0.0, ub=0.0)
+        return v
+
+    return dataclasses.replace(model, variables=[pin(v) for v in model.variables])

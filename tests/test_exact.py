@@ -554,52 +554,54 @@ PINNED_CASES = {
     "tiny-mixed-binding-links": (lambda: tiny_mixed(**BINDING_LINKS), "flexible"),
 }
 
-# sha256 of the objective and plan arrays, computed before the bound credited
-# only data that can leave the UAV and pruned whole subtrees, and unchanged
-# by them; then of every (c, a_ub, b_ub, a_eq, b_eq) solve_exact hands the
-# simplex, and of the ExactResult fields and plan arrays, re-pinned then:
-# the tighter bound skips LPs (a subsequence of those solved before), so
-# lp_solves, simplex_iterations and bound_prunes changed
+# sha256 of the objective and plan arrays, then of every (c, a_ub, b_ub, a_eq,
+# b_eq) solve_exact hands the simplex, then of the ExactResult fields and plan
+# arrays.  Re-pinned when the inner LP dropped its sigma and sigma_bar columns
+# for one Gamma row per needed cell: the LP bytes change, simplex_iterations
+# drops, and the flows move to within 1e-13 of the old ones or, on
+# flex-fixed-1-fixed and tiny-mixed-uniform-links, to another optimal vertex
+# of the same value.  Objectives agree within 4e-16; lp_solves, bound_prunes,
+# locations and payloads are unchanged
 PINNED_DIGESTS = {
     "flex-fixed-1-flexible": (
-        "e6f5ff24e3a12d85d9c8d291c720611c9c8a584ccfc1c92112145b679c69cb70",
-        "5020c768eda3f773fc364812a55c63eb08da7207abe617217136f97d37d8aff0",
-        "110b9a6cf5ae445c9e9e0e8f11eebba6d240b87f6f87d99e8fa2d5d5b74d3aa0",
+        "32dd6e4ac95a492ae6a4d281d264984ca6420da35bf2c78dfb49bef23b0570c7",
+        "aa087ba1f7a32e3faaa15a3d2d4d5447252dc49522c368b2ebb37387e326e132",
+        "755f4a479777bfe959877324510b8a2fe78c3c6e70f2a61dff7dbda5154f707c",
     ),
     "flex-fixed-1-fixed": (
-        "8e82594863132dc976ed1e904fc2173c8817f6d8edebcccb544dd591e31cbf5f",
-        "5581d5b0e5589716750a0598387e74a12e2b2a787f093899db0b509a600f1c13",
-        "d05e3f8fa8a172d64ccaf6e83c6788cb49d3a6b15099d03c9cb4224f5e61131f",
+        "d8b3dc13810263b4893d68fa50bb9003d6353d2d808443b48a527743d7fdab26",
+        "18c53eb87df961ea9c56b73e02a3a1bb19b5cd812eb74fa4b1ee33a44dc32878",
+        "1d69abd2a2940499bf45033bc30e3f262f1f8137f3129ffa2f7b7531829927c4",
     ),
     "flex-fixed-2-flexible": (
-        "130f2f5f6a3663a184028b0e617c5b16e9d144f720eaf01d345689b9785358ad",
-        "4f73eec7faadaa7492a0f8b8207bc0b43ffa4f20e1681d427540cb6e78e7f8bf",
-        "33b88f1a130d0ec96153f21373901d0a780f9a46a5eeeeee7630a8ebe5e2956a",
+        "62fc093203fd666085533390ebb5463448a6f7e176f72b64d05c965ab37f930d",
+        "4664644f691aa4c4da59d2d85b1a9b9ff071b57b5f320a525fa1aac847d49e31",
+        "df23c3172504ed780b56e351a99b375af1107a84893f1e98356fd0f4e4eecdd3",
     ),
     "flex-fixed-2-fixed": (
-        "0ae53ccc4c6c398e9797dd3384804b8609bdbe8333f90f307eca27b25873708f",
-        "ffabab7ce8eb82259a02f71effaf9daf805501781e0392ff9ec861ad2edab5dd",
-        "9daa39cd7e8c52b6bacfc2141336b1f9a687dcc454f90313d8f804937f537c6b",
+        "07ccd42bba46bef0fa90b916b30c4137a8e613fe2f4b41b191f359e2cd3cb772",
+        "3cb5fe43b7e9d2504471fdb521745148b21ff55122618addd124b2b295b64db5",
+        "5918050208c09c08193e58fc202972a552485405f001971d5455cbd21b1d6da5",
     ),
     "flex-fixed-3-flexible": (
-        "9b9a0129131f0b363d25f00d449841db9690c6ebe87c9eeb653bda72c84eb54d",
-        "902ba9f5ce5e41c1ec57abf25b437420b2e0416296ec09d5ad7e99d855188df7",
-        "dc28b8e1f50c2450913ff9fb6bd91ef867495fe7b7b662108e45dceee8e5ce5d",
+        "bdd485f31bee4b12ac5bed95959affcdc8d0e4388b829f94acde4ec6334af079",
+        "839ba78ff68b367135834a1380c662bc4cbd01436b6abf8a97227bab9e6d53dd",
+        "7e4a5a063b652a86f9e75c4f4f637e8114c45dee92145151981bb95ab36e536f",
     ),
     "flex-fixed-3-fixed": (
-        "cdf69906379f8f2414bdb760e2c351394f15435ab99eb1cfa0d1d309c21d82cc",
-        "7cbcd92061b727c457ca57d6de94844b2d52d183dba68f27978a54e38d6d3625",
-        "7fbac5bc0ed4143c3390ca969827d185320bbe056bc65a884a2b128c8803ed2d",
+        "36b770b68735a08f099a38e6cfe46e9b4abb787e9c7c7877ed4972ff1cb98356",
+        "78a798857eae71a9208c9f8e38545dc8852b9d47cf5453bf11c6e637dc16a6f8",
+        "4fb90789ca673ffc203553e43750159ffd935cb31226bc53cac4075fb0d81795",
     ),
     "tiny-mixed-uniform-links": (
-        "fac353aa1801ae2e73412aa7741254772129c57d500035bb4f37cea8fb458772",
-        "1395803a41664a10301ee5bb375dfa489873fa38af1bcc6c4244a5571f73d7c5",
-        "64fab4232c18976dab928e0294a5d74cc1c098011d37fb0317ad85c5847f8460",
+        "10f30611b1066aa7fad1ac73a51506d49a003171518873c757b23e91a978c0d5",
+        "a7d7426f7f38fbc777428f8a736a92496108c5dcc28791c392b2aecbaf61abb9",
+        "2e986ee50a7ac19e1ec02146a4329b6d199cc0e42c6cd3147dc923fa857a39b0",
     ),
     "tiny-mixed-binding-links": (
-        "82aa3b718ff3fa7811bb419e7a243b2a207975d65979ca44cc2bbf6fa0be0209",
-        "3408c2e27b465cca499d3b695b04d836c54f1d1fa2fc6645302390b013d584bf",
-        "ff83f68227b7bc9f1b98ef5aa8013fad2305e218c6baa88b79b95a100915b1e0",
+        "d31b34838482598781e87c959385c63049e8ba845f84dcf365556e1b7e5e0c37",
+        "0486c7fa7699e8121234f540290d4a2785a12bf153b8d8fee6c2b378ba9bed5a",
+        "d574713ad8d4c0af97e97c98bb7204d12f53abf8a8bed77ea6ea27337dc2f13c",
     ),
 }
 
@@ -658,24 +660,24 @@ TRUNCATED_CASES = {
 }
 
 # _result_digest of runs cut off after max_assignments assignments reached
-# one by one; the tiny-mixed ones are unchanged since the search walked
-# itertools.product.  The flex-fixed ones were re-pinned when the bound came
-# to credit only data that can leave the UAV and to prune whole subtrees:
-# the cut at 7 keeps its plan but solves 2 LPs instead of 6, and the runs cut
-# at 30 (fixed) and 100 (flexible) now complete; the cuts at 40 (flexible,
-# after pruned subtrees) and 10 (fixed, inside a multi-group run) were
-# added to keep truncated runs of both modes pinned
+# one by one: tiny-mixed, truncated at every cut, and flex-fixed-1-3,
+# truncated at 7 and 10 (fixed) and 40 (flexible, after pruned subtrees) and
+# complete at 30 and 100 (fixed) and 100 (flexible).  All but the cut at 1,
+# which solves no LP, were re-pinned when the inner LP dropped its sigma and
+# sigma_bar columns: simplex_iterations drops and the flows move, while the
+# objective, lp_solves, bound_prunes, assignments_visited, proven_optimal,
+# locations and payloads stay as they were
 TRUNCATED_DIGESTS = {
     ("tiny-mixed", 1): "c584ea106ada93abc6feb8cfe59846ae4b4cf7b4e4af4c1e2c942a4ca42c66e2",
-    ("tiny-mixed", 5): "cb4d7eb725377d2258aae75affcc53bf106229bab9777dfe777aec328d41f3e3",
-    ("tiny-mixed", 37): "c87e34e9213d2184a4c968a3be0a30437d8c86d0c02d1c7f364b9c066d4be56f",
-    ("tiny-mixed", 200): "699fbf3a8496f77174362b4d322efe103f6eab8b994d03bfacfd11a1579eae39",
-    ("flex-fixed-1-3-flexible", 40): "12961bb1f85094e143b687ca84bcb7270ae1bbec65e9338d4d88d3e5d403c251",
-    ("flex-fixed-1-3-flexible", 100): "0d493939ad3ae2db9ebca16168d791706cebb2a4c7aba714cc6026a29283b9de",
-    ("flex-fixed-1-3-fixed", 7): "016320dc04aa9ec30e4a5608f594238d0dd90f2ee3afe5d54694dc957c480663",
-    ("flex-fixed-1-3-fixed", 10): "89b76da27d7f5970980be789ebb4711b8076abf5d472f21fe431b037e19123f6",
-    ("flex-fixed-1-3-fixed", 30): "1670b78cb540e9c04b8108822f4d65c22c91aa1186911c237a3aaee1b0a9f22b",
-    ("flex-fixed-1-3-fixed", 100): "1670b78cb540e9c04b8108822f4d65c22c91aa1186911c237a3aaee1b0a9f22b",
+    ("tiny-mixed", 5): "c776e3f74c99c867616349dce4cee49a3664ddf4a47e8ffbe731c64a6e9a0cfa",
+    ("tiny-mixed", 37): "d3f646292afe547399a4ac5e3f04d00f5a2177b09ac19f30a26fa5adfc681eba",
+    ("tiny-mixed", 200): "9b583b43e2160ea9a205cc1049cbf7330f06199a348d5df0d2997c1690b917fb",
+    ("flex-fixed-1-3-flexible", 40): "4fa14cd5905fe2c5da3aa90dcae24b89c5fa34e6d078805e8452084dd6b72cb6",
+    ("flex-fixed-1-3-flexible", 100): "eed99795c9092500b0b3a19904534ab4901cf417c88255402f6e28dd2d0693ef",
+    ("flex-fixed-1-3-fixed", 7): "f0dbeaea89970e58bdf73ac488c0c91553d6d9fd835a7ce21e42dc65b7dd7ab7",
+    ("flex-fixed-1-3-fixed", 10): "04b2b149fc9dcdc4be9cce074f98b89c98dae0889368ec71eae863bc828454ec",
+    ("flex-fixed-1-3-fixed", 30): "d43b89c6d7cca72e8bb982117692687e8a859c3788a6152bd7a086744ce19eb5",
+    ("flex-fixed-1-3-fixed", 100): "d43b89c6d7cca72e8bb982117692687e8a859c3788a6152bd7a086744ce19eb5",
 }
 
 
@@ -685,3 +687,67 @@ def test_truncated_runs_pinned(case, cutoff):
     s = build()
     res = solve_exact(s, EnumerationLimits(max_assignments=cutoff), equipment_groups=_groups(s, mode))
     assert _result_digest(res) == TRUNCATED_DIGESTS[case, cutoff]
+
+
+# -- every inner LP, not only the winning one ---------------------------------------
+
+INNER_LP_CASES = [
+    *(
+        pytest.param(lambda seed=seed, uavs=uavs: flex_fixed_scenario(seed, uavs), mode,
+                     id=f"flex-fixed-{seed}-{uavs}-{mode}")
+        for seed in (1, 2, 3)
+        for uavs in (2, 4, 6)
+        for mode in ("flexible", "fixed")
+    ),
+    *(pytest.param(lambda seed=seed: tiny_instance(seed), "flexible", id=f"tiny-{seed}") for seed in range(1, 21)),
+]
+
+
+def _recorded_calls(s, mode, name):
+    """(arguments, result) of every call solve_exact makes to exact.<name>."""
+    calls = []
+    wrapped = getattr(exact, name)
+
+    def recording(*args):
+        out = wrapped(*args)
+        calls.append((args, out))
+        return out
+
+    with mock.patch.object(exact, name, recording):
+        solve_exact(s, EnumerationLimits(size_guard=128), equipment_groups=_groups(s, mode))
+    return calls
+
+
+@pytest.mark.parametrize("build, mode", INNER_LP_CASES)
+def test_highs_agrees_on_every_inner_lp(build, mode):
+    """HiGHS reaches the bundled simplex's optimum on every (c, a_ub, b_ub,
+    a_eq, b_eq) solve_exact hands it.  Skipped without scipy."""
+    pytest.importorskip("scipy")
+    from scipy.optimize import linprog
+
+    calls = _recorded_calls(build(), mode, "simplex_solve")
+    assert calls
+    for (c, a_ub, b_ub, a_eq, b_eq), res in calls:
+        ref = linprog(-c, a_ub, b_ub, a_eq, b_eq, method="highs")  # linprog minimizes, x >= 0
+        assert ref.status == 0
+        assert abs(-ref.fun - res.value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "build, mode",
+    INNER_LP_CASES
+    + [
+        pytest.param(tiny_mixed, "flexible", id="tiny-mixed-uniform-links"),
+        pytest.param(lambda: tiny_mixed(**BINDING_LINKS), "flexible", id="tiny-mixed-binding-links"),
+    ],
+)
+def test_every_inner_lp_is_a_plan_of_its_gamma(build, mode):
+    """The flows of every inner LP solved, with its assignment's configs,
+    make a feasible plan whose evaluator objective is the LP's gamma."""
+    s = build()
+    calls = _recorded_calls(s, mode, "_inner_lp")
+    assert calls
+    for (_, assignment), (gamma, flows, _) in calls:
+        plan = exact._assignment_plan(s, assignment, flows)
+        assert check_feasibility(s, plan).ok
+        assert abs(satisfaction(s, plan).objective - gamma) <= 1e-9

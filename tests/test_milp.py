@@ -19,7 +19,16 @@ from uavplan.milp import (
     parse_solution,
     solution_to_text,
 )
-from uavplan.scenario import Location, Mission, PayloadItem, UavSpec, Zone, load_scenario, make_scenario
+from uavplan.scenario import (
+    Location,
+    Mission,
+    PayloadItem,
+    UavSpec,
+    Zone,
+    fixed_equipment,
+    load_scenario,
+    make_scenario,
+)
 from uavplan.synth import generate_preset
 
 from scenarios import flex_fixed_scenario, tiny_delivery, tiny_instance, tiny_mixed
@@ -759,21 +768,31 @@ def test_highs_agrees_on_the_tiny_instances():
         assert satisfaction(s, plan).objective == pytest.approx(exact.objective, abs=1e-6), f"seed {seed}"
 
 
-@pytest.mark.parametrize("uavs", [2, 4, 6, 8])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_highs_agrees_on_the_flex_fixed_instances(seed, uavs):
+@pytest.mark.parametrize(
+    "seed, uavs, mode",
+    [
+        # flexible cases keep their plain seed-uavs ids
+        pytest.param(seed, uavs, mode, id=f"{seed}-{uavs}" + ("-fixed" if mode == "fixed" else ""))
+        for mode in ("flexible", "fixed")
+        for seed in (1, 2, 3)
+        for uavs in (2, 4, 6, 8)
+    ],
+)
+def test_highs_agrees_on_the_flex_fixed_instances(seed, uavs, mode):
     """HiGHS beyond the tiny set: on the flexible-vs-fixed instances, where
     the epoch time budget binds, the exported model reaches solve_exact's
-    flexible-mode optimum and its solution imports as a feasible plan.
+    optimum and its solution imports as a feasible plan.  In fixed mode the
+    parsed model's payload binaries are pinned to each UAV's equipment group.
     Skipped without scipy."""
     pytest.importorskip("scipy")
-    from milp_highs import solve_highs
+    from milp_highs import pin_equipment, solve_highs
 
     s = flex_fixed_scenario(seed, uavs)
-    exact = solve_exact(s, EnumerationLimits(size_guard=128))
+    groups = fixed_equipment(s) if mode == "fixed" else [(uavs, frozenset(), frozenset())]
+    exact = solve_exact(s, EnumerationLimits(size_guard=128), equipment_groups=groups)
     assert exact.proven_optimal
     built = build_milp(s)
-    status, val, sol = solve_highs(parse_lp(export_lp(built)))
+    status, val, sol = solve_highs(pin_equipment(parse_lp(export_lp(built)), groups))
     assert status == "optimal"
     assert val == pytest.approx(exact.objective, abs=1e-6)
     assert check_feasibility(s, import_solution(built, sol), tol=1e-4).ok
