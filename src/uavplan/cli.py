@@ -35,6 +35,7 @@ from .scenario import (
     ScenarioError,
     check_tensor_cells,
     fixed_equipment,
+    json_text,
     load_scenario,
     serialize_scenario,
 )
@@ -321,14 +322,9 @@ def cmd_evaluate(args) -> int:
             _write_atomic(args.out + ".violations.json", report.to_json())
             sigma_doc = {
                 "sigma_bar": {m.name: float(rep.sigma_bar[m.id]) for m in s.missions},
-                "sigma": [
-                    [int(k), s.missions[mm].name, int(z), float(rep.sigma[k, mm, z])]
-                    for k in range(s.epochs)
-                    for mm in range(s.num_missions)
-                    for z in range(s.num_zones)
-                ],
+                "sigma": rep.to_rows(s),
             }
-            _write_atomic(args.out + ".satisfaction.json", json.dumps(sigma_doc, indent=2) + "\n")
+            _write_atomic(args.out + ".satisfaction.json", json_text(sigma_doc))
             outputs = [args.out + ".violations.json", args.out + ".satisfaction.json"]
         _write_atomic(args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
         outputs.append(args.out + ".summary.json")

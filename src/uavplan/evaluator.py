@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Scenario, ScenarioError, _index, _number, windowed_sum
+from .scenario import Scenario, ScenarioError, _cell_rows, _index, _number, json_text, windowed_sum
 
 # Canonical constraint tags, in report order.
 TAGS = (
@@ -129,12 +129,20 @@ class SatisfactionReport:
     sigma_bar: np.ndarray  # (M,)
     objective: float
 
+    def to_rows(self, s: Scenario) -> list[list]:
+        """[epoch, mission name, zone, sigma] for every cell, in row-major
+        order, sigma as a float."""
+        names = [m.name for m in s.missions]
+        return [
+            [k, names[m], z, value]
+            for k, per_epoch in enumerate(self.sigma.tolist())
+            for m, per_mission in enumerate(per_epoch)
+            for z, value in enumerate(per_mission)
+        ]
+
     def to_csv(self, s: Scenario) -> str:
         lines = ["epoch,mission,zone,sigma"]
-        for k in range(self.sigma.shape[0]):
-            for m in range(self.sigma.shape[1]):
-                for z in range(self.sigma.shape[2]):
-                    lines.append(f"{k},{s.missions[m].name},{z},{float(self.sigma[k, m, z])!r}")
+        lines += (f"{k},{name},{z},{value!r}" for k, name, z, value in self.to_rows(s))
         return "\n".join(lines) + "\n"
 
 
@@ -380,22 +388,13 @@ def plan_metrics(s: Scenario, p: Plan) -> dict:
 
 
 def plan_to_dict(p: Plan) -> dict:
-    payload_rows = [[int(d), int(k), int(pp)] for d, k, pp in np.argwhere(p.payloads)]
-    mission_rows = [
-        [int(d), int(k), int(m), int(z), float(p.mission_alloc[d, k, m, z])]
-        for d, k, m, z in np.argwhere(p.mission_alloc != 0)
-    ]
-    relay_rows = [[int(d), int(k), float(p.relay_frac[d, k])] for d, k in np.argwhere(p.relay_frac != 0)]
-    transfer_rows: list[list] = []
-    for d1, d2, k in np.argwhere(p.transfers != 0):
-        transfer_rows.append([int(d1), int(d2), int(k), float(p.transfers[d1, d2, k])])
-    for d, k in np.argwhere(p.sink_transfers != 0):
-        transfer_rows.append([int(d), "omega", int(k), float(p.sink_transfers[d, k])])
+    transfer_rows = _cell_rows(p.transfers, p.transfers != 0)
+    transfer_rows += ([d, "omega", k, mb] for d, k, mb in _cell_rows(p.sink_transfers, p.sink_transfers != 0))
     return {
         "locations": p.locations.astype(int).tolist(),
-        "payloads": payload_rows,
-        "missions": mission_rows,
-        "relay": relay_rows,
+        "payloads": np.argwhere(p.payloads).tolist(),
+        "missions": _cell_rows(p.mission_alloc, p.mission_alloc != 0),
+        "relay": _cell_rows(p.relay_frac, p.relay_frac != 0),
         "transfers": transfer_rows,
     }
 
@@ -464,7 +463,7 @@ def plan_from_dict(doc: dict, s: Scenario) -> Plan:
 
 
 def serialize_plan(p: Plan) -> str:
-    return json.dumps(plan_to_dict(p), indent=2) + "\n"
+    return json_text(plan_to_dict(p))
 
 
 def load_plan(text: str, s: Scenario) -> Plan:

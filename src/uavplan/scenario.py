@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -621,36 +622,115 @@ def check_equipment_groups(s: Scenario, groups) -> None:
 # -- file format ---------------------------------------------------------------
 
 
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte, from json's C
+    encoder (``json.dumps`` runs its pure-Python encoder whenever ``indent``
+    is set).
+
+    Each call encodes one container whose item separator carries the newline
+    and indentation.  JSON strings escape newlines, so every newline in that
+    text comes from a separator.  A container of scalars is reframed as it
+    comes.  A list of non-empty rows of scalars, all lists or all dicts, is
+    one call too: only a row ends in ``]`` or ``}`` before a separator, so
+    one ``replace`` indents the row boundaries.  Any other container is
+    encoded with 0 in place of each nested container, split at the
+    separators, and each 0 replaced by that container's own text.
+
+    Whatever ``json.dumps`` accepts gives its bytes: tuples are written as
+    lists, and int, float, bool and None keys as strings.  Whatever it
+    refuses (a numpy integer, a tuple key) raises the same ``TypeError``.  A
+    circular reference raises ``ValueError`` or ``RecursionError``.
+    """
+    return _indented(doc, "\n") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache
+def _encoder(item_separator: str):
+    return json.JSONEncoder(separators=(item_separator, ": ")).encode
+
+
+def _scalars(items) -> bool:
+    """Whether no item is a dict, list or tuple; checked once per type,
+    which is faster than isinstance per item."""
+    types = set(map(type, items))
+    return types <= _SCALAR_TYPES or not any(issubclass(t, _CONTAINERS) for t in types)
+
+
+def _rows_of_scalars(rows) -> bool:
+    """Whether rows are non-empty containers of scalars, all dicts or all
+    lists and tuples."""
+    kind = dict if isinstance(rows[0], dict) else (list, tuple)
+    if not (all(issubclass(t, kind) for t in set(map(type, rows))) and all(rows)):
+        return False
+    return _scalars(chain.from_iterable(map(dict.values, rows) if kind is dict else rows))
+
+
+def _indented(value, nl: str) -> str:
+    """value as json.dumps(..., indent=2) writes it on a line that begins
+    with nl (a newline and that line's indentation)."""
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return json.dumps(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    items = value.values() if is_dict else value
+    if _scalars(items):
+        text = _encoder(sep)(value)
+        return text[0] + inner + text[1:-1] + nl + text[-1]
+    if not is_dict and _rows_of_scalars(value):
+        deeper = inner + "  "
+        text = _encoder("," + deeper)(value)  # "[" + rows + "]", each row on one line
+        opening, closing = text[1], text[-2]
+        boundary = closing + "," + deeper + opening
+        rows = text[2:-2].replace(boundary, inner + closing + "," + inner + opening + deeper)
+        return "[" + inner + opening + deeper + rows + inner + closing + nl + "]"
+    if is_dict:
+        stub = {k: 0 if isinstance(v, _CONTAINERS) else v for k, v in value.items()}
+    else:
+        stub = [0 if isinstance(v, _CONTAINERS) else v for v in value]
+    text = _encoder(sep)(stub)
+    parts = text[1:-1].split(sep)
+    for i, v in enumerate(items):
+        if isinstance(v, _CONTAINERS):
+            parts[i] = parts[i][:-1] + _indented(v, inner)  # [:-1] drops the stub's 0
+    return text[0] + inner + sep.join(parts) + nl + text[-1]
+
+
 def _payload_to_dict(p: PayloadItem) -> dict:
     d: dict = {"name": p.name, "weight_kg": p.weight_kg}
     if p.deliverable:
-        d["deliver_to"] = p.target
-        d["window"] = list(p.window)
+        d["deliver_to"] = int(p.target)
+        d["window"] = [int(e) for e in p.window]
     return d
+
+
+def _cell_rows(arr: np.ndarray, mask: np.ndarray) -> list[list]:
+    """[*index, value] for each cell of arr where mask holds, in row-major
+    order, the value as a float."""
+    idx = np.nonzero(mask)
+    return list(map(list, zip(*(i.tolist() for i in idx), arr[idx].astype(float).tolist())))
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Plain-dict form of a scenario, the inverse of scenario_from_dict."""
     mission_names = [m.name for m in s.missions]
-    demand_rows = []
-    for k, m, z in np.argwhere(s.demand != 0):
-        demand_rows.append([int(k), mission_names[int(m)], int(z), float(s.demand[k, m, z])])
-    link_rows = []
-    L = s.num_locations
-    for l1 in range(L):
-        for l2 in range(l1, L):
-            if s.link_uav_mb[l1, l2] != s.link_default_uav_mb:
-                link_rows.append([l1, l2, float(s.link_uav_mb[l1, l2])])
-    sink_rows = [
-        [l, float(s.link_sink_mb[l])]
-        for l in range(L)
-        if s.link_sink_mb[l] != s.link_default_sink_mb
-    ]
+    demand_rows = _cell_rows(s.demand, s.demand != 0)
+    for row in demand_rows:
+        row[1] = mission_names[row[1]]
+    # each location pair once, l1 <= l2
+    link_rows = _cell_rows(s.link_uav_mb, np.triu(s.link_uav_mb != s.link_default_uav_mb))
+    sink_rows = _cell_rows(s.link_sink_mb, s.link_sink_mb != s.link_default_sink_mb)
     zones = []
-    for z in s.zones:
+    for zone in s.zones:
         served = []
-        for loc_id in sorted(z.served_from):
-            served.append({"location": loc_id, "quality": dict(sorted(z.served_from[loc_id].items()))})
+        for loc_id in sorted(zone.served_from):
+            served.append({"location": int(loc_id), "quality": dict(sorted(zone.served_from[loc_id].items()))})
         zones.append({"served_from": served})
     return {
         "epochs": s.epochs,
@@ -662,7 +742,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         ],
         "zones": zones,
         "uavs": {
-            "count": s.uav.count,
+            "count": int(s.uav.count),
             "empty_weight_kg": s.uav.empty_weight_kg,
             "payload_capacity_kg": s.uav.payload_capacity_kg,
             "battery_capacity_wh": s.uav.battery_capacity_wh,
@@ -831,4 +911,4 @@ def load_scenario(text: str) -> Scenario:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical JSON text; load_scenario(serialize_scenario(s)) reproduces s exactly."""
-    return json.dumps(scenario_to_dict(s), indent=2) + "\n"
+    return json_text(scenario_to_dict(s))

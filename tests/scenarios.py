@@ -29,11 +29,12 @@ def tiny_delivery() -> Scenario:
     )
 
 
-def tiny_mixed(**links) -> Scenario:
+def tiny_mixed(**changes) -> Scenario:
     """Two UAVs, three locations, four epochs, one delivery plus a coverage
-    zone; small enough for every engine.  ``links`` passes link-capacity
-    overrides (``link_uav_entries``, ``link_sink_entries``) to make_scenario."""
-    return make_scenario(
+    zone; small enough for every engine.  ``changes`` replaces make_scenario
+    arguments: link-capacity overrides (``link_uav_entries``,
+    ``link_sink_entries``) or any part of the instance."""
+    parts = dict(
         locations=[
             Location(0, 0.0, 0.0, True),
             Location(1, 1.0, 0.0, False),
@@ -52,8 +53,8 @@ def tiny_mixed(**links) -> Scenario:
         epochs=4,
         horizon=2,
         demand_entries=[(1, "coverage", 0, 1.5), (2, "coverage", 0, 1.5)],
-        **links,
     )
+    return make_scenario(**{**parts, **changes})
 
 
 def mutation_scenario() -> Scenario:

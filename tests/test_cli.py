@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import pathlib
 import resource
@@ -534,6 +535,27 @@ class TestEvaluate:
         plan_file.write_text(json.dumps(doc))
         assert run("evaluate", "--scenario", scen, "--plan", plan_file) == 2
         assert capsys.readouterr().err == "error: plan: missing required field 'locations'\n"
+
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_satisfaction_file_matches_pinned_digest(self, tmp_path, capsys, fmt):
+        """generate, solve and evaluate --out on sf-large seed 1 with the
+        save-time heuristic plan."""
+        scen, plan_file = tmp_path / "s.scenario", tmp_path / "p.json"
+        assert run("generate", "--preset", "sf-large", "--seed", 1, "--out", scen) == 0
+        assert run("solve", "--scenario", scen, "--preset", "save-time", "--out", plan_file) == 0
+        assert run("evaluate", "--scenario", scen, "--plan", plan_file, "--out", tmp_path / "r", "--format", fmt) == 0
+        text = (tmp_path / f"r.satisfaction.{fmt}").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == SATISFACTION_DIGESTS[fmt]
+
+
+# sha256 of the .satisfaction.json and .satisfaction.csv files above,
+# computed before both were built from sigma.tolist() and the JSON written
+# by json_text
+SATISFACTION_DIGESTS = {
+    "json": "4fadbc83f38c333b4216c5cfc8419ff50b510aec4c5fca6ff8782418ea82ebea",
+    "csv": "6bdae03814f0be0993aa71cd10775b50795fc717653a8170fd8e1362a7f8b5b1",
+}
 
 
 class TestCompare:

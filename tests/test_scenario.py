@@ -1,16 +1,22 @@
+import collections
 import dataclasses
 import hashlib
 import json
+import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
 
 from uavplan.scenario import (
+    PayloadItem,
     ScenarioError,
     UavSpec,
     ValidationIssue,
+    Zone,
     fixed_equipment,
+    json_text,
     load_scenario,
     max_range,
     require_valid,
@@ -291,6 +297,124 @@ class TestRoundTrip:
         s = generate_synthetic(seed, Dims(5, 3, 2, 2, 8))
         text = serialize_scenario(s)
         assert serialize_scenario(load_scenario(text)) == text
+
+
+# a numpy integer in each integer field that make_scenario and validate accept
+NUMPY_INT_FIELDS = {
+    "served-from-location": lambda i: dict(zones=[Zone(0, {i(1): {"coverage": 1.0}, i(2): {"coverage": 2.0}})]),
+    "uav-count": lambda i: dict(uav=UavSpec(4.0, 2.5, 200.0, 2.0, i(2))),
+    "delivery-target": lambda i: dict(
+        payloads=[PayloadItem(0, 1.0, "radio"), PayloadItem(1, 0.5, "pack", True, i(1), (1, 2))]
+    ),
+    "delivery-window": lambda i: dict(
+        payloads=[PayloadItem(0, 1.0, "radio"), PayloadItem(1, 0.5, "pack", True, 1, (i(1), i(2)))]
+    ),
+}
+
+# sha256 of serialize_scenario(...), computed before the writer moved onto
+# json_text: link overrides off and on the diagonal, sink overrides, and a
+# non-default UAV link capacity
+LINK_DIGESTS = {
+    "binding-links": (
+        dict(link_uav_entries=[(0, 2, 2.0), (1, 1, 9e4)], link_sink_entries=[(2, 6e4)]),
+        "672d90e8cf3cba1bca5a3efc8e087163fb649e28fc06424f3a94a67ac930b842",
+    ),
+    "diagonal-and-sink": (
+        dict(
+            link_uav_entries=[(2, 2, 7.5), (1, 0, 0.0)],
+            link_sink_entries=[(0, 12.5), (1, -0.0)],
+            link_default_uav_mb=40.0,
+        ),
+        "809ccf90890d632953af7d4e9375bdab83926f1602e329bf527e01fa64cc4ad2",
+    ),
+}
+
+
+class TestWriter:
+    @pytest.mark.parametrize("field", sorted(NUMPY_INT_FIELDS))
+    def test_numpy_integers_written_as_plain_ones(self, field):
+        s = tiny_mixed(**NUMPY_INT_FIELDS[field](np.int64))
+        assert validate(s) == []
+        text = serialize_scenario(s)
+        assert text == serialize_scenario(tiny_mixed(**NUMPY_INT_FIELDS[field](int)))
+        assert serialize_scenario(load_scenario(text)) == text
+
+    @pytest.mark.parametrize("case", sorted(LINK_DIGESTS))
+    def test_link_overrides_match_pinned_digest(self, case):
+        links, digest = LINK_DIGESTS[case]
+        assert _digest(tiny_mixed(**links)) == digest
+
+
+# -- json_text against json.dumps ------------------------------------------------
+
+_STRINGS = ["", "a", "],\n[", "},\n{", "],", "},", "\n", '"', 'say "hi"', "back\\slash", "\\n", "é", "日本", "\u2028", "\x00"]
+_NUMBERS = [0, 1, -7, 2**64 + 1, -(2**70), 0.0, -0.0, 1.5, -2.25e-300, 1e300, math.nan, math.inf, -math.inf]
+_KEYS = ["a", "b", "x y", "],\n[", "},\n{", '"', "é", 1, -2**65, 2.5, -0.0, math.nan, True, False, None]
+
+
+class _Items(list):
+    """A list subclass, which json.dumps writes as a list."""
+
+
+def _scalar(rng):
+    return rng.choice(_STRINGS + _NUMBERS + [True, False, None])
+
+
+def _flat(rng, kind):
+    n = rng.randrange(4)
+    if issubclass(kind, dict):
+        return kind((rng.choice(_KEYS), _scalar(rng)) for _ in range(n))
+    return kind(_scalar(rng) for _ in range(n))
+
+
+def _random_doc(rng, depth=3):
+    """A random document: nested and flat containers, empty ones, tuples
+    and subclasses of list and dict, rows of lists and rows of dicts (some
+    with an empty row), and scalars that json.dumps writes in every way it
+    can."""
+    shape = rng.randrange(9) if depth > 0 else 0
+    if shape == 0:
+        return _scalar(rng)
+    if shape == 1:
+        return _flat(rng, rng.choice([list, tuple, _Items, dict, collections.OrderedDict]))
+    if shape in (2, 3):
+        kinds = [list, tuple, _Items] if shape == 2 else [dict, collections.OrderedDict]
+        rows = [_flat(rng, rng.choice(kinds)) for _ in range(rng.randrange(1, 6))]
+        return [r for r in rows if r or rng.random() < 0.2]
+    n = rng.randrange(5)
+    if shape in (4, 5):
+        return {rng.choice(_KEYS): _random_doc(rng, depth - 1) for _ in range(n)}
+    items = [_random_doc(rng, depth - 1) for _ in range(n)]
+    return tuple(items) if shape == 6 else items
+
+
+class TestJsonText:
+    def test_matches_json_dumps_on_random_documents(self):
+        rng = random.Random(24)
+        for _ in range(3000):
+            doc = _random_doc(rng)
+            assert json_text(doc) == json.dumps(doc, indent=2) + "\n", doc
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[1, 2], [3, 4], [5, np.int64(6)]],
+            [{"a": 1}, {"b": np.int64(2)}],
+            {"a": [1, np.int64(2)]},
+            {"a": {"b": [{"c": np.int64(1)}]}, "d": [[]]},
+            [np.int64(1)],
+            np.int64(1),
+            {"a": {1, 2}},
+            {(1, 2): 3},
+            {"a": {(1, 2): [1]}},
+            [{"a": 1}, {(1, 2): 3}],
+        ],
+    )
+    def test_refuses_what_json_dumps_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            json_text(doc)
 
 
 class TestGenerator:
