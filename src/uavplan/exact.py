@@ -5,10 +5,13 @@ UAV with battery pruning, then searches the assignments of configs to UAVs
 depth-first with delivery-cover and objective-bound pruning (of whole
 subtrees, by the most any later pick can add), and for each remaining
 complete assignment solves the remaining continuous problem with the bundled
-simplex: an LP over allocations, relay effort and transfers (mu, rho, tau,
-tausink) and Gamma, bounded by the exported MILP's rows: one per needed
+simplex: an LP over allocations, relay effort and UAV-to-UAV transfers (mu,
+rho, tau) and Gamma, bounded by the exported MILP's rows: one per needed
 (epoch, service mission, zone) cell, N * Gamma at most the work served in
-the window, N being the window's demand.  UAVs within an equipment group are
+the window, N being the window's demand.  Each sink transfer is derived from
+its UAV-epoch's flow balance rather than kept as a column, so the LP has
+equality rows (and the simplex a phase 1) only at relay UAV-epochs whose
+location has no sink link.  UAVs within an equipment group are
 interchangeable, so config indices never decrease within a group: the search
 visits each multiset once, in lexicographic order.
 """
@@ -59,26 +62,25 @@ class ExactResult:
 class _Config:
     """One UAV's complete binary decisions: location and payload per epoch.
 
-    quality and relay record what it can serve: quality is (K, M, Z), the
-    quality at its location for every service mission its aboard set equips,
-    zero elsewhere; relay is (K,), the epochs that carry the relay equipment.
-    bound is what it offers the objective bound, from its usable quality:
-    quality less, when the scenario has a relay mission, every mission that
-    generates data at epochs without the relay equipment (the inner LP's flow
-    rows hold that work at zero).  Over the needed cells, the (epoch, zone)
-    pairs with window need on some service mission, in row-major order, its
-    servers count the epochs in the window ending at that epoch that can use
-    the zone, and its time_need (cells, M) is each mission's window need over
-    the best usable quality in that window: inf where there is none, zero
-    where nothing is needed.  All arrays are read-only and take no part in
-    equality or hashing."""
+    relay is (K,), the epochs that carry the relay equipment.  bound is what
+    the config offers: its usable quality (K, M, Z) is the quality at its
+    location for every service mission its aboard set equips, zero elsewhere
+    and, when the scenario has a relay mission, zero for every mission that
+    generates data at epochs without the relay equipment (that data could
+    not leave the UAV).  The inner LP has a mu column exactly where it is
+    nonzero and the zone has demand.  Over the needed cells, the (epoch,
+    zone) pairs with window need on some service mission, in row-major
+    order, its servers count the epochs in the window ending at that epoch
+    that can use the zone, and its time_need (cells, M) is each mission's
+    window need over the best usable quality in that window: inf where there
+    is none, zero where nothing is needed.  All arrays are read-only and take
+    no part in equality or hashing."""
 
     locs: tuple[int, ...]
     aboard: tuple[frozenset, ...]
     delivered: frozenset  # deliverable payload ids this config drops in-window
     epochs_away: int
     min_battery: float
-    quality: np.ndarray = field(compare=False, repr=False)
     relay: np.ndarray = field(compare=False, repr=False)
     bound: _Capability = field(compare=False, repr=False)
 
@@ -197,12 +199,10 @@ def enumerate_configs(
         with np.errstate(divide="ignore", invalid="ignore"):
             time_need = np.where(s.needed_ratios, s.window_need / best, 0.0).transpose(0, 2, 1)[cells]
         servers = windowed_sum((offered > 0).any(axis=1).astype(float), s.horizon)[cells]
-        arrays = (quality, relay_at, usable, servers, time_need)
-        for arr in arrays:
+        for arr in (relay_at, usable, servers, time_need):
             arr.setflags(write=False)
         bound = _Capability(usable, servers, time_need)
-        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, quality, relay_at,
-                           bound))
+        out.append(_Config(tuple(locs), tuple(aboard), frozenset(delivered), away, min_batt, relay_at, bound))
 
     def rec(k: int, battery: float, active: frozenset | None, min_batt: float):
         if k == K - 1:
@@ -357,14 +357,20 @@ def _stack_rows(families, ncols):
 
 
 def _inner_lp(s: Scenario, assignment):
-    """LP over (mu, rho, tau, tausink, Gamma) for fixed trajectories.
+    """LP over (mu, rho, tau, Gamma) for fixed trajectories.
 
     Each column family is a mask, numbered in row-major order: mu (D, K, M, Z)
-    where the config offers quality and the zone has demand, rho (D, K) where
-    it carries the relay equipment, tau (D, D, K) and tausink (D, K) where
-    that relay has a link; Gamma is last.  Gamma is bounded as in the MILP:
-    one row per needed cell, N * Gamma at most the windowed served work, and
-    Gamma <= 1.  Returns (gamma, flows, simplex iterations), flows being the
+    where the config's usable quality (_Config.bound) is nonzero and the zone
+    has demand, rho (D, K) where it carries the relay equipment, tau (D, D, K)
+    where sender and receiver both carry it and have a link; Gamma is last.
+    Gamma is bounded as in the MILP: one row per needed cell, N * Gamma at
+    most the windowed served work, and Gamma <= 1.  The sink transfer is no
+    column: a relay UAV-epoch's balance, data made plus data received less
+    data sent, is what it hands the sink, so where it has a sink link one row
+    keeps the balance nonnegative and another within cap * rho.  Only relay
+    UAV-epochs at a location without a sink link hold their balance at zero
+    in an equality row, so without them the simplex starts from the slack
+    basis.  Returns (gamma, flows, simplex iterations), flows being the
     optimum's mission_alloc, relay_frac, transfers and sink_transfers plan
     arrays."""
     D, K, M, Z = len(assignment), s.epochs, s.num_missions, s.num_zones
@@ -372,24 +378,19 @@ def _inner_lp(s: Scenario, assignment):
     if not s.service_mission_ids:
         return 1.0, flows, 0
     locs = np.array([cfg.locs for cfg in assignment])
-    quality = np.stack([cfg.quality for cfg in assignment])
+    quality = np.stack([cfg.bound.quality for cfg in assignment])
     mu = (quality > 0) & (s.demand > 0)
     rho = np.stack([cfg.relay for cfg in assignment])
     link, sink_link = s.link_uav_mb[locs[:, None], locs[None]], s.link_sink_mb[locs]  # (D, D, K), (D, K)
-    tau = rho[:, None] & (link > 0) & ~np.eye(D, dtype=bool)[:, :, None]
-    sink = rho & (sink_link > 0)
-    masks = (mu, rho, tau, sink)
+    tau = rho[:, None] & rho[None] & (link > 0) & ~np.eye(D, dtype=bool)[:, :, None]
+    masks = (mu, rho, tau)
     at = np.cumsum([0] + [np.count_nonzero(mask) for mask in masks])
-    mu_col, rho_col, tau_col, sink_col = map(_number, masks, at)
+    mu_col, rho_col, tau_col = map(_number, masks, at)
     gamma = at[-1]
     d, k, m, z = np.nonzero(mu)
     mu_cols, mu_q = mu_col[mu], quality[mu]
     d1, d2, k_tau = np.nonzero(tau)
-    tau_cols, sink_cols = tau_col[tau], sink_col[sink]
-    # one capacity row per tau, then per tausink, against the sender's rho
-    caps = np.concatenate([tau_cols, sink_cols])
-    senders = np.concatenate([rho_col[d1, k_tau], rho_col[sink]])
-    cap_mb = np.concatenate([link[tau], sink_link[sink]])
+    tau_cols = tau_col[tau]
     k_cell, m_cell, z_cell = np.nonzero(s.needed_ratios)
     cell = np.arange(len(k_cell))
     # per needed cell: N * Gamma less the work served in its window, one lag at a time
@@ -401,33 +402,52 @@ def _inner_lp(s: Scenario, assignment):
         has = lagged >= 0
         served.append((np.broadcast_to(cells, lagged.shape)[has], lagged[has], -quality[:, h, mc, zc][has]))
 
-    budget, need, lines = _number(mu.any(axis=(2, 3)) | rho), _number(mu.any(axis=0)), np.arange(len(caps))
+    # per relay UAV-epoch that moves data: its balance, data + in - out, as
+    # (UAV, epoch, column, coefficient) terms
+    rate = s.mb_per_work[:, None]  # (M, 1)
+    sending = mu & (rate != 0)
+    moves = sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1)
+    drains = moves & (sink_link > 0)
+    drain_row, hold_row = _number(drains), _number(moves & (sink_link == 0))
+    d_data, k_data = np.nonzero(sending)[:2]
+    ones = np.ones(len(tau_cols))
+    term_d, term_k = np.concatenate([d_data, d2, d1]), np.concatenate([k_data, k_tau, k_tau])
+    term_col = np.concatenate([mu_col[sending], tau_cols, tau_cols])
+    term_value = np.concatenate([(rate * quality)[sending], ones, -ones])
+
+    def balance(row, sign=1.0):
+        """The row family of sign * balance over the UAV-epochs row numbers."""
+        rows = row[term_d, term_k]
+        on = rows >= 0
+        return np.zeros(row.max() + 1), (rows[on], term_col[on], sign * term_value[on])
+
+    budget, need, lines = _number(mu.any(axis=(2, 3)) | rho), _number(mu.any(axis=0)), np.arange(len(tau_cols))
     ub = [
         # time budget per UAV-epoch
         (np.ones(budget.max() + 1), (budget[d, k], mu_cols, 1.0), (budget[rho], rho_col[rho], 1.0)),
         # zone needs per epoch
         (s.demand[need >= 0], (need[k, m, z], mu_cols, mu_q)),
-        # relay link capacities
-        (np.zeros(len(caps)), (lines, caps, 1.0), (lines, senders, -cap_mb)),
+        # relay link capacities, tau and then the sink transfer, against the sender's rho
+        (np.zeros(len(lines)), (lines, tau_cols, 1.0), (lines, rho_col[d1, k_tau], -link[tau])),
+        (*balance(drain_row), (drain_row[drains], rho_col[drains], -sink_link[drains])),
         # max-min objective: N * Gamma at most each needed cell's windowed served work, and Gamma <= 1
         (np.zeros(len(cell)), *served),
         (np.ones(1), (0, gamma, 1.0)),
+        # a nonnegative sink transfer
+        balance(drain_row, -1.0),
     ]
-    # flow conservation per UAV-epoch
-    rate = s.mb_per_work[:, None]  # (M, 1)
-    sending = mu & (rate != 0)
-    flow = _number(sending.any(axis=(2, 3)) | tau.any(axis=0) | tau.any(axis=1) | sink)
-    data = (flow[np.nonzero(sending)[:2]], mu_col[sending], (rate * quality)[sending])
-    relayed = (flow[d2, k_tau], tau_cols, 1.0), (flow[d1, k_tau], tau_cols, -1.0)
-    eq = [(np.zeros(flow.max() + 1), data, *relayed, (flow[sink], sink_cols, -1.0))]
+    eq = [balance(hold_row)]  # flow conservation without a sink link
 
     c = np.zeros(gamma + 1)
     c[gamma] = 1.0
     res = simplex_solve(c, *_stack_rows(ub, gamma + 1), *_stack_rows(eq, gamma + 1))
     if res.status != "optimal":  # all-zero service is always feasible
         raise RuntimeError(f"inner LP came back {res.status}")
-    for plan_array, mask, col in zip(flows, masks, (mu_col, rho_col, tau_col, sink_col)):
+    for plan_array, mask, col in zip(flows, masks, (mu_col, rho_col, tau_col)):
         plan_array[mask] = res.x[col[mask]]
+    # each sink transfer is its UAV-epoch's balance at the optimum
+    at_optimum = np.bincount(term_d * K + term_k, term_value * res.x[term_col], D * K).reshape(D, K)
+    flows[3][drains] = at_optimum[drains]
     return float(res.value), flows, res.iterations
 
 

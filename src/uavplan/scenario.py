@@ -446,8 +446,15 @@ def make_scenario(
     )
 
 
+def _json_number(value) -> bool:
+    """Whether json writes value as a number: a Python int or float (or a
+    subclass, such as numpy's float64), but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate(s: Scenario) -> list[ValidationIssue]:
-    """Check every structural invariant; an empty list means the instance is sound."""
+    """Check every structural invariant; an empty list means the instance is
+    sound, and serialize_scenario can write it."""
     issues: list[ValidationIssue] = []
     add = lambda f, idx, rule: issues.append(ValidationIssue(f, tuple(idx), rule))
 
@@ -466,17 +473,23 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     for i, loc in enumerate(s.locations):
         if loc.id != i:
             add("locations", (i,), f"ids must be dense 0..{L - 1}, found {loc.id}")
-        if not (math.isfinite(loc.x) and math.isfinite(loc.y)):
+        if not (_json_number(loc.x) and _json_number(loc.y)):
+            add("locations", (i,), "coordinates must be Python numbers")
+        elif not (math.isfinite(loc.x) and math.isfinite(loc.y)):
             add("locations", (i,), "coordinates must be finite")
+        if not isinstance(loc.is_depot, bool):
+            add("locations", (i,), "depot flag must be a Python bool")
     if not any(l.is_depot for l in s.locations):
         add("locations", (), "at least one depot required")
 
     for z_i, z in enumerate(s.zones):
         if z.id != z_i:
             add("zones", (z_i,), f"ids must be dense 0..{Z - 1}, found {z.id}")
-        for loc_id in z.served_from:
+        for loc_id, qmap in z.served_from.items():
             if not 0 <= loc_id < L:
                 add("zones", (z.id, loc_id), "served_from references unknown location")
+            if not all(map(_json_number, qmap.values())):
+                add("zones", (z.id, loc_id), "quality must be a Python number")
     finite("quality", s.quality)
     if np.any(s.quality < 0):
         bad = np.argwhere(s.quality < 0)[0]
@@ -490,7 +503,9 @@ def validate(s: Scenario) -> list[ValidationIssue]:
         ("max_step_km", u.max_step_km),
         ("count", u.count),
     ):
-        if not math.isfinite(val):
+        if fname != "count" and not _json_number(val):  # the writer turns count into an int
+            add("uavs", (fname,), "must be a Python number")
+        elif not math.isfinite(val):
             add("uavs", (fname,), "must be finite")
         elif val <= 0:
             add("uavs", (fname,), "must be strictly positive")
@@ -498,7 +513,9 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     for i, p in enumerate(s.payloads):
         if p.id != i:
             add("payloads", (i,), "ids must be dense in list order")
-        if not math.isfinite(p.weight_kg):
+        if not _json_number(p.weight_kg):
+            add("payloads", (p.id,), "weight must be a Python number")
+        elif not math.isfinite(p.weight_kg):
             add("payloads", (p.id,), "weight must be finite")
         elif p.weight_kg < 0:
             add("payloads", (p.id,), "weight must be nonnegative")
@@ -527,7 +544,9 @@ def validate(s: Scenario) -> list[ValidationIssue]:
     for i, m in enumerate(s.missions):
         if m.id != i:
             add("missions", (i,), "ids must be dense in list order")
-        if not math.isfinite(m.mb_per_work):
+        if not _json_number(m.mb_per_work):
+            add("missions", (m.id,), "data per work unit must be a Python number")
+        elif not math.isfinite(m.mb_per_work):
             add("missions", (m.id,), "data per work unit must be finite")
         elif m.mb_per_work < 0:
             add("missions", (m.id,), "data per work unit must be nonnegative")
@@ -569,6 +588,18 @@ def validate(s: Scenario) -> list[ValidationIssue]:
         add("links", (), "UAV-to-UAV capacity must be symmetric")
 
     finite("epoch_minutes", s.epoch_minutes)
+    # make_scenario stores these as Python numbers; a replaced field may not be one
+    for f, idx, val in (
+        ("epochs", (), s.epochs),
+        ("horizon", (), s.horizon),
+        ("epoch_minutes", (), s.epoch_minutes),
+        ("energy", ("per_km_kg",), s.e_per_km_kg),
+        ("energy", ("hover_km_equiv",), s.hover_km_equiv),
+        ("links", ("default_uav_mb",), s.link_default_uav_mb),
+        ("links", ("default_sink_mb",), s.link_default_sink_mb),
+    ):
+        if not _json_number(val):
+            add(f, idx, "must be a Python number")
     if s.horizon < 0 or s.horizon > K:
         add("horizon", (), "horizon must lie in [0, epochs]")
     if K < 1:

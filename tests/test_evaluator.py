@@ -319,7 +319,10 @@ HEURISTIC_PLAN_DIGESTS = {
     (3, "coverage"): "35103e67071513992cebe05b21b1b619c4619f57f92335d2af19142b23ab173d",
     (3, "monitoring"): "9ee05341be85e1be5734ca54fda381ac02f1623d1aec705211cc2012d04cda24",
 }
-EXACT_PLAN_DIGEST = "3a061721d7d2459281120ee4539ebe2601c1c9c36c5ccb3296845f370180f331"  # flex-fixed seed 1, 4 UAVs
+# flex-fixed seed 1, 4 UAVs; re-pinned when the exact engine's inner LP
+# derived sink transfers from the flow balance (same locations and payloads,
+# the flows at another optimal vertex)
+EXACT_PLAN_DIGEST = "974fd6aee8218c46e2fb8550b4519de15766a92d684d0087592fb1ff06a67c12"
 EDGE_PLAN_DIGEST = "e9c03e63548aff110e02b41694601108d53451f71cd32230a66e52a6c2ba5e06"
 
 

@@ -179,9 +179,8 @@ def _loop_bound(s, assignment, win_need):
         return all(p in cfg.aboard[k] for p in s.missions[m].requires)
 
     def usable(cfg, k, m):
-        """Equipped, and the data its work makes can leave the UAV: the
-        inner LP's flow rows hold such work at zero without the relay
-        equipment aboard."""
+        """Equipped, and the data its work makes can leave the UAV: without
+        the relay equipment aboard the inner LP has no column for such work."""
         if not equipped(cfg, k, m):
             return False
         return s.relay_index is None or s.missions[m].mb_per_work <= 0 or equipped(cfg, k, s.relay_index)
@@ -556,52 +555,52 @@ PINNED_CASES = {
 
 # sha256 of the objective and plan arrays, then of every (c, a_ub, b_ub, a_eq,
 # b_eq) solve_exact hands the simplex, then of the ExactResult fields and plan
-# arrays.  Re-pinned when the inner LP dropped its sigma and sigma_bar columns
-# for one Gamma row per needed cell: the LP bytes change, simplex_iterations
-# drops, and the flows move to within 1e-13 of the old ones or, on
-# flex-fixed-1-fixed and tiny-mixed-uniform-links, to another optimal vertex
-# of the same value.  Objectives agree within 4e-16; lp_solves, bound_prunes,
-# locations and payloads are unchanged
+# arrays.  Re-pinned when the inner LP derived each sink transfer from its flow
+# balance instead of keeping a tausink column: the LP bytes change, its
+# equality rows are gone, simplex_iterations roughly halves, and the flows move
+# to another optimal vertex.  OUTCOME_DIGESTS below, pinned before that change,
+# holds the objective to 12 digits, lp_solves, bound_prunes,
+# assignments_visited, locations and payloads
 PINNED_DIGESTS = {
     "flex-fixed-1-flexible": (
-        "32dd6e4ac95a492ae6a4d281d264984ca6420da35bf2c78dfb49bef23b0570c7",
-        "aa087ba1f7a32e3faaa15a3d2d4d5447252dc49522c368b2ebb37387e326e132",
-        "755f4a479777bfe959877324510b8a2fe78c3c6e70f2a61dff7dbda5154f707c",
+        "4b64fbddb3b2ec48b58a4643d96d3b0370d5388ae20781d8e521cb692eba5442",
+        "ea1e3fa65be238e27145df577888ba1a27565190c87f73f1a85d838fba8495ca",
+        "5f58fccf8b7f3addba609ba66c3a362f238a68bcb5736d8b30bcdd350b0eff68",
     ),
     "flex-fixed-1-fixed": (
-        "d8b3dc13810263b4893d68fa50bb9003d6353d2d808443b48a527743d7fdab26",
-        "18c53eb87df961ea9c56b73e02a3a1bb19b5cd812eb74fa4b1ee33a44dc32878",
-        "1d69abd2a2940499bf45033bc30e3f262f1f8137f3129ffa2f7b7531829927c4",
+        "1cc028d17e455cc8b7fd8d9a6161d273f2300941340cb7e84504c8de92d73470",
+        "58b042a2cebaad3b110b34579539cdc370e2d9027a56649aa21fcef758eb25b8",
+        "2fc38ce9117d38e073619f9af6dde8a0d32d53f08ae2bb804252876c8268d63f",
     ),
     "flex-fixed-2-flexible": (
-        "62fc093203fd666085533390ebb5463448a6f7e176f72b64d05c965ab37f930d",
-        "4664644f691aa4c4da59d2d85b1a9b9ff071b57b5f320a525fa1aac847d49e31",
-        "df23c3172504ed780b56e351a99b375af1107a84893f1e98356fd0f4e4eecdd3",
+        "82c1d5e41a6f1053e857546e1ea3abbfdef0f633a177733b9b32fef01c8b1f85",
+        "bc9c28d3770cccf509c4ee00309f237a6b15e60250ea8ca28df1df44e1a53f85",
+        "6eede5fca5c68cb67c9e65ef3528ebe0359a4bc231cd42d6504651f3a90eaa2e",
     ),
     "flex-fixed-2-fixed": (
-        "07ccd42bba46bef0fa90b916b30c4137a8e613fe2f4b41b191f359e2cd3cb772",
-        "3cb5fe43b7e9d2504471fdb521745148b21ff55122618addd124b2b295b64db5",
-        "5918050208c09c08193e58fc202972a552485405f001971d5455cbd21b1d6da5",
+        "f22040d6e0bb4361c4817f5583d184cca6f3f5522f0aedb22866fe0eee751cdb",
+        "3279c6e31fc9370b010ed1cf39bf6e3c3660c8f5c092bfc87f1a69755a854a79",
+        "c054f76d1162123a7621f62ba1ae0bfbc9dda78d6369db28b8a6bdc76787dc8f",
     ),
     "flex-fixed-3-flexible": (
-        "bdd485f31bee4b12ac5bed95959affcdc8d0e4388b829f94acde4ec6334af079",
-        "839ba78ff68b367135834a1380c662bc4cbd01436b6abf8a97227bab9e6d53dd",
-        "7e4a5a063b652a86f9e75c4f4f637e8114c45dee92145151981bb95ab36e536f",
+        "aa7faa14af20d790bef3341c100fae16b191d1ad93940e725994db4ad1fb362a",
+        "64e4bf0801e22dad6432aa3988914475f0485e7e38f6cfc92159a8268f0b3383",
+        "1668782bb1258d4d9cdcaeb82527d3f4553fb39f927db165fb29f682c9d56db0",
     ),
     "flex-fixed-3-fixed": (
-        "36b770b68735a08f099a38e6cfe46e9b4abb787e9c7c7877ed4972ff1cb98356",
-        "78a798857eae71a9208c9f8e38545dc8852b9d47cf5453bf11c6e637dc16a6f8",
-        "4fb90789ca673ffc203553e43750159ffd935cb31226bc53cac4075fb0d81795",
+        "81e1069e3176776ecf2a408e85e6d8b6ab0553a159cca5e6c4b763ff45296ee6",
+        "d03ebb2655b0b5294e83bd1f213f08ebfe4bb6d863a355d395d744ba4daeb6c2",
+        "ce5017e6e4a2e7d97e777f6c7d72278ffa9243f3249fb1be1e300da18a6d56ec",
     ),
     "tiny-mixed-uniform-links": (
-        "10f30611b1066aa7fad1ac73a51506d49a003171518873c757b23e91a978c0d5",
-        "a7d7426f7f38fbc777428f8a736a92496108c5dcc28791c392b2aecbaf61abb9",
-        "2e986ee50a7ac19e1ec02146a4329b6d199cc0e42c6cd3147dc923fa857a39b0",
+        "16783cd2e6815e2fd9d173ba41c66c1d5728ff6d92818a0b385e4dde37d99f8d",
+        "2a2efb8f5d2c01adf61fdba67906db75464c51db1bb675dde38ab5741bc2759d",
+        "30db99eb34c3fce60dfa8d63aee4ea17fef306c2bb68a2bb52da6e0e659c6b10",
     ),
     "tiny-mixed-binding-links": (
-        "d31b34838482598781e87c959385c63049e8ba845f84dcf365556e1b7e5e0c37",
-        "0486c7fa7699e8121234f540290d4a2785a12bf153b8d8fee6c2b378ba9bed5a",
-        "d574713ad8d4c0af97e97c98bb7204d12f53abf8a8bed77ea6ea27337dc2f13c",
+        "8169829b377579edc930fe54321cbc4be56e3cb9d47b44670c78ab470384703f",
+        "e5385b9699c55d37f104482d47a45d33a9934431179a916b05f38bc9aff58829",
+        "dbf5b6b45b60db4b13d0867788011d0865aa407878e48ce573b943a8131a06bc",
     ),
 }
 
@@ -653,6 +652,36 @@ def test_exact_engine_bytes_pinned(case):
     assert _exact_digests(build(), mode) == PINNED_DIGESTS[case]
 
 
+# sha256 of what an inner-LP reformulation must not move: the objective to 12
+# digits, the plan's locations and payloads, lp_solves, bound_prunes and
+# assignments_visited.  Unlike PINNED_DIGESTS, flows, LP bytes and
+# simplex_iterations are left out, so this table survives a change of LP form
+OUTCOME_DIGESTS = {
+    "flex-fixed-1-flexible": "40744e0190eb7fea6d7bd18a213d37fd655fb5b6948e886d4ed163d251a748f8",
+    "flex-fixed-1-fixed": "37d37fa7d448255898c3b81f42e1f868efd10187eed02cccc6bcbe8cd1e40e67",
+    "flex-fixed-2-flexible": "58b8b18d99a4b28e568ca07f4caf44cb7139a1379b30b04a5ae53c9e34ef03dc",
+    "flex-fixed-2-fixed": "96a222705e6633d65fd93f2a601f2b9ba8336237b80734e82bda2ba25e5f389a",
+    "flex-fixed-3-flexible": "fa04616a2e4a11f0f3e5fbb9445d0ac29891beee111579e54bd767dfb8b9b26d",
+    "flex-fixed-3-fixed": "5f3eac245b0583a83a32ff455d9372d485f99af9346cb529fa12af7612af5577",
+    "tiny-mixed-uniform-links": "00e5ba19e37fa0569f62e455a8bdfbb4d0d94d713dd5b9eb093a30cfb40623dd",
+    "tiny-mixed-binding-links": "00e5ba19e37fa0569f62e455a8bdfbb4d0d94d713dd5b9eb093a30cfb40623dd",
+}
+
+
+def _outcome_digest(res) -> str:
+    out = hashlib.sha256(repr(round(res.objective, 12)).encode())
+    out.update(_array_bytes(res.plan.locations) + _array_bytes(res.plan.payloads))
+    out.update(repr((res.lp_solves, res.bound_prunes, res.assignments_visited)).encode())
+    return out.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(PINNED_CASES))
+def test_exact_engine_outcome_pinned(case):
+    build, mode = PINNED_CASES[case]
+    s = build()
+    assert _outcome_digest(solve_exact(s, equipment_groups=_groups(s, mode))) == OUTCOME_DIGESTS[case]
+
+
 TRUNCATED_CASES = {
     "tiny-mixed": (tiny_mixed, "flexible"),
     "flex-fixed-1-3-flexible": (lambda: flex_fixed_scenario(1, 3), "flexible"),
@@ -663,21 +692,21 @@ TRUNCATED_CASES = {
 # one by one: tiny-mixed, truncated at every cut, and flex-fixed-1-3,
 # truncated at 7 and 10 (fixed) and 40 (flexible, after pruned subtrees) and
 # complete at 30 and 100 (fixed) and 100 (flexible).  All but the cut at 1,
-# which solves no LP, were re-pinned when the inner LP dropped its sigma and
-# sigma_bar columns: simplex_iterations drops and the flows move, while the
-# objective, lp_solves, bound_prunes, assignments_visited, proven_optimal,
-# locations and payloads stay as they were
+# which solves no LP, were re-pinned when the inner LP derived each sink
+# transfer from its flow balance: simplex_iterations drops and the flows move,
+# while the objective (to 12 digits), lp_solves, bound_prunes,
+# assignments_visited, proven_optimal, locations and payloads stay as they were
 TRUNCATED_DIGESTS = {
     ("tiny-mixed", 1): "c584ea106ada93abc6feb8cfe59846ae4b4cf7b4e4af4c1e2c942a4ca42c66e2",
-    ("tiny-mixed", 5): "c776e3f74c99c867616349dce4cee49a3664ddf4a47e8ffbe731c64a6e9a0cfa",
-    ("tiny-mixed", 37): "d3f646292afe547399a4ac5e3f04d00f5a2177b09ac19f30a26fa5adfc681eba",
-    ("tiny-mixed", 200): "9b583b43e2160ea9a205cc1049cbf7330f06199a348d5df0d2997c1690b917fb",
-    ("flex-fixed-1-3-flexible", 40): "4fa14cd5905fe2c5da3aa90dcae24b89c5fa34e6d078805e8452084dd6b72cb6",
-    ("flex-fixed-1-3-flexible", 100): "eed99795c9092500b0b3a19904534ab4901cf417c88255402f6e28dd2d0693ef",
-    ("flex-fixed-1-3-fixed", 7): "f0dbeaea89970e58bdf73ac488c0c91553d6d9fd835a7ce21e42dc65b7dd7ab7",
-    ("flex-fixed-1-3-fixed", 10): "04b2b149fc9dcdc4be9cce074f98b89c98dae0889368ec71eae863bc828454ec",
-    ("flex-fixed-1-3-fixed", 30): "d43b89c6d7cca72e8bb982117692687e8a859c3788a6152bd7a086744ce19eb5",
-    ("flex-fixed-1-3-fixed", 100): "d43b89c6d7cca72e8bb982117692687e8a859c3788a6152bd7a086744ce19eb5",
+    ("tiny-mixed", 5): "5d1d3c7ce5e124fd7bf0619701b9fc5b1ee990a8bee2556992cfa31021d90591",
+    ("tiny-mixed", 37): "c9d92048a2fc2ad7f5c0041b11c9711eef4fe380e19712a052bf5b2fbd51fc77",
+    ("tiny-mixed", 200): "4f0cc930532551718a9d281669cfc1b666f7c592f9f0980e79124bdf135af8ad",
+    ("flex-fixed-1-3-flexible", 40): "9080edf970fb3c112d8a78302f98dcc64dacb22290e8fee19c421d85db034924",
+    ("flex-fixed-1-3-flexible", 100): "40287d398dec215311e3a977b03628c02b97ef76659ad841455564d6a08c2bb7",
+    ("flex-fixed-1-3-fixed", 7): "c821f8520328b1ee78c1b731fd466865224e35bb10a001ca6934f2919944ad72",
+    ("flex-fixed-1-3-fixed", 10): "17dfce641488c2297e200e7a9c51e9eea1cd0bfbb29d054bcdab17c15958dce9",
+    ("flex-fixed-1-3-fixed", 30): "88146014b74aca204e25d95091052012d61f237f2c0b72c098b38b5ae85e9902",
+    ("flex-fixed-1-3-fixed", 100): "88146014b74aca204e25d95091052012d61f237f2c0b72c098b38b5ae85e9902",
 }
 
 
@@ -691,6 +720,14 @@ def test_truncated_runs_pinned(case, cutoff):
 
 # -- every inner LP, not only the winning one ---------------------------------------
 
+# tiny_mixed without a sink link at some location, so relay UAV-epochs there
+# keep their flow equalities: at the depot, which serves no zone, and at both
+# serving locations, where every unit of data must hop to a UAV at the depot
+ZERO_SINK_CASES = {
+    "tiny-mixed-no-depot-sink": lambda: tiny_mixed(link_sink_entries=[(0, 0.0)]),
+    "tiny-mixed-relayed-sink": lambda: tiny_mixed(link_sink_entries=[(1, 0.0), (2, 0.0)]),
+}
+
 INNER_LP_CASES = [
     *(
         pytest.param(lambda seed=seed, uavs=uavs: flex_fixed_scenario(seed, uavs), mode,
@@ -700,6 +737,7 @@ INNER_LP_CASES = [
         for mode in ("flexible", "fixed")
     ),
     *(pytest.param(lambda seed=seed: tiny_instance(seed), "flexible", id=f"tiny-{seed}") for seed in range(1, 21)),
+    *(pytest.param(build, "flexible", id=name) for name, build in ZERO_SINK_CASES.items()),
 ]
 
 
@@ -751,3 +789,47 @@ def test_every_inner_lp_is_a_plan_of_its_gamma(build, mode):
         plan = exact._assignment_plan(s, assignment, flows)
         assert check_feasibility(s, plan).ok
         assert abs(satisfaction(s, plan).objective - gamma) <= 1e-9
+
+
+def _equality_rows(s, mode):
+    """The equality-row count of every LP solve_exact hands the simplex."""
+    return [0 if args[3] is None else len(args[3]) for args, _ in _recorded_calls(s, mode, "simplex_solve")]
+
+
+class TestFlowRows:
+    """Sink transfers are derived from each relay UAV-epoch's flow balance,
+    so only UAV-epochs at a location without a sink link hold an equality."""
+
+    @pytest.mark.parametrize("case", list(PINNED_CASES))
+    def test_no_equality_rows_where_every_location_has_a_sink_link(self, case):
+        build, mode = PINNED_CASES[case]
+        rows = _equality_rows(build(), mode)
+        assert rows and not any(rows)
+
+    @pytest.mark.parametrize("case", list(ZERO_SINK_CASES))
+    def test_equality_rows_kept_without_a_sink_link(self, case):
+        assert any(_equality_rows(ZERO_SINK_CASES[case](), "flexible"))
+
+    @pytest.mark.parametrize("case", list(ZERO_SINK_CASES))
+    def test_every_plan_closes_flow_and_sink(self, case):
+        s = ZERO_SINK_CASES[case]()
+        for (_, assignment), (_, flows, _) in _recorded_calls(s, "flexible", "_inner_lp"):
+            plan = exact._assignment_plan(s, assignment, flows)
+            assert check_feasibility(s, plan, tol=1e-9).ok
+            assert not plan.sink_transfers[s.link_sink_mb[plan.locations] == 0].any()
+
+    @pytest.mark.parametrize("case", list(ZERO_SINK_CASES))
+    def test_highs_agrees_on_the_exported_model(self, case):
+        """Skipped without scipy."""
+        pytest.importorskip("scipy")
+        from milp_highs import solve_highs
+        from uavplan.milp import build_milp, export_lp, import_solution, parse_lp
+
+        s = ZERO_SINK_CASES[case]()
+        res = solve_exact(s)
+        built = build_milp(s)
+        status, val, sol = solve_highs(parse_lp(export_lp(built)))
+        assert status == "optimal"
+        assert val == pytest.approx(res.objective, abs=1e-6)
+        assert check_feasibility(s, import_solution(built, sol), tol=1e-4).ok
+        assert check_feasibility(s, res.plan, tol=1e-9).ok

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from uavplan.scenario import (
+    Location,
+    Mission,
     PayloadItem,
     ScenarioError,
     UavSpec,
@@ -330,7 +332,72 @@ LINK_DIGESTS = {
 }
 
 
+_PLACES = [Location(0, 0.0, 0.0, True), Location(1, 1.0, 0.0, False), Location(2, 1.5, 1.0, False)]
+_PACK = PayloadItem(1, 0.5, "pack", True, 1, (1, 2))
+
+# a numpy scalar json cannot write, in each field serialize_scenario writes as
+# it is: the scenario, and the issue validate reports for it
+NUMPY_SCALAR_FIELDS = {
+    "location-x": (
+        lambda: tiny_mixed(locations=[_PLACES[0], Location(1, np.float32(1.0), 0.0, False), _PLACES[2]]),
+        ValidationIssue("locations", (1,), "coordinates must be Python numbers"),
+    ),
+    "location-depot": (
+        lambda: tiny_mixed(locations=[Location(0, 0.0, 0.0, np.bool_(True)), *_PLACES[1:]]),
+        ValidationIssue("locations", (0,), "depot flag must be a Python bool"),
+    ),
+    "zone-quality": (
+        lambda: tiny_mixed(zones=[Zone(0, {1: {"coverage": np.float32(1.0)}, 2: {"coverage": 2.0}})]),
+        ValidationIssue("zones", (0, 1), "quality must be a Python number"),
+    ),
+    "payload-weight": (
+        lambda: tiny_mixed(payloads=[PayloadItem(0, np.float32(1.0), "radio"), _PACK]),
+        ValidationIssue("payloads", (0,), "weight must be a Python number"),
+    ),
+    "mission-data": (
+        lambda: tiny_mixed(missions=[Mission(0, "coverage", (0,), np.int64(10)), Mission(1, "relay", (0,), 0.0)]),
+        ValidationIssue("missions", (0,), "data per work unit must be a Python number"),
+    ),
+    "uav-empty-weight": (
+        lambda: tiny_mixed(uav=UavSpec(np.int64(4), 2.5, 200.0, 2.0, 2)),
+        ValidationIssue("uavs", ("empty_weight_kg",), "must be a Python number"),
+    ),
+    # make_scenario stores the scenario-wide numbers as Python ones, so these
+    # reach validate only through dataclasses.replace
+    "epochs": (
+        lambda: dataclasses.replace(tiny_mixed(), epochs=np.int64(4)),
+        ValidationIssue("epochs", (), "must be a Python number"),
+    ),
+    "hover": (
+        lambda: dataclasses.replace(tiny_mixed(), hover_km_equiv=np.float32(0.1)),
+        ValidationIssue("energy", ("hover_km_equiv",), "must be a Python number"),
+    ),
+    "default-sink-link": (
+        lambda: dataclasses.replace(tiny_mixed(), link_default_sink_mb=np.int64(50000)),
+        ValidationIssue("links", ("default_sink_mb",), "must be a Python number"),
+    ),
+}
+
+# sha256 of serialize_scenario for tiny_mixed with a plain-int payload weight
+# of 4, taken before validate refused numpy scalars: the weight stays "4"
+PLAIN_INT_WEIGHT_DIGEST = "a0e8299f54a8c299fa80c3005931530c7be01f8241c0d974121437cee9b24dc7"
+
+
 class TestWriter:
+    @pytest.mark.parametrize("case", sorted(NUMPY_SCALAR_FIELDS))
+    def test_numpy_scalars_json_cannot_write_refused(self, case):
+        build, issue = NUMPY_SCALAR_FIELDS[case]
+        s = build()
+        assert validate(s) == [issue]
+        with pytest.raises(TypeError):
+            serialize_scenario(s)
+
+    def test_plain_int_weight_keeps_its_bytes(self):
+        s = tiny_mixed(uav=UavSpec(4.0, 5.0, 200.0, 2.0, 2), payloads=[PayloadItem(0, 4, "radio"), _PACK])
+        assert validate(s) == []
+        assert '"weight_kg": 4\n' in serialize_scenario(s)
+        assert _digest(s) == PLAIN_INT_WEIGHT_DIGEST
+
     @pytest.mark.parametrize("field", sorted(NUMPY_INT_FIELDS))
     def test_numpy_integers_written_as_plain_ones(self, field):
         s = tiny_mixed(**NUMPY_INT_FIELDS[field](np.int64))
