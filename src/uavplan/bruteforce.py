@@ -2,9 +2,10 @@
 
 solve_model_exhaustive is an independent path to the exact engine's optimum:
 it takes a built (or re-parsed) MILP, branches over its binary variables with
-bound propagation, and hands every completed assignment's continuous
-remainder to the bundled simplex.  It shares no code with solve_exact beyond
-that simplex, so the two agreeing is evidence for both.
+bound propagation, prunes partial assignments by their LP relaxation, and
+hands every completed assignment's continuous remainder to the bundled
+simplex.  It shares no code with solve_exact beyond that simplex, so the two
+agreeing is evidence for both.
 """
 
 from __future__ import annotations
@@ -28,13 +29,18 @@ def solve_model_exhaustive(
     The rows become one dense coefficient matrix, split into a binary and a
     continuous block; rows the variable bounds already satisfy are dropped.
     Depth-first branching fixes, after every choice, each binary the rows
-    force (bound propagation to its fixpoint).  Every completed assignment's
+    force (bound propagation to its fixpoint).  Once an incumbent exists, a
+    branch is pruned when the LP relaxation of the kept rows under its
+    partial assignment (fixed binaries on the right-hand side, free ones over
+    [0, 1]) is infeasible or cannot beat the incumbent by more than 1e-9
+    (Land and Doig's bound).  Every completed assignment's
     continuous remainder is presolved (rows made slack by the fixed binaries
     are dropped, zero-forced variables eliminated) and handed to the bundled
     simplex.  Presolved subproblems are cached, so assignments differing only
     in binaries the continuous part never sees cost one LP solve.  The search
     stops early once the incumbent reaches the objective variable's upper
-    bound.
+    bound.  Every node checks both budgets, so time_budget_s holds to within
+    one LP solve.
 
     Returns (status, value, variable dict); status is optimal, infeasible or
     limit."""
@@ -97,74 +103,40 @@ def solve_model_exhaustive(
                 return False
             x[zero], x[one] = 0.0, 1.0
 
-    # structure mined from the rows, for objective bounding under partial
-    # assignments: one-hot binary groups (sum = 1 rows) and continuous vars
-    # dominated by a single binary (x - b <= 0 rows)
-    n_b, n_c = nz_b.sum(axis=1), nz_c.sum(axis=1)
-    one_hot_group: dict[int, int] = {}
-    group_members: list[np.ndarray] = []
-    for r in np.flatnonzero((sense == "=") & (rhs == 1.0) & (n_c == 0) & ((Ab == 1.0) | ~nz_b).all(axis=1)):
-        for b in np.flatnonzero(nz_b[r]).tolist():
-            one_hot_group.setdefault(b, len(group_members))
-        group_members.append(np.flatnonzero(nz_b[r]))
-    dominator: dict[int, int] = {}
-    for r in np.flatnonzero(le & (rhs == 0.0) & (n_b == 1) & (n_c == 1)):
-        b, j = int(nz_b[r].argmax()), int(nz_c[r].argmax())
-        if Ac[r, j] > 0 and abs(Ab[r, b] + Ac[r, j]) < 1e-12 and b in one_hot_group:
-            dominator.setdefault(j, b)
+    # the LP relaxation over the binaries and the continuous variables, each
+    # shifted to start at 0: the kept rows, >= rows negated, then an upper-
+    # bound row per binary and per finite continuous bound
+    n_b = len(bin_idx)
+    eq = sense == "="
+    n_ub = int((~eq).sum())
+    flip = np.where(ge, -1.0, 1.0)[~eq, None]
+    R, r = np.hstack([Ab, Ac]), rhs - Ac @ lbs_c
+    span = np.concatenate([np.ones(n_b), ubs_c - lbs_c])
+    capped = np.isfinite(span)
+    R_ub = np.vstack([R[~eq] * flip, np.eye(len(span))[capped]])
+    r_ub = np.concatenate([r[~eq] * flip[:, 0], span[capped]])
+    R_eq, r_eq = R[eq], r[eq]
+    cost = np.zeros(len(span))
+    cost[n_b + obj] = 1.0
 
-    # rows that cap a positive continuous term from above, as term lists
-    lbs_cl = lbs_c.tolist()
-    bound_r = np.flatnonzero(~ge & (Ac > 0).any(axis=1))
-    bound_rows = []
-    for row in Ac[bound_r].tolist():
-        pos_terms = [(j, a) for j, a in enumerate(row) if a > 0]
-        neg_plain: list[tuple[int, float]] = []
-        grouped: dict[int, dict[int, list[tuple[int, float]]]] = {}
-        for j, a in enumerate(row):
-            if a < 0:
-                b = dominator.get(j)
-                if b is None:
-                    neg_plain.append((j, -a))
-                else:
-                    grouped.setdefault(one_hot_group[b], {}).setdefault(b, []).append((j, -a))
-        base = sum(a * lbs_cl[j] for j, a in pos_terms)
-        bound_rows.append((pos_terms, neg_plain, list(grouped.values()), base))
-    bound_B, bound_rhs = Ab[bound_r], rhs[bound_r]
-    bound_B_neg = np.minimum(bound_B, 0.0)
-
-    def objective_upper_bound() -> float:
-        """Upper bound on the objective given the partial binary assignment.
-
-        Interval propagation over the continuous rows, with sums of dominated
-        variables collapsed per one-hot group: a UAV-epoch group contributes
-        at most its best single member, not the sum over members."""
-        adjusted = (bound_rhs - np.where(x >= 0, bound_B * x, bound_B_neg).sum(axis=1)).tolist()
-        xs = x.tolist()
-        ub = ubs_c.tolist()
-        for _ in range(2):
-            for rhs_adj, (pos_terms, neg_plain, grouped, base) in zip(adjusted, bound_rows):
-                reach = 0.0  # largest achievable total of the negated terms
-                for j, mag in neg_plain:
-                    reach += mag * ub[j]
-                for per_b in grouped:
-                    best_b = 0.0
-                    for b, terms in per_b.items():
-                        if xs[b] == 0:
-                            continue
-                        tot = 0.0
-                        for j, mag in terms:
-                            tot += mag * ub[j]
-                        if xs[b] == 1:
-                            best_b = tot
-                            break
-                        best_b = max(best_b, tot)
-                    reach += best_b
-                for j, c in pos_terms:
-                    cand = (rhs_adj + reach - (base - c * lbs_cl[j])) / c
-                    if cand < ub[j]:
-                        ub[j] = max(cand, lbs_cl[j])
-        return ub[obj]
+    def relaxation() -> float:
+        """Largest objective of the LP relaxation under the partial binary
+        assignment, whose fixed binaries move to the right-hand side; -inf
+        when the relaxation is infeasible.  It is called only with an
+        incumbent, so it is never unbounded: its recession directions are
+        those of every leaf LP, and one leaf LP has an optimum."""
+        free = x < 0
+        fixed = np.where(free, 0.0, x)
+        cols = np.concatenate([free, np.ones(len(lbs_c), dtype=bool)])
+        rows = np.concatenate([np.ones(n_ub, dtype=bool), cols[capped]])
+        res = simplex_solve(
+            cost[cols],
+            R_ub[rows][:, cols],
+            (r_ub - R_ub[:, :n_b] @ fixed)[rows],
+            R_eq[:, cols],
+            r_eq - R_eq[:, :n_b] @ fixed,
+        )
+        return res.value + lbs_c[obj] if res.status == "optimal" else -math.inf
 
     # the leaf LP reads the rows with continuous terms
     cr = nz_c.any(axis=1)
@@ -270,7 +242,7 @@ def solve_model_exhaustive(
         """Count a node; False once the node or time budget is spent."""
         nonlocal nodes, truncated
         nodes += 1
-        if nodes > max_nodes or (nodes % 512 == 0 and time.monotonic() - t0 > time_budget_s):
+        if nodes > max_nodes or time.monotonic() - t0 > time_budget_s:
             truncated = True
         return not truncated
 
@@ -307,17 +279,11 @@ def solve_model_exhaustive(
             x[:] = saved
             return not proven and not truncated
         var = order[pos]
-        grp = one_hot_group.get(var)
         for val in (1.0, 0.0):
             x[var] = val
             carry_on = (
                 not propagate()
-                or (
-                    best_vars is not None
-                    and grp is not None
-                    and (x[group_members[grp]] != -1).all()
-                    and objective_upper_bound() <= best_val + 1e-9
-                )
+                or (best_vars is not None and relaxation() <= best_val + 1e-9)
                 or dfs(pos + 1)
             )
             x[:] = saved

@@ -75,7 +75,7 @@ def _write_manifest(
     }
     if stats is not None:
         manifest["stats"] = stats
-    _write_atomic(first_out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_atomic(first_out + ".manifest.json", json_text(manifest))
 
 
 def _read_scenario(path: str) -> Scenario:
@@ -177,7 +177,7 @@ def _tours_json(s: Scenario, tours) -> str:
                 "energy_wh": t.energy_wh,
             }
         )
-    return json.dumps(docs, indent=2) + "\n"
+    return json_text(docs)
 
 
 # -- commands ---------------------------------------------------------------------
@@ -241,7 +241,7 @@ def cmd_solve(args) -> int:
     if args.out:
         _write_atomic(args.out, serialize_plan(plan))
         outputs.append(args.out)
-        _write_atomic(args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
+        _write_atomic(args.out + ".summary.json", json_text(summary))
         outputs.append(args.out + ".summary.json")
         if tours is not None:
             _write_atomic(args.out + ".tours.json", _tours_json(s, tours))
@@ -326,7 +326,7 @@ def cmd_evaluate(args) -> int:
             }
             _write_atomic(args.out + ".satisfaction.json", json_text(sigma_doc))
             outputs = [args.out + ".violations.json", args.out + ".satisfaction.json"]
-        _write_atomic(args.out + ".summary.json", json.dumps(summary, indent=2) + "\n")
+        _write_atomic(args.out + ".summary.json", json_text(summary))
         outputs.append(args.out + ".summary.json")
         _write_manifest(
             outputs[0],

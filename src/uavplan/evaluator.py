@@ -117,10 +117,9 @@ class ViolationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(
-            [{"tag": v.tag, "indices": list(v.indices), "magnitude": v.magnitude} for v in self.violations],
-            indent=2,
-        ) + "\n"
+        return json_text(
+            [{"tag": v.tag, "indices": list(v.indices), "magnitude": v.magnitude} for v in self.violations]
+        )
 
 
 @dataclass

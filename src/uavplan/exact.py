@@ -465,7 +465,6 @@ def solve_exact(
     limits: EnumerationLimits = EnumerationLimits(),
     equipment_groups: list[tuple[int, frozenset, frozenset]] | None = None,
     depot_return: bool = True,
-    prune_battery: bool = True,
     prune_bound: bool = True,
 ) -> ExactResult:
     """Global optimum by exhaustive assignment enumeration plus inner LPs.
@@ -487,11 +486,7 @@ def solve_exact(
 
     groups = []  # per equipment group with UAVs: its configs, their stacked record, its best_from, its count
     for count, on, off in equipment_groups:
-        cfgs = enumerate_configs(
-            s, frozenset(on), frozenset(off), depot_return=depot_return, prune_battery=prune_battery
-        )
-        if not prune_battery:
-            cfgs = [c for c in cfgs if c.min_battery >= -1e-9]
+        cfgs = enumerate_configs(s, frozenset(on), frozenset(off), depot_return=depot_return)
         if count > 0 and not cfgs:
             return ExactResult(None, None, True, 0, False)
         if count > 0:

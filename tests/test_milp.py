@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from uavplan import bruteforce
 from uavplan.bruteforce import solve_model_exhaustive
 from uavplan.evaluator import Plan, check_feasibility, satisfaction
 from uavplan.exact import EnumerationLimits, solve_exact
@@ -629,6 +630,24 @@ def test_tiny_mixed_export_optimum_matches_exact_engine():
         assert val == pytest.approx(res.objective, abs=1e-6)
 
 
+def test_relaxation_bound_keeps_binding_links_search_small(monkeypatch):
+    """The LP relaxation keeps tiny-mixed with binding links to at most 300
+    simplex solves, bound and leaf LPs together; a bound too weak to prune
+    where the relay capacity binds shows as thousands."""
+    solve, calls = bruteforce.simplex_solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bruteforce, "simplex_solve", counting)
+    model = parse_lp(export_lp(build_milp(tiny_mixed(**BINDING_LINKS))))
+    status, val, _ = solve_model_exhaustive(model)
+    assert status == "optimal"
+    assert val == pytest.approx(0.7666666666666667, abs=1e-9)
+    assert len(calls) <= 300
+
+
 def battery_starved_delivery():
     """tiny-delivery on a 13 Wh battery: no plan reaches the target and back."""
     s = tiny_delivery()
@@ -647,7 +666,11 @@ def battery_starved_delivery():
 # the sig and sigbar families gave way to one gamma row per needed cell and
 # muh was kept to serving locations: every case keeps its status and its
 # value within 2.2e-16; seed-15 again moves those relay flows and
-# tiny-mixed/400-nodes stops on another plan of the same value
+# tiny-mixed/400-nodes stops on another plan of the same value.  When partial
+# assignments began to be bounded by their LP relaxation, tiny-mixed/400-nodes
+# came to finish within its budget and was re-pinned to the complete run's
+# output; tiny-mixed/40-nodes, pinned then, keeps a cut-off run with an
+# incumbent (0.6666000066660002) covered
 ORACLE_DIGESTS = {
     "seed-1": ("optimal", "369f8458033882a1b645a3a19ca2d2fe31be81418b5af5bc3e92548e3e1325d5"),
     "seed-3": ("optimal", "0d263b271936510c449cb5433a7909b2f71e2893828731ed3642bce6c4ee7068"),
@@ -667,7 +690,8 @@ ORACLE_DIGESTS = {
     "tiny-delivery": ("optimal", "57765898f5054d08391089cd5676ceeb955850a8131577b43367160bf7fcf956"),
     "battery-starved": ("infeasible", "6e5ec433a24b775184175f1671b80c697b78952e56f17e6123de59742f8b37fe"),
     "tiny-mixed/3-nodes": ("limit", "7c0e63d71fa92375f8c2d783f4d49b61ed6d10a07c6a56cc572fb695278055f5"),
-    "tiny-mixed/400-nodes": ("limit", "ec9d00f533179b8adf7dfd200fdc9efe72b6a910799ac17c51dec6e2f1938fdf"),
+    "tiny-mixed/400-nodes": ("optimal", "c451f66e3488bcf63ee2b6ba4fecb024b9ba6523c51ad7fccd2ca3fe740079ab"),
+    "tiny-mixed/40-nodes": ("limit", "755c1886896e763334b2b769ff065b6a67c4f50dc513e3043664642a0a6b15b8"),
 }
 
 
