@@ -714,6 +714,49 @@ def test_oracle_output_matches_pinned_digest(name):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == digest
 
 
+def _binaries_digest(model, sol):
+    """sha256 of the sorted `name value` lines of a solution's binaries."""
+    names = sorted(v.name for v in model.variables if v.kind == "binary")
+    text = "".join(f"{n} {sol[n]:g}\n" for n in names) if sol else ""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (status, value, _binaries_digest) of each ORACLE_DIGESTS case: what the
+# oracle decides, whichever optimal vertex its continuous values land on
+ORACLE_OUTCOMES = {
+    "seed-1": ("optimal", 0.7326004853596033, "aee39b5fd9afd38ec5e4fdea4b8621324d275e5d8e65066dab15c467dd83550a"),
+    "seed-3": ("optimal", 0.0, "0f1822747c232f9db8214e912ab18e708bddfce8dfaad3caeb7fe6629116a323"),
+    "seed-4": ("optimal", 1.0, "090144094260cbd9ae14fff8b755d08144ea210f17b9c429d8bec9a846c56f24"),
+    "seed-6": ("optimal", 0.7963958319266158, "826c6f9461c72c455e7ad5657a4f73fe509844895d7a8dde518a24dc78433b36"),
+    "seed-8": ("optimal", 1.0, "d1ac1c6b33a61555cc60783bfd22da4a691a291a5e8024130499d791fdeddca3"),
+    "seed-10": ("optimal", 0.624997357684677, "78622a29575b95bb0f4f79b11e3a40256a31526dffa3ace34a69b3d27356f9b3"),
+    "seed-11": ("optimal", 0.39594433617234315, "b74ade5deebd9361ad1859f1cbd65be49baea9df0b13c54108b74f5dfccd911c"),
+    "seed-12": ("optimal", 0.3016334498159051, "537d09a7788534bae1736f648eab6a4ef048b453c27c574dfe3233d8eef7133a"),
+    "seed-13": ("optimal", 0.2691456339700485, "0f1822747c232f9db8214e912ab18e708bddfce8dfaad3caeb7fe6629116a323"),
+    "seed-14": ("optimal", 1.0, "090144094260cbd9ae14fff8b755d08144ea210f17b9c429d8bec9a846c56f24"),
+    "seed-15": ("optimal", 0.9999999999999999, "090144094260cbd9ae14fff8b755d08144ea210f17b9c429d8bec9a846c56f24"),
+    "seed-16": ("optimal", 0.0, "5979494c485b865d93da825aafc0a2920a694b2b79ad497a22b9174939a0e7f6"),
+    "seed-18": ("optimal", 1.0, "d1ac1c6b33a61555cc60783bfd22da4a691a291a5e8024130499d791fdeddca3"),
+    "seed-20": ("optimal", 0.7845271947823773, "78622a29575b95bb0f4f79b11e3a40256a31526dffa3ace34a69b3d27356f9b3"),
+    "tiny-mixed": ("optimal", 1.0000000000000002, "e7924979881dd85b346180dcbc2aaf8cfafef0a16f4813a2da110d8f3277685f"),
+    "tiny-delivery": ("optimal", 1.0, "dd72ad56d57a38a5a83050eb8e52d461dda0265de76e403c637ea2ca4a127865"),
+    "battery-starved": ("infeasible", None, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "tiny-mixed/3-nodes": ("limit", None, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "tiny-mixed/400-nodes": ("optimal", 1.0000000000000002, "e7924979881dd85b346180dcbc2aaf8cfafef0a16f4813a2da110d8f3277685f"),
+    "tiny-mixed/40-nodes": ("limit", 0.6666000066660002, "85ad77cf7929196a1344ece47adcd961f85e12d879e214cf4eefd6cd3c6e3c12"),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DIGESTS))
+def test_oracle_outcome_matches_pin(name):
+    model, kwargs = _oracle_case(name)
+    status, val, sol = solve_model_exhaustive(model, **kwargs)
+    want_status, want_val, want_binaries = ORACLE_OUTCOMES[name]
+    assert status == want_status
+    assert val == (None if want_val is None else pytest.approx(want_val, abs=1e-12))
+    assert _binaries_digest(model, sol) == want_binaries
+
+
 # sha256 of the LP text, of repr(build_milp(s).constraints) and of repr of the
 # parsed model's variables and constraints, pinned before build_milp, export_lp
 # and parse_lp were rewritten around precomputed names and compiled patterns;
