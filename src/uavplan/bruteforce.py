@@ -2,10 +2,11 @@
 
 solve_model_exhaustive is an independent path to the exact engine's optimum:
 it takes a built (or re-parsed) MILP, branches over its binary variables with
-bound propagation, prunes partial assignments by their LP relaxation, and
-hands every completed assignment's continuous remainder to the bundled
-simplex.  It shares no code with solve_exact beyond that simplex, so the two
-agreeing is evidence for both.
+bound propagation, and solves one LP, built one way, both to bound partial
+assignments (their LP relaxation) and to optimize every completed
+assignment's continuous remainder, with the bundled simplex.  It shares no
+code with solve_exact beyond that simplex, so the two agreeing is evidence
+for both.
 """
 
 from __future__ import annotations
@@ -29,21 +30,23 @@ def solve_model_exhaustive(
     The rows become one dense coefficient matrix, split into a binary and a
     continuous block; rows the variable bounds already satisfy are dropped.
     Depth-first branching fixes, after every choice, each binary the rows
-    force (bound propagation to its fixpoint).  Once an incumbent exists, a
-    branch is pruned when the LP relaxation of the kept rows under its
-    partial assignment (fixed binaries on the right-hand side, free ones over
-    [0, 1]) is infeasible or cannot beat the incumbent by more than 1e-9
-    (Land and Doig's bound).  Every completed assignment's
-    continuous remainder is presolved (rows made slack by the fixed binaries
-    are dropped, zero-forced variables eliminated) and handed to the bundled
-    simplex.  Presolved subproblems are cached, so assignments differing only
-    in binaries the continuous part never sees cost one LP solve.  The search
-    stops early once the incumbent reaches the objective variable's upper
-    bound.  Every node checks both budgets, so time_budget_s holds to within
-    one LP solve.
+    force (bound propagation to its fixpoint).  One LP over the kept rows
+    serves nodes and leaves: fixed binaries move to the right-hand side, free
+    ones range over [0, 1], and each continuous variable over its bounds,
+    shifted to start at 0.  Once an incumbent exists, a branch is pruned when
+    its LP relaxation is infeasible or cannot beat the incumbent by more than
+    1e-9 (Land and Doig's bound).  Every completed assignment solves the same
+    LP with no binary free, without presolve or cache.  The search stops
+    early once the incumbent reaches the objective variable's upper bound.
+    Every node checks both budgets, so time_budget_s holds to within one LP
+    solve.
 
     Returns (status, value, variable dict); status is optimal, infeasible or
-    limit."""
+    limit.  A variable without a finite lower bound, or an unbounded
+    objective, raises ValueError."""
+    for v in model.variables:
+        if not math.isfinite(v.lb):
+            raise ValueError(f"variable {v.name} has lower bound {v.lb}; the oracle needs a finite one")
     is_bin = np.array([v.kind == "binary" for v in model.variables], dtype=bool)
     lbs = np.array([v.lb for v in model.variables])
     ubs = np.array([v.ub for v in model.variables])
@@ -74,7 +77,6 @@ def solve_model_exhaustive(
     sense, rhs, le, ge = sense[keep], rhs[keep], le[keep], ge[keep]
     Ab, Ac = A[keep][:, bin_idx], A[keep][:, cont_idx]
     c_low, c_high = activity(Ac, lbs_c, ubs_c)
-    nz_b, nz_c = Ab != 0, Ac != 0
 
     # propagation rows: the binary block in <= form (>= rows negated, = rows
     # both ways); room is what the rhs leaves the binary terms once the
@@ -103,9 +105,9 @@ def solve_model_exhaustive(
                 return False
             x[zero], x[one] = 0.0, 1.0
 
-    # the LP relaxation over the binaries and the continuous variables, each
-    # shifted to start at 0: the kept rows, >= rows negated, then an upper-
-    # bound row per binary and per finite continuous bound
+    # one LP for nodes and leaves, over the free binaries and the continuous
+    # variables, each shifted to start at 0: the kept rows, >= rows negated,
+    # then an upper-bound row per binary and per finite continuous bound
     n_b = len(bin_idx)
     eq = sense == "="
     n_ub = int((~eq).sum())
@@ -119,12 +121,14 @@ def solve_model_exhaustive(
     cost = np.zeros(len(span))
     cost[n_b + obj] = 1.0
 
-    def relaxation() -> float:
-        """Largest objective of the LP relaxation under the partial binary
-        assignment, whose fixed binaries move to the right-hand side; -inf
-        when the relaxation is infeasible.  It is called only with an
-        incumbent, so it is never unbounded: its recession directions are
-        those of every leaf LP, and one leaf LP has an optimum."""
+    def lp():
+        """Largest objective of the LP under the binary assignment x: fixed
+        binaries move to the right-hand side, free ones range over [0, 1].
+        Returns it with the continuous values reaching it, (-inf, None) when
+        the LP is infeasible.  An unbounded LP raises ValueError; a node's LP
+        is solved only with an incumbent, so it is never unbounded: its
+        recession directions are those of every leaf LP, and one leaf LP has
+        an optimum."""
         free = x < 0
         fixed = np.where(free, 0.0, x)
         cols = np.concatenate([free, np.ones(len(lbs_c), dtype=bool)])
@@ -136,86 +140,15 @@ def solve_model_exhaustive(
             R_eq[:, cols],
             r_eq - R_eq[:, :n_b] @ fixed,
         )
-        return res.value + lbs_c[obj] if res.status == "optimal" else -math.inf
-
-    # the leaf LP reads the rows with continuous terms
-    cr = nz_c.any(axis=1)
-    B, C, nz, base_rhs, max_lhs = Ab[cr], Ac[cr], nz_c[cr], rhs[cr], c_high[cr]
-    c_sense, c_le = sense[cr], le[cr]
-    c_eq = c_sense == "="
-    # single continuous-variable <= rows can force variables to zero
-    single_col = nz.argmax(axis=1)
-    single = c_le & (nz.sum(axis=1) == 1) & (C.max(axis=1) > 0) & (lbs_c[single_col] == 0.0)
-    lp_cache: dict[bytes, tuple] = {}
-
-    def solve_continuous():
-        """Presolve + solve the continuous remainder for the full assignment."""
-        rhs_eff = base_rhs - B @ x
-        live = ~(c_le & (max_lhs <= rhs_eff + 1e-9))
-        key = live.tobytes() + np.round(rhs_eff[live], 9).tobytes()
-        hit = lp_cache.get(key)
-        if hit is not None:
-            return hit
-
-        # fixed-point zero-forcing: single-variable <= rows at rhs 0, then =
-        # rows at rhs 0 with one variable left unforced
-        forced_zero = np.zeros(len(lbs_c), dtype=bool)
-        forced_zero[single_col[live & single & (rhs_eff <= 1e-12)]] = True
-        eq_zero = live & c_eq & (np.abs(rhs_eff) <= 1e-12)
-        while True:
-            open_ = nz[eq_zero] & ~forced_zero
-            cols = open_[open_.sum(axis=1) == 1].argmax(axis=1)
-            cols = cols[lbs_c[cols] == 0.0]
-            if not cols.size:
-                break
-            forced_zero[cols] = True
-
-        nz_live = nz[live]
-        keep_vars = nz_live.any(axis=0) & ~forced_zero
-        keep_vars[obj] = not forced_zero[obj]
-        rows, r_eff, r_sense = C[live][:, keep_vars], rhs_eff[live], c_sense[live]
-        empty = ~nz_live[:, keep_vars].any(axis=1)
-        ok = np.where(
-            r_sense == "<=", r_eff >= -1e-9, np.where(r_sense == ">=", r_eff <= 1e-9, np.abs(r_eff) <= 1e-9)
-        )
-        if (empty & ~ok).any():
-            lp_cache[key] = (None, None)
-            return None, None
-
-        # <= rows and negated >= rows in row order, then each kept variable's
-        # lower-bound row followed by its upper-bound row
-        ineq, eq = ~empty & (r_sense != "="), ~empty & (r_sense == "=")
-        flip = np.where(r_sense[ineq] == ">=", -1.0, 1.0)
-        lo_k, hi_k = lbs_c[keep_vars], ubs_c[keep_vars]
-        m = len(lo_k)
-        col = np.arange(m)
-        box = np.zeros((2 * m, m))
-        box[2 * col, col], box[2 * col + 1, col] = -1.0, 1.0
-        box_rhs = np.column_stack([-lo_k, hi_k]).ravel()
-        box_on = np.column_stack([lo_k > 0, np.isfinite(hi_k)]).ravel()
-        c = np.zeros(m)
-        if keep_vars[obj]:
-            c[np.count_nonzero(keep_vars[:obj])] = 1.0
-        res = simplex_solve(
-            c,
-            np.vstack([rows[ineq] * flip[:, None], box[box_on]]),
-            np.concatenate([r_eff[ineq] * flip, box_rhs[box_on]]),
-            rows[eq],
-            r_eff[eq],
-        )
+        if res.status == "unbounded":
+            raise ValueError(f"objective {model.objective} is unbounded")
         if res.status != "optimal":
-            result = (None, None)
-        else:
-            # vars in dropped rows sit at their lower bound, which satisfies them
-            xc = lbs_c.copy()
-            xc[forced_zero] = 0.0
-            xc[keep_vars] = res.x
-            result = (float(xc[obj]), xc)
-        lp_cache[key] = result
-        return result
+            return -math.inf, None
+        xc = res.x[np.count_nonzero(free):] + lbs_c
+        return float(xc[obj]), xc
 
     # branch binaries the continuous rows can see first; don't-cares last
-    seen_in_cont = nz_b[cr].any(axis=0)
+    seen_in_cont = (Ab != 0)[(Ac != 0).any(axis=1)].any(axis=0)
     order = np.flatnonzero((x == -1) & seen_in_cont).tolist()
     semantic_len = len(order)
     order += np.flatnonzero((x == -1) & ~seen_in_cont).tolist()
@@ -230,6 +163,7 @@ def solve_model_exhaustive(
     proven = False
 
     def record(value, xc):
+        """Keep a leaf that beats the incumbent; an infeasible one, at -inf, never does."""
         nonlocal best_val, best_vars, proven
         if value > best_val + 1e-12:
             best_val = value
@@ -273,9 +207,7 @@ def solve_model_exhaustive(
         saved = x.copy()
         if pos >= semantic_len:
             if complete_suffix(pos):
-                value, xc = solve_continuous()
-                if value is not None:
-                    record(value, xc)
+                record(*lp())
             x[:] = saved
             return not proven and not truncated
         var = order[pos]
@@ -283,7 +215,7 @@ def solve_model_exhaustive(
             x[var] = val
             carry_on = (
                 not propagate()
-                or (best_vars is not None and relaxation() <= best_val + 1e-9)
+                or (best_vars is not None and lp()[0] <= best_val + 1e-9)
                 or dfs(pos + 1)
             )
             x[:] = saved

@@ -17,7 +17,7 @@ from uavplan.cli import main
 from uavplan.evaluator import TAGS, check_feasibility, plan_metrics, satisfaction
 from uavplan.exact import EnumerationLimits, solve_exact
 from uavplan.heuristic import PRESETS, insertion_solve
-from uavplan.milp import build_milp, export_lp, parse_lp
+from uavplan.milp import build_milp, export_lp, import_solution, parse_lp
 from uavplan.scenario import UavSpec, fixed_equipment, max_range
 from uavplan.synth import generate_preset
 
@@ -50,11 +50,15 @@ def test_criterion_2_oracle_triangle():
         assert exact.feasible and exact.proven_optimal, f"seed {seed}: exact failed"
         # (a) exact plan feasible per the evaluator
         assert check_feasibility(s, exact.plan).ok, f"seed {seed}: exact plan infeasible"
-        # (b) exported-model optimum equals the exact objective
-        model = parse_lp(export_lp(build_milp(s)))
-        status, val, _ = solve_model_exhaustive(model, time_budget_s=120)
+        # (b) exported-model optimum equals the exact objective, and the
+        # oracle's solution imports as a feasible plan reaching its value
+        built = build_milp(s)
+        status, val, sol = solve_model_exhaustive(parse_lp(export_lp(built)), time_budget_s=120)
         assert status == "optimal", f"seed {seed}: brute force hit its budget"
         assert val == pytest.approx(exact.objective, abs=1e-6), f"seed {seed}"
+        oracle_plan = import_solution(built, sol)
+        assert check_feasibility(s, oracle_plan).ok, f"seed {seed}: oracle plan infeasible"
+        assert satisfaction(s, oracle_plan).objective == pytest.approx(val, abs=1e-6), f"seed {seed}"
         # (c) heuristic feasible and never better than exact
         tours, plan = insertion_solve(s)
         assert check_feasibility(s, plan).ok, f"seed {seed}: heuristic plan infeasible"

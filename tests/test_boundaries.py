@@ -49,7 +49,7 @@ def test_oracle_paths_stay_independent(module, forbidden):
 
 
 def test_reader_sees_relative_and_absolute_imports():
-    # the oracle's relaxation bound and leaf LPs both run on the shared
+    # the oracle's one LP, for bounds and leaves alike, runs on the shared
     # simplex, and nothing else of the package reaches it
     assert imported_modules("bruteforce") == {"milp", "simplex"}
     assert {"evaluator", "scenario", "simplex"} <= imported_modules("exact")
